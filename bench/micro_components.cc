@@ -108,17 +108,13 @@ BENCHMARK(BM_CoreTick);
  * The scheduler inner loop in isolation: a dependence-dense
  * synthetic stream on the 8-wide machine keeps the window full, so
  * nearly every tick pays wakeup broadcasts plus the age-ordered
- * select scan rather than fetch or memory. Arg selects the engine
- * (0 = masked bit planes, 1 = reference chains) — the pair
- * quantifies exactly the structure the sched_engine knob swaps.
+ * select scan rather than fetch or memory: the cost of the ready and
+ * issued bit planes and the dependency-matrix broadcasts.
  */
 void
 BM_WakeupSelect(benchmark::State &state)
 {
     core::CoreConfig cfg = core::eightWideConfig();
-    cfg.sched_engine = state.range(0) == 0
-        ? core::SchedEngine::Masked
-        : core::SchedEngine::Reference;
     core::SyntheticParams p;
     p.num_insts = uint64_t(1) << 40; // never drains in-bench
     p.two_source_frac = 0.6;         // dense wakeup traffic
@@ -133,9 +129,7 @@ BM_WakeupSelect(benchmark::State &state)
     state.counters["issued_per_cycle"] = benchmark::Counter(
         double(c.stats().issued.value()), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_WakeupSelect)
-    ->Arg(0)->Arg(1)
-    ->ArgName("engine");
+BENCHMARK(BM_WakeupSelect);
 
 void
 BM_WorkloadBuild(benchmark::State &state)

@@ -8,29 +8,22 @@
  *
  * RunResult.wallSeconds measures Core::run() only; workload assembly
  * and functional fast-forward are excluded. Runs serially (one
- * worker) so per-run wall times are undistorted. With batching
- * (`--batch B`, default auto) each batch's wall time is attributed
- * to its lanes proportionally to simulated cycles, so per-lane
- * cycles/sec stays the comparable figure of merit at any batch
- * size.
+ * worker) so per-run wall times are undistorted.
  *
  * `--policy sched=X,rf=Y` pins the scheduler and register-file
  * policies by registry key; either value may be `all`, which expands
- * that axis to every registered policy. Combined with
- * `--sched-engine both` this sweeps the full policy zoo on both the
- * masked and the reference scheduler engine — the `perf` ctest label
- * runs exactly that, so every zoo policy's hot path is timed on both
- * engines, not just the paper four. With a single combo the output
- * is the detailed per-workload table; a multi-combo sweep prints one
+ * that axis to every registered policy — the `perf` ctest label runs
+ * `sched=all,rf=all`, so every zoo policy's hot path is timed, not
+ * just the paper four. With a single combo the output is the
+ * detailed per-workload table; a multi-combo sweep prints one
  * summary row per combo.
  *
  * `--json FILE` additionally writes the measurements as one
- * "hpa.micro-throughput.v2" document — the batch size, the per-lane
- * throughput mean, and per-run (per-lane) cycles/sec — so CI (the
- * `perf` ctest label) and tools/compare_bench.py can track
- * throughput over time. In sweep mode each run also carries its
- * machine name and engine, which keeps compare_bench.py's
- * machine|workload run keys unique across combos.
+ * "hpa.micro-throughput.v3" document — totals plus per-run
+ * cycles/sec — so CI (the `perf` ctest label) and
+ * tools/compare_bench.py can track throughput over time. In sweep
+ * mode each run also carries its machine name, which keeps
+ * compare_bench.py's machine|workload run keys unique across combos.
  */
 
 #include <fstream>
@@ -46,13 +39,12 @@ using namespace hpa::benchutil;
 namespace
 {
 
-/** One point of the policy x engine sweep. Empty policy string =
- *  the base machine's default for that axis. */
+/** One point of the policy sweep. Empty policy string = the base
+ *  machine's default for that axis. */
 struct Combo
 {
     std::string sched;
     std::string rf;
-    core::SchedEngine engine;
 
     std::string
     label() const
@@ -61,8 +53,6 @@ struct Combo
         s += sched.empty() ? "base" : sched;
         s += ",rf=";
         s += rf.empty() ? "base" : rf;
-        s += ",engine=";
-        s += core::schedEngineName(engine);
         return s;
     }
 };
@@ -90,23 +80,24 @@ int
 main(int argc, char **argv)
 {
     std::string json_out;
-    unsigned batch = 0;
     std::string sched_policy;
     std::string rf_policy;
-    std::string engine_opt = "masked";
     bool bad_cli = false;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a == "--json" && i + 1 < argc) {
+        if (a == "--batch" || a == "--sched-engine") {
+            std::fprintf(stderr,
+                         "%s was removed: results never depended on "
+                         "it (every cell runs alone on the one "
+                         "scheduler)\n",
+                         a.c_str());
+            return 2;
+        } else if (a == "--json" && i + 1 < argc) {
             json_out = argv[++i];
-        } else if (a == "--batch" && i + 1 < argc) {
-            batch = unsigned(std::strtoul(argv[++i], nullptr, 10));
         } else if (a == "--sched-policy" && i + 1 < argc) {
             sched_policy = argv[++i];
         } else if (a == "--rf-policy" && i + 1 < argc) {
             rf_policy = argv[++i];
-        } else if (a == "--sched-engine" && i + 1 < argc) {
-            engine_opt = argv[++i];
         } else if (a == "--policy" && i + 1 < argc) {
             // k=v pairs, comma-separated: sched=X,rf=Y. Either value
             // may be "all" (expand to the full registry).
@@ -148,9 +139,8 @@ main(int argc, char **argv)
         if (bad_cli) {
             std::fprintf(
                 stderr,
-                "usage: micro_throughput [--batch B] "
+                "usage: micro_throughput "
                 "[--policy sched=X,rf=Y] "
-                "[--sched-engine masked|reference|both] "
                 "[--sched-policy P] [--rf-policy P] "
                 "[--json FILE]\n"
                 "  scheduler policies (or 'all'): %s\n"
@@ -161,27 +151,11 @@ main(int argc, char **argv)
         }
     }
 
-    std::vector<core::SchedEngine> engines;
-    if (engine_opt == "both") {
-        engines = {core::SchedEngine::Masked,
-                   core::SchedEngine::Reference};
-    } else {
-        core::SchedEngine e;
-        if (!core::parseSchedEngine(engine_opt, e)) {
-            std::fprintf(stderr,
-                         "--sched-engine expects masked | reference "
-                         "| both\n");
-            return 2;
-        }
-        engines = {e};
-    }
-
     std::vector<Combo> combos;
     for (const auto &s :
          expandAxis(sched_policy, core::schedPolicies()))
         for (const auto &r : expandAxis(rf_policy, core::rfPolicies()))
-            for (core::SchedEngine e : engines)
-                combos.push_back(Combo{s, r, e});
+            combos.push_back(Combo{s, r});
     const bool sweep_mode = combos.size() > 1;
 
     uint64_t budget = instBudget();
@@ -194,7 +168,6 @@ main(int argc, char **argv)
         unsigned width;
         std::string bench;
         std::string machine;
-        std::string engine;
         uint64_t cycles;
         uint64_t committed;
         double wallSeconds;
@@ -202,9 +175,6 @@ main(int argc, char **argv)
     };
     std::vector<Sample> samples;
 
-    std::printf("batched replay: %u lanes%s\n",
-                sim::SweepRunner::resolveBatch(batch),
-                batch == 0 ? " (auto)" : "");
     if (sweep_mode)
         std::printf("policy sweep: %zu combos "
                     "(per-combo totals below)\n",
@@ -222,11 +192,7 @@ main(int argc, char **argv)
     };
     std::vector<ComboRow> combo_rows;
     double grand_cycles = 0, grand_secs = 0;
-    size_t batches_formed = 0;
     for (const Combo &combo : combos) {
-        // One sweep per combo over both widths so cells sharing a
-        // workload trace can actually batch (the engine groups by
-        // workload; each group holds the 4-wide and 8-wide lanes).
         std::vector<sim::SweepJob> jobs;
         std::vector<std::string> machine_names;
         for (unsigned width : widths) {
@@ -242,17 +208,13 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "%s\n", e.what());
                 return 2;
             }
-            b.schedEngine(combo.engine);
             sim::Machine m = b.build();
             machine_names.push_back(m.name);
-            for (const auto &name : names) {
+            for (const auto &name : names)
                 jobs.push_back(job(name, m, budget));
-                jobs.back().batch = batch;
-            }
         }
         sim::SweepRunner runner(1);
         auto all = runner.run(std::move(jobs));
-        batches_formed += runner.batchesFormed();
 
         double combo_cycles = 0, combo_secs = 0;
         for (size_t wi = 0; wi < widths.size(); ++wi) {
@@ -268,7 +230,6 @@ main(int argc, char **argv)
                 total_insts += double(r.committed);
                 samples.push_back(
                     Sample{width, names[i], machine_names[wi],
-                           core::schedEngineName(combo.engine),
                            r.cycles, r.committed, r.wallSeconds,
                            r.cyclesPerSec()});
             }
@@ -325,38 +286,23 @@ main(int argc, char **argv)
                          json_out.c_str());
             return 1;
         }
-        double lane_sum = 0;
-        for (const auto &s : samples)
-            lane_sum += s.cyclesPerSec;
         stats::json::JsonWriter jw(os);
         jw.beginObject()
-            .kv("schema", "hpa.micro-throughput.v2")
+            .kv("schema", "hpa.micro-throughput.v3")
             .kv("insts_per_run", budget)
-            .kv("batch",
-                uint64_t(sim::SweepRunner::resolveBatch(batch)))
-            .kv("batches_formed", uint64_t(batches_formed))
             .kv("total_simulated_cycles", uint64_t(grand_cycles))
             .kv("total_wall_seconds", grand_secs, 4)
             .kv("aggregate_cycles_per_sec",
                 grand_secs > 0 ? grand_cycles / grand_secs : 0.0, 0)
-            // Mean per-lane throughput: each run's wall share is its
-            // cycle-proportional slice of its batch, so this tracks
-            // the per-config replay rate independent of batch width.
-            .kv("lane_cycles_per_sec",
-                samples.empty() ? 0.0
-                                : lane_sum / double(samples.size()),
-                0)
             .key("runs")
             .beginArray();
         for (const auto &s : samples) {
             jw.beginObject();
             // In sweep mode the same width|workload pair recurs once
-            // per combo; the machine name + engine disambiguate (and
-            // switch compare_bench.py to machine|workload keys).
-            if (sweep_mode) {
-                jw.kv("machine", s.machine)
-                    .kv("engine", s.engine);
-            }
+            // per combo; the machine name disambiguates (and switches
+            // compare_bench.py to machine|workload keys).
+            if (sweep_mode)
+                jw.kv("machine", s.machine);
             jw.kv("width", uint64_t(s.width))
                 .kv("workload", s.bench)
                 .kv("cycles", s.cycles)

@@ -8,8 +8,6 @@
 #ifndef HPA_CORE_CONFIG_HH
 #define HPA_CORE_CONFIG_HH
 
-#include <string_view>
-
 #include "bpred/bpred.hh"
 #include "mem/hierarchy.hh"
 
@@ -84,31 +82,6 @@ enum class RegfileModel
     PrefetchBuffer,
 };
 
-/**
- * Scheduler data-structure engine. Both engines implement the same
- * machine model cycle for cycle — the golden gate pins them
- * bit-identical — so the knob selects a simulator implementation,
- * not an architecture: it never appears in machine names, golden
- * keys, or job-store spec keys.
- */
-enum class SchedEngine
-{
-    /**
-     * SoA bitmask engine (issue_window.hh): per-window occupancy/
-     * ready/issued bit planes, a producer->consumers dependency
-     * matrix walked by wakeup broadcasts, and a branchless
-     * tzcnt age-order scan for select. The default.
-     */
-    Masked,
-    /**
-     * Reference engine: seq-ordered intrusive slot chains plus
-     * pooled per-producer consumer lists (containers.hh). Kept as
-     * the bit-identity oracle for the masked engine and as the
-     * direct realization of the per-entry policy hooks.
-     */
-    Reference,
-};
-
 /** Scheduling-recovery style for load-latency mispredictions. */
 enum class RecoveryModel
 {
@@ -159,10 +132,6 @@ struct CoreConfig
     RegfileModel regfile = RegfileModel::TwoPort;
     RecoveryModel recovery = RecoveryModel::NonSelective;
     RenameModel rename = RenameModel::TwoPort;
-
-    /** Scheduler data-structure engine (simulator implementation
-     *  choice, result-invariant — see SchedEngine). */
-    SchedEngine sched_engine = SchedEngine::Masked;
 
     /** Last-arriving operand predictor entries (Sections 3.2, 5.1). */
     unsigned lap_entries = 1024;
@@ -232,26 +201,6 @@ struct CoreConfig
             || wakeup == WakeupModel::SequentialNoPred;
     }
 };
-
-/** CLI/artifact spelling of a scheduler engine. */
-inline const char *
-schedEngineName(SchedEngine e)
-{
-    return e == SchedEngine::Masked ? "masked" : "reference";
-}
-
-/** Parse a --sched-engine spelling; @return false when unknown. */
-inline bool
-parseSchedEngine(std::string_view v, SchedEngine &out)
-{
-    if (v == "masked")
-        out = SchedEngine::Masked;
-    else if (v == "reference")
-        out = SchedEngine::Reference;
-    else
-        return false;
-    return true;
-}
 
 /** The paper's 4-wide base machine (Table 1). */
 CoreConfig fourWideConfig();

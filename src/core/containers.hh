@@ -8,23 +8,13 @@
  * indices, so push/pop never touch the heap and traversal is a
  * dense sequential walk.
  *
- * PooledLists replaces vector<vector<T>> for the per-slot consumer
- * lists: all entries of all lists live in one index-linked node
- * pool with per-list head/tail, append order preserved. clear() is
- * O(1) — it splices the whole list onto the free list — and the
- * pool's high-water mark is bounded (each in-window instruction
- * appends at most two consumer entries, and a producer's list is
- * cleared no later than its slot is reused), so after warm-up the
- * steady state performs zero heap allocation.
- *
  * The bit-plane scan helpers at the bottom are the traversal
- * primitives of the masked scheduler engine (issue_window.hh): the
+ * primitives of the scheduler's bit planes (issue_window.hh): the
  * window is a FIFO ring, so scanning the two segments [head, slots)
  * then [0, head) visits set bits in age (= seq = program) order,
- * which is exactly the oldest-first priority the seq-ordered side
- * chains provide. Each scan loads a word once and pops set bits
- * with countr_zero (tzcnt), so the per-visited-bit cost is a few
- * branch-free ALU ops instead of a pointer chase.
+ * which is the oldest-first select priority. Each scan loads a word
+ * once and pops set bits with countr_zero (tzcnt), so the
+ * per-visited-bit cost is a few branch-free ALU ops.
  */
 
 #ifndef HPA_CORE_CONTAINERS_HH
@@ -98,203 +88,8 @@ class BoundedRing
     size_t count_ = 0;
 };
 
-/**
- * Intrusive doubly-linked list over window slot indices, kept in
- * ascending order of a caller-supplied key (the window seq, so list
- * order == program order). Replaces the seq-sorted std::vector side
- * lists: unlink is O(1) instead of a binary search plus memmove, and
- * ordered insert walks backward from the tail, which is O(1) for the
- * common append-youngest case (dispatch, and most issues). Slots are
- * unique; membership is tracked so a double insert or a stray unlink
- * trips an assert instead of corrupting the chain.
- */
-class SlotChain
-{
-  public:
-    static constexpr int32_t NIL = -1;
-
-    /** Drop everything and size the link arrays for @p slots. */
-    void
-    reset(size_t slots)
-    {
-        prev_.assign(slots, NIL);
-        next_.assign(slots, NIL);
-        in_.assign(slots, 0);
-        head_ = NIL;
-        tail_ = NIL;
-        phantom_ = NIL;
-        size_ = 0;
-    }
-
-    bool empty() const { return size_ == 0; }
-    size_t size() const { return size_; }
-    int32_t head() const { return head_; }
-    int32_t next(unsigned s) const { return next_[s]; }
-    bool contains(unsigned s) const { return in_[s] != 0; }
-
-    /**
-     * Insert @p s keeping ascending @p less order (stable: equal
-     * keys cannot occur — seqs are unique). @p less(a, b) compares
-     * two slot indices by key.
-     */
-    template <typename Less>
-    void
-    insertOrdered(unsigned s, Less &&less)
-    {
-        assert(!in_[s]);
-        int32_t after = tail_;
-        while (after != NIL && less(s, unsigned(after)))
-            after = prev_[after];
-        // Link s after `after` (NIL = new head).
-        prev_[s] = after;
-        if (after == NIL) {
-            next_[s] = head_;
-            head_ = int32_t(s);
-        } else {
-            next_[s] = next_[after];
-            next_[after] = int32_t(s);
-        }
-        if (next_[s] == NIL)
-            tail_ = int32_t(s);
-        else
-            prev_[next_[s]] = int32_t(s);
-        in_[s] = 1;
-        ++size_;
-    }
-
-    /** Unlink @p s — O(1). The slot must be a member. */
-    void
-    remove(unsigned s)
-    {
-        assert(in_[s]);
-        if (prev_[s] == NIL)
-            head_ = next_[s];
-        else
-            next_[prev_[s]] = next_[s];
-        if (next_[s] == NIL)
-            tail_ = prev_[s];
-        else
-            prev_[next_[s]] = prev_[s];
-        prev_[s] = NIL;
-        next_[s] = NIL;
-        in_[s] = 0;
-        --size_;
-    }
-
-    /** Materialize the chain, head to tail (cold diagnostics).
-     *  Includes the injected phantom entry, if any. */
-    std::vector<unsigned>
-    toVector() const
-    {
-        std::vector<unsigned> v;
-        v.reserve(size_ + (phantom_ != NIL));
-        for (int32_t s = head_; s != NIL; s = next_[s])
-            v.push_back(unsigned(s));
-        if (phantom_ != NIL)
-            v.push_back(unsigned(phantom_));
-        return v;
-    }
-
-    /**
-     * Test-only corruption: a duplicate/phantom entry visible to the
-     * diagnostic view (toVector) but inert to the hot-path links, so
-     * the periodic cross-validation must diverge while the chain
-     * stays structurally sound until the check fires.
-     */
-    void testAppendPhantom(unsigned s) { phantom_ = int32_t(s); }
-
-  private:
-    std::vector<int32_t> prev_;
-    std::vector<int32_t> next_;
-    std::vector<uint8_t> in_;
-    int32_t head_ = NIL;
-    int32_t tail_ = NIL;
-    int32_t phantom_ = NIL;
-    size_t size_ = 0;
-};
-
-/** N append-ordered lists sharing one pooled node array. */
-template <typename T>
-class PooledLists
-{
-  public:
-    /** Drop everything: @p lists empty lists over a pool with room
-     *  for @p reserve_nodes entries before any growth. */
-    void
-    reset(size_t lists, size_t reserve_nodes)
-    {
-        head_.assign(lists, NIL);
-        tail_.assign(lists, NIL);
-        nodes_.clear();
-        nodes_.reserve(reserve_nodes);
-        free_ = NIL;
-    }
-
-    bool empty(unsigned list) const { return head_[list] == NIL; }
-
-    void
-    append(unsigned list, const T &v)
-    {
-        int32_t n;
-        if (free_ != NIL) {
-            n = free_;
-            free_ = nodes_[n].next;
-            nodes_[n].value = v;
-            nodes_[n].next = NIL;
-        } else {
-            n = int32_t(nodes_.size());
-            nodes_.push_back(Node{v, NIL});
-        }
-        if (tail_[list] == NIL)
-            head_[list] = n;
-        else
-            nodes_[tail_[list]].next = n;
-        tail_[list] = n;
-    }
-
-    /** Splice the whole list onto the free list — O(1). */
-    void
-    clear(unsigned list)
-    {
-        int32_t h = head_[list];
-        if (h == NIL)
-            return;
-        nodes_[tail_[list]].next = free_;
-        free_ = h;
-        head_[list] = NIL;
-        tail_[list] = NIL;
-    }
-
-    /** Visit each element of @p list in append order. @p fn must not
-     *  append to or clear any list of this pool. */
-    template <typename Fn>
-    void
-    forEach(unsigned list, Fn &&fn) const
-    {
-        for (int32_t n = head_[list]; n != NIL; n = nodes_[n].next)
-            fn(nodes_[n].value);
-    }
-
-    /** Pool high-water mark (allocated nodes), for diagnostics. */
-    size_t poolSize() const { return nodes_.size(); }
-
-  private:
-    static constexpr int32_t NIL = -1;
-
-    struct Node
-    {
-        T value;
-        int32_t next;
-    };
-
-    std::vector<Node> nodes_;
-    std::vector<int32_t> head_;
-    std::vector<int32_t> tail_;
-    int32_t free_ = NIL;
-};
-
 // --------------------------------------------------------------------
-// Bit-plane scan primitives (masked scheduler engine)
+// Bit-plane scan primitives (issue_window.hh)
 // --------------------------------------------------------------------
 
 /** Visit the set bits of word array @p w inside [lo, hi) in
@@ -374,8 +169,7 @@ scanSetBitsFromAnd(const uint64_t *a, const uint64_t *b,
 /** Like scanSetBitsFrom over the union of two planes (the two
  *  operand rows of a producer's dependency vector): @p fn(bit, in_a,
  *  in_b) says which plane(s) held the bit, so the caller touches
- *  operand 0 before operand 1 — the consumer-list append order the
- *  reference engine visits in. */
+ *  operand 0 before operand 1. */
 template <typename Fn>
 inline void
 scanSetBitsFrom2(const uint64_t *a, const uint64_t *b, unsigned slots,

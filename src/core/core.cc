@@ -75,29 +75,56 @@ CoreStats::regStats(stats::Registry &reg)
     reg.add(&rfPortStalls);
 }
 
+namespace
+{
+
+/**
+ * The furthest ahead of the current cycle any event can be scheduled
+ * on @p cfg, which sizes the calendar ring. Measured from an issue:
+ *  - a load completes schedToExec() + its full miss latency (DL1 +
+ *    L2 + memory) later; its wakes and a replay's re-broadcast come
+ *    earlier;
+ *  - any other op wakes its latency later and completes
+ *    schedToExec() + latency - 1 later, where the latency includes
+ *    the sequential-RF cycle;
+ *  - a load miss is detected 1 + DL1 + replay_shadow later;
+ *  - a tag-elimination misissue tagelim_detect_delay + 1 later.
+ * A slow-bus re-broadcast is one cycle ahead.
+ */
+uint64_t
+eventHorizon(const CoreConfig &cfg)
+{
+    uint64_t op_lat = 0;
+    for (unsigned c = 0; c < unsigned(isa::OpClass::NumOpClasses); ++c)
+        op_lat = std::max<uint64_t>(
+            op_lat, isa::opClassLatency(isa::OpClass(c)));
+    op_lat += 1; // sequential register access
+    const mem::HierarchyConfig &m = cfg.mem;
+    const uint64_t to_exec = cfg.schedToExec();
+    return std::max({to_exec + m.dl1.latency + m.l2.latency
+                         + m.mem_latency,
+                     op_lat, to_exec + op_lat - 1,
+                     uint64_t(1) + m.dl1.latency + cfg.replay_shadow,
+                     uint64_t(cfg.tagelim_detect_delay) + 1});
+}
+
+} // namespace
+
 Core::Core(const CoreConfig &cfg, InstSource &source)
     : cfg_(cfg), source_(source), hier_(cfg.mem), bp_(cfg.bpred),
       fu_(cfg), lap_(cfg.lap_entries), sched_(makeSchedPolicy(cfg)),
       rf_(makeRFPolicy(cfg)), window_(cfg.ruu_size),
-      masked_(cfg.sched_engine == SchedEngine::Masked)
+      events_(eventHorizon(cfg))
 {
     // Every hot-path container is sized to its configuration bound
-    // here so steady-state simulation allocates nothing: each
-    // in-window instruction contributes at most two consumer-pool
-    // entries, stores never outnumber window slots, and the fetch
-    // queue is capped by the front-end depth. Only the active
-    // engine's structures are sized; the other stays empty.
+    // here so steady-state simulation allocates nothing: stores never
+    // outnumber window slots, the fetch queue is capped by the
+    // front-end depth, and the calendar spans the furthest event.
     HPA_CHECK(cfg.ruu_size > 0 && cfg.ruu_size <= 32767,
               "ruu_size must fit Event::slot (int16)");
     storeSlots_.reset(cfg.ruu_size);
     fetchQueue_.reset(size_t(cfg.front_end_depth) * cfg.width);
-    if (masked_) {
-        masks_.reset(cfg.ruu_size);
-    } else {
-        consumers_.reset(cfg.ruu_size, 2 * size_t(cfg.ruu_size));
-        ready_.reset(cfg.ruu_size);
-        issued_.reset(cfg.ruu_size);
-    }
+    masks_.reset(cfg.ruu_size);
     slowBus_ = schedSlowBus();
     readyAllSrc_ = core::visitPolicy(
         [](const auto &p) { return p.mask_ready_all_src; }, sched_);
@@ -121,68 +148,24 @@ Core::Core(const CoreConfig &cfg, InstSource &source)
 // Scheduler side lists
 // --------------------------------------------------------------------
 
-/** Reconcile one slot's ready membership with its state. Call
- *  after any transition that can change schedReady()/issued. */
+/** Reconcile one slot's ready-plane bit with its state. Call after
+ *  any transition that can change schedReady()/issued. For
+ *  mask_ready_all_src policies the model predicate folds to
+ *  allSrcReady() without a policy dispatch; tag elimination keeps
+ *  its per-entry rule. */
 void
 Core::updateReadySlot(unsigned slot)
 {
     DynInst &di = window_[slot];
-    if (masked_) {
-        // Ready-plane update: for mask_ready_all_src policies the
-        // model predicate folds to allSrcReady() without a policy
-        // dispatch; tag elimination keeps its per-entry rule.
-        bool want = di.inWindow && !di.issued && !di.completed
-            && (readyAllSrc_ ? di.allSrcReady() : schedReady(di));
-        if (want == di.inReadyList)
-            return;
-        if (want)
-            masks_.ready.set(slot);
-        else
-            masks_.ready.clear(slot);
-        di.inReadyList = want;
-        return;
-    }
     bool want = di.inWindow && !di.issued && !di.completed
-        && schedReady(di);
+        && (readyAllSrc_ ? di.allSrcReady() : schedReady(di));
     if (want == di.inReadyList)
         return;
     if (want)
-        ready_.insertOrdered(slot, [this](unsigned a, unsigned b) {
-            return window_[a].seq < window_[b].seq;
-        });
+        masks_.ready.set(slot);
     else
-        readyRemove(slot);
+        masks_.ready.clear(slot);
     di.inReadyList = want;
-}
-
-void
-Core::readyRemove(unsigned slot)
-{
-    HPA_CHECK_CTX(ready_.contains(slot),
-                  "ready-list entry missing for slot "
-                      + std::to_string(slot) + " (seq "
-                      + std::to_string(window_[slot].seq) + ")",
-                  invariantContext());
-    ready_.remove(slot);
-}
-
-void
-Core::issuedInsert(unsigned slot)
-{
-    issued_.insertOrdered(slot, [this](unsigned a, unsigned b) {
-        return window_[a].seq < window_[b].seq;
-    });
-}
-
-void
-Core::issuedRemove(unsigned slot)
-{
-    HPA_CHECK_CTX(issued_.contains(slot),
-                  "issued-list entry missing for slot "
-                      + std::to_string(slot) + " (seq "
-                      + std::to_string(window_[slot].seq) + ")",
-                  invariantContext());
-    issued_.remove(slot);
 }
 
 namespace
@@ -279,8 +262,8 @@ Core::dumpPipelineState() const
        << windowCount_ << "/" << cfg_.ruu_size << " head=" << head_
        << " tail=" << tail_ << " lsq=" << lsqCount_
        << " fetchq=" << fetchQueue_.size()
-       << " ready=" << ready_.size()
-       << " issued=" << issued_.size()
+       << " ready=" << masks_.ready.count()
+       << " issued=" << masks_.issued.count()
        << " stores=" << storeSlots_.size()
        << " events_pending=" << events_.pending() << "\n";
     os << "  slot      seq         pc  disp  issue  compl  "
@@ -372,16 +355,11 @@ Core::tickGuards()
         return;
 
     if (cycle_ == corruptAt_) {
-        // Test hook: corrupt the incremental ready structure so the
+        // Test hook: corrupt the incremental ready set so the
         // periodic cross-validation must diverge whatever the window
-        // holds. Reference: append a duplicate (or, on an empty
-        // list, a phantom) slot. Masked: toggle the head slot's
-        // ready bit — flipping membership diverges either way.
-        if (masked_)
-            masks_.ready.testFlip(head_);
-        else
-            ready_.testAppendPhantom(
-                ready_.empty() ? head_ : unsigned(ready_.head()));
+        // holds — toggling the head slot's ready bit diverges
+        // whichever way it was.
+        masks_.ready.testFlip(head_);
     }
 
     if (cfg_.check_interval && cycle_ % cfg_.check_interval == 0)
@@ -470,17 +448,11 @@ Core::commit()
         commitFormatStats(di);
         if (commitListener_)
             commitListener_(di, cycle_);
-        if (masked_) {
-            // The producer's dependency rows are left stale: commit
-            // is in order and every consumer is younger, so a
-            // committed slot's rows can never be scanned again
-            // before its re-dispatch clears them (the reference
-            // engine's consumers_.clear is O(1), the row clear is
-            // not — deferring it keeps commit row-free).
-            masks_.occupancy.clear(head_);
-        } else {
-            consumers_.clear(head_);
-        }
+        // The producer's dependency rows are left stale: commit is in
+        // order and every consumer is younger, so a committed slot's
+        // rows can never be scanned again before its re-dispatch
+        // clears them (deferring the clear keeps commit row-free).
+        masks_.occupancy.clear(head_);
         di.inWindow = false;
         if (di.isStore()) {
             HPA_CHECK_CTX(!storeSlots_.empty()
@@ -506,40 +478,33 @@ Core::commit()
 // Events
 // --------------------------------------------------------------------
 
-// hpa-prove-allow(P1,P2): events beyond the calendar ring's horizon
-// go to the sorted overflow std::map (cold arm, node insert);
-// steady-state quiescence is proven dynamically by
-// tests/test_hotpath_alloc.cc
+// hpa-prove-allow(P1,P2): calendar-bucket vector growth, fully
+// inlined by GCC (invisible to the amortized-growth wall); buckets
+// are reserved at construction and quiescent at steady state
+// (tests/test_hotpath_alloc.cc)
 void
 Core::scheduleEvent(uint64_t when, Event ev)
 {
-    HPA_CHECK_CTX(when > cycle_,
+    HPA_CHECK_CTX(when > cycle_ && when - cycle_ <= events_.horizon(),
                   "event scheduled for cycle " + std::to_string(when)
-                      + ", not in the future",
+                      + " is not within 1.."
+                      + std::to_string(events_.horizon())
+                      + " cycles ahead",
                   invariantContext());
     events_.schedule(when, cycle_, ev, unsigned(eventRank(ev.kind)));
 }
 
-// hpa-prove-allow(P1,P2): beginCycle() migrates far-future events
-// out of the overflow std::map back into the ring (cold arm:
-// node erase/insert and bucket growth during warm-up only; see
-// tests/test_hotpath_alloc.cc for the dynamic quiescence proof)
 void
 Core::processEvents()
 {
-    // beginCycle() must run every cycle (it migrates far-future
-    // events into ring range before anything can schedule at this
-    // cycle), even when this cycle's bucket turns out empty.
     auto &bucket = events_.beginCycle(cycle_);
 
     // The calendar splits each cycle's events by rank at schedule
-    // time, so delivery is one compare-free pass per rank class:
-    // identical order to the old flat bucket's three filtered scans
-    // (rank class ascending, schedule order within a class) without
-    // re-walking the whole cycle once per class. Handlers only
-    // schedule strictly-future events, so no vector is appended to
-    // mid-iteration; the staleness filter runs at delivery time,
-    // exactly as before.
+    // time, so delivery is one compare-free pass per rank class
+    // (rank class ascending, schedule order within a class).
+    // Handlers only schedule strictly-future events, so no vector is
+    // appended to mid-iteration; the staleness filter runs at
+    // delivery time.
     for (int rank = 0; rank < 3; ++rank) {
         for (const Event &ev : bucket[size_t(rank)]) {
             DynInst &di = window_[ev.slot];
@@ -662,60 +627,40 @@ Core::wakeOperand(DynInst &ci, OperandState &op, uint64_t now,
 void
 Core::handleFastWake(const Event &ev)
 {
-    bool need_slow = slowBus_;
-    if (masked_) {
-        // Dependency-vector broadcast: one masked scan of the
-        // producer's two operand rows in age order from head_
-        // reproduces the consumer-list append order (consumers in
-        // seq order; a consumer matches a given producer in at most
-        // one plane). The producer passed the event staleness check,
-        // so — commit being in order — every bit still names the
-        // consumer it was set for: no per-entry seq guards needed.
-        const unsigned p = unsigned(ev.slot);
-        if (slowBus_) {
-            masks_.slowPend.clearRow(p);
-            need_slow = false;
-        }
-        scanSetBitsFrom2(
-            masks_.dep[0].row(p), masks_.dep[1].row(p),
-            cfg_.ruu_size, head_,
-            [&](unsigned s, bool in0, bool in1) {
-                DynInst &ci = window_[s];
-                for (unsigned k = 0; k < 2; ++k) {
-                    if (!(k == 0 ? in0 : in1))
-                        continue;
-                    OperandState &op = ci.src[k];
-                    if (wakeOperand(ci, op, cycle_, ev.seq, false))
-                        updateReadySlot(s);
-                    // File the slow-plane residue: consumers whose
-                    // tag match arrives only on the +1 re-broadcast.
-                    if (slowBus_ && !op.ready && op.dataReady
-                        && schedMaskSlowPlane(op)) {
-                        masks_.slowPend.set(p, s);
-                        need_slow = true;
-                    }
+    // Dependency-vector broadcast: one scan of the producer's two
+    // operand rows in age order from head_ (a consumer matches a
+    // given producer in at most one plane). The producer passed the
+    // event staleness check, so — commit being in order — every bit
+    // still names the consumer it was set for: no per-entry seq
+    // guards needed.
+    const unsigned p = unsigned(ev.slot);
+    bool need_slow = false;
+    if (slowBus_)
+        masks_.slowPend.clearRow(p);
+    scanSetBitsFrom2(
+        masks_.dep[0].row(p), masks_.dep[1].row(p), cfg_.ruu_size,
+        head_, [&](unsigned s, bool in0, bool in1) {
+            DynInst &ci = window_[s];
+            for (unsigned k = 0; k < 2; ++k) {
+                if (!(k == 0 ? in0 : in1))
+                    continue;
+                OperandState &op = ci.src[k];
+                if (wakeOperand(ci, op, cycle_, ev.seq, false))
+                    updateReadySlot(s);
+                // File the slow-plane residue: consumers whose tag
+                // match arrives only on the +1 re-broadcast.
+                if (slowBus_ && !op.ready && op.dataReady
+                    && schedMaskSlowPlane(op)) {
+                    masks_.slowPend.set(p, s);
+                    need_slow = true;
                 }
-            });
-    } else {
-        consumers_.forEach(unsigned(ev.slot), [&](const Consumer &c) {
-            DynInst &ci = window_[c.slot];
-            if (!ci.inWindow || ci.seq != c.seq)
-                return;
-            OperandState &op = ci.src[c.opIdx];
-            if (op.producerSeq != ev.seq)
-                return;
-            if (wakeOperand(ci, op, cycle_, ev.seq, false))
-                updateReadySlot(unsigned(c.slot));
+            }
         });
-    }
-    // The masked engine knows at broadcast time whether any consumer
-    // still owes its tag match to the slow bus; an empty slow plane
-    // makes the +1 re-broadcast a provable no-op (no consumer can
-    // become slow-eligible in between: a later dispatch against an
-    // already-broadcast producer inserts fully ready), so the event
-    // is never scheduled. The reference engine schedules it
-    // unconditionally and re-filters per consumer — identical
-    // results, the handler would simply find nothing to wake.
+    // An empty slow plane makes the +1 re-broadcast a provable no-op
+    // (no consumer can become slow-eligible in between: a later
+    // dispatch against an already-broadcast producer inserts fully
+    // ready), so the event is only scheduled when a consumer still
+    // owes its tag match to the slow bus.
     if (need_slow)
         scheduleEvent(cycle_ + 1,
                       Event{ev.seq, ev.token, ev.slot,
@@ -725,37 +670,22 @@ Core::handleFastWake(const Event &ev)
 void
 Core::handleSlowWake(const Event &ev)
 {
-    if (masked_) {
-        // The slow plane recorded at fast-broadcast time holds
-        // exactly the consumers whose tag match is still owed; the
-        // wake condition is re-verified per visit (a detection-rank
-        // repair this very cycle may have cleared dataReady).
-        const unsigned p = unsigned(ev.slot);
-        scanSetBitsFrom(
-            masks_.slowPend.row(p), cfg_.ruu_size, head_,
-            [&](unsigned s) {
-                DynInst &ci = window_[s];
-                for (unsigned k = 0; k < 2; ++k) {
-                    if (!masks_.dep[k].test(p, s))
-                        continue;
-                    if (wakeOperand(ci, ci.src[k], cycle_, ev.seq,
-                                    true))
-                        updateReadySlot(s);
-                }
-                return true;
-            });
-        return;
-    }
-    consumers_.forEach(unsigned(ev.slot), [&](const Consumer &c) {
-        DynInst &ci = window_[c.slot];
-        if (!ci.inWindow || ci.seq != c.seq)
-            return;
-        OperandState &op = ci.src[c.opIdx];
-        if (op.producerSeq != ev.seq)
-            return;
-        if (wakeOperand(ci, op, cycle_, ev.seq, true))
-            updateReadySlot(unsigned(c.slot));
-    });
+    // The slow plane recorded at fast-broadcast time holds exactly
+    // the consumers whose tag match is still owed; the wake
+    // condition is re-verified per visit (a detection-rank repair
+    // this very cycle may have cleared dataReady).
+    const unsigned p = unsigned(ev.slot);
+    scanSetBitsFrom(
+        masks_.slowPend.row(p), cfg_.ruu_size, head_, [&](unsigned s) {
+            DynInst &ci = window_[s];
+            for (unsigned k = 0; k < 2; ++k) {
+                if (!masks_.dep[k].test(p, s))
+                    continue;
+                if (wakeOperand(ci, ci.src[k], cycle_, ev.seq, true))
+                    updateReadySlot(s);
+            }
+            return true;
+        });
 }
 
 void
@@ -764,10 +694,7 @@ Core::handleComplete(const Event &ev)
     DynInst &di = window_[ev.slot];
     di.completed = true;
     di.completeCycle = cycle_;
-    if (masked_)
-        masks_.issued.clear(unsigned(ev.slot));
-    else
-        issuedRemove(unsigned(ev.slot));
+    masks_.issued.clear(unsigned(ev.slot));
 
     if (di.mispredictedBranch && fetchStalledOnBranch_) {
         fetchStalledOnBranch_ = false;
@@ -802,26 +729,16 @@ Core::repairConsumersOf(int slot, uint64_t producer_seq)
         updateReadySlot(s);
     };
 
-    if (masked_) {
-        const unsigned p = unsigned(slot);
-        scanSetBitsFrom2(
-            masks_.dep[0].row(p), masks_.dep[1].row(p),
-            cfg_.ruu_size, head_,
-            [&](unsigned s, bool in0, bool in1) {
-                DynInst &ci = window_[s];
-                if (in0)
-                    repairOp(ci, ci.src[0], s);
-                if (in1)
-                    repairOp(ci, ci.src[1], s);
-            });
-        return;
-    }
-    consumers_.forEach(unsigned(slot), [&](const Consumer &c) {
-        DynInst &ci = window_[c.slot];
-        if (!ci.inWindow || ci.seq != c.seq)
-            return;
-        repairOp(ci, ci.src[c.opIdx], unsigned(c.slot));
-    });
+    const unsigned p = unsigned(slot);
+    scanSetBitsFrom2(
+        masks_.dep[0].row(p), masks_.dep[1].row(p), cfg_.ruu_size,
+        head_, [&](unsigned s, bool in0, bool in1) {
+            DynInst &ci = window_[s];
+            if (in0)
+                repairOp(ci, ci.src[0], s);
+            if (in1)
+                repairOp(ci, ci.src[1], s);
+        });
 }
 
 // hpa-prove-allow(P1,P2): squash-list vector growth, fully inlined
@@ -832,29 +749,21 @@ void
 Core::squashWindow(uint64_t first_cycle, uint64_t last_cycle,
                    uint64_t trigger_seq, bool selective)
 {
-    // Collect issued-in-shadow instructions. The issued chain holds
-    // exactly the issued-and-incomplete window entries, oldest
-    // first — same visit order as a head-to-tail window scan. The
-    // scratch vectors are members (capacity reserved at window
-    // size), so recovery allocates nothing once warm.
+    // Collect issued-in-shadow instructions. The issued plane holds
+    // exactly the issued-and-incomplete window entries; scanned from
+    // head_ it visits them oldest first — same order as a
+    // head-to-tail window scan. The scratch vectors are members
+    // (capacity reserved at window size), so recovery allocates
+    // nothing once warm.
     std::vector<int> &candidates = squashCandidates_;
     candidates.clear();
-    auto consider = [&](unsigned slot) {
+    masks_.issued.forEachFrom(head_, [&](unsigned slot) {
         DynInst &di = window_[slot];
         if (di.seq != trigger_seq && di.issueCycle >= first_cycle
             && di.issueCycle <= last_cycle)
             candidates.push_back(int(slot));
-    };
-    if (masked_) {
-        masks_.issued.forEachFrom(head_, [&](unsigned slot) {
-            consider(slot);
-            return true;
-        });
-    } else {
-        for (int32_t it = issued_.head(); it != SlotChain::NIL;
-             it = issued_.next(unsigned(it)))
-            consider(unsigned(it));
-    }
+        return true;
+    });
 
     std::vector<int> &squash = squashList_;
     squash.clear();
@@ -904,10 +813,7 @@ Core::squashWindow(uint64_t first_cycle, uint64_t last_cycle,
             di.requireDataReady = true;
         }
         ++stats_.squashedIssues;
-        if (masked_)
-            masks_.issued.clear(unsigned(slot));
-        else
-            issuedRemove(unsigned(slot));
+        masks_.issued.clear(unsigned(slot));
         updateReadySlot(unsigned(slot));
         repairConsumersOf(slot, di.seq);
     }
@@ -1038,13 +944,8 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
     di.issueCycle = cycle_;
     ++di.issueToken;
     ++stats_.issued;
-    if (masked_) {
-        masks_.ready.clear(unsigned(slot));
-        masks_.issued.set(unsigned(slot));
-    } else {
-        readyRemove(unsigned(slot));
-        issuedInsert(unsigned(slot));
-    }
+    masks_.ready.clear(unsigned(slot));
+    masks_.issued.set(unsigned(slot));
     di.inReadyList = false;
     bool first_issue = di.issueToken == 1;
 
@@ -1154,9 +1055,7 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
     }
 }
 
-/** One select-candidate attempt, shared by both engines (the ready
- *  structures guarantee identical candidate order, so the issue
- *  decisions are engine-invariant). @return false once the width
+/** One select-candidate attempt. @return false once the width
  *  budget is spent — the caller stops scanning. */
 bool
 Core::selectTry(unsigned slot, int pass, unsigned &avail,
@@ -1203,48 +1102,29 @@ Core::select()
     const bool arbitrated = ports_left != ~0u;
 
     // Oldest-first, loads and branches prioritized (Section 2.1).
-    // The ready structure holds exactly the unissued instructions
-    // whose required tag matches have been observed, oldest first
-    // (seq order == window order), so scanning it reproduces the
-    // full-window scan's issue decisions bit-for-bit while touching
-    // only ready instructions. issueInst() clears the current entry;
-    // nothing is inserted during select (all wakeups are scheduled
-    // for strictly later cycles) — the chain walk grabs its
-    // successor first, the mask scan iterates a register copy of
-    // each plane word.
-    if (masked_) {
-        // Each pass scans only its own priority class: the highPrio
-        // plane (fixed at dispatch) filters at the word level, so
-        // pass 0 never loads a low-priority DynInst and vice versa.
-        for (int pass = 0; pass < 2 && avail > 0; ++pass)
-            scanSetBitsFromAnd(
-                masks_.ready.words(), masks_.highPrio.words(),
-                pass != 0, cfg_.ruu_size, head_,
-                [&](unsigned slot) {
-                    return selectTry(slot, pass, avail, ports_left,
-                                     arbitrated);
-                });
-        return;
-    }
-    for (int pass = 0; pass < 2 && avail > 0; ++pass) {
-        int32_t it = ready_.head();
-        while (it != SlotChain::NIL && avail > 0) {
-            unsigned slot = unsigned(it);
-            it = ready_.next(slot);
-            if (!selectTry(slot, pass, avail, ports_left, arbitrated))
-                break;
-        }
-    }
+    // The ready plane holds exactly the unissued instructions whose
+    // required tag matches have been observed; scanned in age order
+    // from head_ (seq order == window order) it reproduces the
+    // full-window scan's issue decisions while touching only ready
+    // instructions. issueInst() clears the current bit; nothing is
+    // set during select (all wakeups are scheduled for strictly
+    // later cycles), and the scan iterates a register copy of each
+    // plane word. Each pass scans only its own priority class: the
+    // highPrio plane (fixed at dispatch) filters at the word level,
+    // so pass 0 never loads a low-priority DynInst and vice versa.
+    for (int pass = 0; pass < 2 && avail > 0; ++pass)
+        scanSetBitsFromAnd(
+            masks_.ready.words(), masks_.highPrio.words(), pass != 0,
+            cfg_.ruu_size, head_, [&](unsigned slot) {
+                return selectTry(slot, pass, avail, ports_left,
+                                 arbitrated);
+            });
 }
 
 // --------------------------------------------------------------------
 // Dispatch
 // --------------------------------------------------------------------
 
-// hpa-prove-allow(P1,P2): operand/consumer-list vector growth,
-// fully inlined by GCC (invisible to the amortized-growth wall);
-// capacities track the register count and window size and are
-// quiescent at steady state (tests/test_hotpath_alloc.cc)
 void
 Core::setupOperands(DynInst &di, int slot)
 {
@@ -1290,15 +1170,9 @@ Core::setupOperands(DynInst &di, int slot)
                               + " no longer holds seq "
                               + std::to_string(pr.seq),
                           invariantContext());
-            // File the dependence: a dependency-matrix bit (masked)
-            // or a pooled consumer-list node (reference). Operand
-            // plane i keeps the two engines' broadcast visit orders
-            // identical (plane 0 before plane 1 == append order).
-            if (masked_)
-                masks_.dep[i].set(unsigned(pr.slot), unsigned(slot));
-            else
-                consumers_.append(unsigned(pr.slot),
-                                  Consumer{slot, uint8_t(i), di.seq});
+            // File the dependence in operand plane i of the
+            // producer's dependency-matrix row.
+            masks_.dep[i].set(unsigned(pr.slot), unsigned(slot));
             op.producerSeq = pr.seq;
             ready_now = p.issued
                 && p.wakeBroadcastCycle != NO_CYCLE
@@ -1367,17 +1241,13 @@ Core::dispatch()
         unsigned slot = tail_;
         DynInst &di = window_[slot];
         di = DynInst{};
-        if (masked_) {
-            // Slot reuse: retire the previous tenant's planes (its
-            // occupancy/ready/issued bits were cleared on its way
-            // out; the row clears mirror consumers_.clear below).
-            masks_.clearProducer(slot);
-            masks_.ready.clear(slot);
-            masks_.issued.clear(slot);
-            masks_.occupancy.set(slot);
-        } else {
-            consumers_.clear(slot);
-        }
+        // Slot reuse: retire the previous tenant's planes (its
+        // occupancy/ready/issued bits were cleared on its way out;
+        // its dependency rows were left stale at commit).
+        masks_.clearProducer(slot);
+        masks_.ready.clear(slot);
+        masks_.issued.clear(slot);
+        masks_.occupancy.set(slot);
 
         di.rec = fi.rec;
         di.seq = nextSeq_++;
@@ -1386,13 +1256,11 @@ Core::dispatch()
         di.dispatchCycle = cycle_;
         di.mispredictedBranch = fi.mispredicted;
 
-        if (masked_) {
-            // Cache the fixed pass-0 select class in the bit plane.
-            if (di.selectHighPrio())
-                masks_.highPrio.set(slot);
-            else
-                masks_.highPrio.clear(slot);
-        }
+        // Cache the fixed pass-0 select class in the bit plane.
+        if (di.selectHighPrio())
+            masks_.highPrio.set(slot);
+        else
+            masks_.highPrio.clear(slot);
 
         setupOperands(di, int(slot));
         schedPlace(di);

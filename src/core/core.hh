@@ -186,24 +186,21 @@ class Core
     // --- Testing hooks (scheduler data-structure invariants). ---
 
     /** Snapshot of the incremental ready set: window slots of
-     *  unissued, scheduler-ready instructions, oldest first —
-     *  whichever engine maintains it. */
+     *  unissued, scheduler-ready instructions, oldest first. */
     std::vector<unsigned>
     readyListSnapshot() const
     {
-        return masked_ ? masks_.ready.toVector(head_)
-                       : ready_.toVector();
+        return masks_.ready.toVector(head_);
     }
 
     /** Snapshot of the issued-but-incomplete set, oldest first. */
     std::vector<unsigned>
     issuedListSnapshot() const
     {
-        return masked_ ? masks_.issued.toVector(head_)
-                       : issued_.toVector();
+        return masks_.issued.toVector(head_);
     }
 
-    /** The masked engine's bit planes (ReadyMaskFuzz inspection). */
+    /** The scheduler's bit planes (ReadyMaskFuzz inspection). */
     const IssueWindowMasks &issueMasks() const { return masks_; }
 
     /**
@@ -251,8 +248,8 @@ class Core
 
     // --- Test-only fault injection (sim/sweep fault hooks). ---
 
-    /** At @p cycle, corrupt the incremental ready list (append a
-     *  duplicate/phantom slot) — the periodic cross-validation must
+    /** At @p cycle, corrupt the incremental ready set (flip the
+     *  head slot's ready bit) — the periodic cross-validation must
      *  then report an InvariantViolation. Test-only. */
     void
     testCorruptSchedulerAt(uint64_t cycle)
@@ -288,13 +285,6 @@ class Core
         uint32_t token;
         int16_t slot;
         EventKind kind;
-    };
-
-    struct Consumer
-    {
-        int slot;
-        uint8_t opIdx;
-        uint64_t seq;
     };
 
     struct FetchedInst
@@ -346,14 +336,11 @@ class Core
 
     void setupOperands(DynInst &di, int slot);
     void updateReadySlot(unsigned slot);
-    void readyRemove(unsigned slot);
-    void issuedInsert(unsigned slot);
-    void issuedRemove(unsigned slot);
     bool eligible(const DynInst &di) const;
     bool lsqAllowsLoad(const DynInst &load) const;
     unsigned computeRfPorts(const DynInst &di) const;
-    /** One select-candidate attempt shared by both engines; issues
-     *  on success. @return false when the width budget is spent. */
+    /** One select-candidate attempt; issues on success.
+     *  @return false when the width budget is spent. */
     bool selectTry(unsigned slot, int pass, unsigned &avail,
                    unsigned &ports_left, bool arbitrated);
     /** @p ports is the candidate's computeRfPorts() value, computed
@@ -417,8 +404,8 @@ class Core
         core::visitPolicy([&](const auto &p) { p.place(di); }, sched_);
     }
 
-    /** Mask-level entry point: does this operand's tag match ride
-     *  the slow-bus re-broadcast (slowPend plane membership)? */
+    /** Does this operand's tag match ride the slow-bus
+     *  re-broadcast (slowPend plane membership)? */
     bool
     schedMaskSlowPlane(const OperandState &op) const
     {
@@ -504,43 +491,27 @@ class Core
     uint64_t cycle_ = 0;
     uint64_t nextSeq_ = 0;
 
-    // Window: ring buffer of slots. Slot s's consumer list holds
-    // the operands watching s's destination tag; pooled so dispatch
-    // appends and commit/reuse clears never touch the heap.
+    // Window: ring buffer of slots (a FIFO, so age order from head_
+    // is seq = program order).
     std::vector<DynInst> window_;
-    PooledLists<Consumer> consumers_;
     unsigned head_ = 0;
     unsigned tail_ = 0;
     unsigned windowCount_ = 0;
     unsigned lsqCount_ = 0;
 
     // --- Incrementally maintained scheduler indices. ---
-    // The per-cycle whole-window scans of select, the LSQ search and
-    // replay candidate collection are replaced by these seq-ordered
-    // (= program-ordered, the window is a FIFO) side lists, so each
-    // pipeline phase touches only the instructions it actually acts
-    // on while preserving oldest-first priority bit-for-bit.
+    // Select, wakeup and replay-candidate collection walk these
+    // instead of the whole window, so each pipeline phase touches
+    // only the instructions it acts on while keeping oldest-first
+    // priority.
 
-    /** Unissued, scheduler-ready instructions (ready-list select).
-     *  Entries join on wakeup/insert, leave on issue or when replay
-     *  repair takes a tag match away. Intrusive chain in seq order:
-     *  unlink is O(1), insert walks backward from the tail. */
-    SlotChain ready_;
-    /** Issued-but-incomplete instructions: the replay-shadow
-     *  candidate set of squashWindow(). Seq-ordered chain. */
-    SlotChain issued_;
     /** In-window stores in program order (LSQ overlap searches);
-     *  occupancy bounded by the window size. Both engines share it. */
+     *  occupancy bounded by the window size. */
     BoundedRing<unsigned> storeSlots_;
-
-    // --- Masked engine (CoreConfig::sched_engine == Masked). ---
-    // The SoA bit planes replace the ready/issued chains and the
-    // pooled consumer lists; age order from head_ equals seq order
-    // (FIFO window), so every scan reproduces the chains' oldest-
-    // first visit order bit for bit. See issue_window.hh.
+    /** Ready/issued/priority bit planes and the producer->consumers
+     *  dependency matrix, scanned in age order from head_. See
+     *  issue_window.hh. */
     IssueWindowMasks masks_;
-    /** Engine select, fixed at construction. */
-    bool masked_;
     /** Cached policy traits (construction-time visitPolicy): does
      *  every fast broadcast re-run on the slow bus, and does the
      *  ready predicate reduce to allSrcReady() (mask_ready_all_src)? */
@@ -565,7 +536,8 @@ class Core
 
     /** Rank-split calendar: one vector per (cycle, delivery rank),
      *  rank fixed at schedule time (eventRank), so processEvents()
-     *  drains each rank in one compare-free pass. */
+     *  drains each rank in one compare-free pass. Its ring spans the
+     *  configuration's furthest event (eventHorizon in core.cc). */
     CalendarQueue<Event, 3> events_;
 
     // Front end; occupancy bounded by front_end_depth x width.

@@ -133,8 +133,8 @@ struct DynInst
     bool isControl() const { return rec->inst.isControl(); }
 
     /** Pass-0 select class (Section 2.1: loads and branches first).
-     *  Fixed at dispatch; the masked engine caches it in the
-     *  highPrio bit plane. */
+     *  Fixed at dispatch; the core caches it in the highPrio bit
+     *  plane. */
     bool selectHighPrio() const { return isLoad() || isControl(); }
 
     /** All tag matches observed (per-model issue condition helper). */

@@ -72,10 +72,9 @@ class EmulatorSource : public InstSource
 /**
  * Replays a pre-captured committed trace (trace-once/replay-many).
  * Holds only a read-only reference plus a cursor, so any number of
- * concurrent cores — or the lanes of one batched replay — can replay
- * one shared CommittedTrace; the stream is byte-identical to an
- * EmulatorSource over the same program, fast-forward and budget (see
- * CommittedTrace's replay contract).
+ * concurrent cores can replay one shared CommittedTrace; the stream
+ * is byte-identical to an EmulatorSource over the same program,
+ * fast-forward and budget (see CommittedTrace's replay contract).
  */
 class TraceSource : public InstSource
 {

@@ -1,30 +1,27 @@
 /**
  * @file
- * SoA bitmask state of the issue window (the "masked" scheduler
- * engine, CoreConfig::sched_engine). The per-entry AoS DynInst array
- * stays the architectural record; this header holds the structure-
- * of-arrays index planes the hot wakeup/select loops actually walk:
+ * SoA bitmask state of the issue window: the scheduler's index
+ * structures. The per-entry AoS DynInst array stays the
+ * architectural record; this header holds the structure-of-arrays
+ * planes the hot wakeup/select loops actually walk:
  *
  *  - occupancy / ready / issued / highPrio: one bit per window slot.
- *    The ready plane mirrors the reference engine's seq-ordered
- *    ready chain (bit set <=> DynInst::inReadyList); select is a
- *    tzcnt scan of it in age order (containers.hh scan helpers).
- *    The issued plane replaces the issued chain for replay-shadow
- *    candidate collection. highPrio caches the loads-and-branches-
- *    first select class, fixed at dispatch, so each select pass
- *    scans only its own class (ready & highPrio, then
- *    ready & ~highPrio).
+ *    The ready plane holds the unissued, scheduler-ready entries
+ *    (bit set <=> DynInst::inReadyList); select is a tzcnt scan of
+ *    it in age order (containers.hh scan helpers). The issued plane
+ *    holds the issued-but-incomplete entries, the replay-shadow
+ *    candidates. highPrio caches the loads-and-branches-first select
+ *    class, fixed at dispatch, so each select pass scans only its
+ *    own class (ready & highPrio, then ready & ~highPrio).
  *
  *  - dep[2]: the dependency matrix, one producer -> consumers
  *    bit-vector per window slot and source-operand plane. Bit s of
  *    dep[k].row(p) means window slot s's operand k names the
  *    instruction in slot p as its producer. A broadcast visits
- *    row(p) with one OR of a few words instead of chasing a pooled
- *    linked list; an instruction's two scheduling operands always
- *    name distinct producers (one destination per instruction), so
- *    a consumer appears in at most one plane per producer and the
- *    plane-0-before-plane-1 visit order reproduces the reference
- *    engine's consumer-list append order exactly.
+ *    row(p) with one OR of a few words; an instruction's two
+ *    scheduling operands always name distinct producers (one
+ *    destination per instruction), so a consumer appears in at most
+ *    one plane per producer.
  *
  *  - slowPend: the sequential-wakeup slow plane. The fast broadcast
  *    records here which consumers still owe their tag match to the
@@ -33,7 +30,7 @@
  *    update instead of re-walking every consumer.
  *
  * Lifetime invariant (why no seq-staleness checks are needed on the
- * masked wake path): commit is in order and a consumer is strictly
+ * wake path): commit is in order and a consumer is strictly
  * younger than its producer, so while a producer is in the window
  * every one of its dependency bits still names the consumer it was
  * set for. A producer's rows are cleared when its slot is
@@ -44,13 +41,13 @@
  * younger consumer commits later).
  *
  * All planes live in flat vectors sized once at reset(); steady-state
- * operation is allocation-free (test_hotpath_alloc covers this
- * engine too).
+ * operation is allocation-free (test_hotpath_alloc).
  */
 
 #ifndef HPA_CORE_ISSUE_WINDOW_HH
 #define HPA_CORE_ISSUE_WINDOW_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -87,7 +84,7 @@ class SlotMask
 
     /** Test-only corruption hook: toggle membership of @p s, which
      *  diverges from the re-derived window state whichever way the
-     *  bit was (the masked analog of SlotChain::testAppendPhantom). */
+     *  bit was. */
     void
     testFlip(unsigned s)
     {
@@ -96,6 +93,16 @@ class SlotMask
 
     const uint64_t *words() const { return words_.data(); }
     unsigned capacity() const { return slots_; }
+
+    /** Number of members (cold diagnostics). */
+    unsigned
+    count() const
+    {
+        unsigned n = 0;
+        for (uint64_t w : words_)
+            n += unsigned(std::popcount(w));
+        return n;
+    }
 
     /** Visit members in age order from @p head; @p fn(slot) returns
      *  false to stop. */
@@ -176,7 +183,7 @@ class DepMatrix
     unsigned slots_ = 0;
 };
 
-/** The masked engine's full plane set, sized to the window. */
+/** The scheduler's full plane set, sized to the window. */
 struct IssueWindowMasks
 {
     SlotMask occupancy; ///< in-window slots (dispatch .. commit)
@@ -198,8 +205,7 @@ struct IssueWindowMasks
         slowPend.reset(slots);
     }
 
-    /** Drop every dependency bit owned by @p slot (commit / slot
-     *  reuse — the pooled consumer-list clear of the masked world). */
+    /** Drop every dependency bit owned by @p slot (slot reuse). */
     void
     clearProducer(unsigned slot)
     {

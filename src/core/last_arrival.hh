@@ -27,8 +27,8 @@ class LastArrivalPredictor
     /** @return true when the right-hand operand is predicted last.
      *  Header-inline: consulted at dispatch for every 2-pending
      *  instruction on the sequential-wakeup/tag-elim paths (it
-     *  decides which operand the masked engine's slow plane and the
-     *  reference chains watch). */
+     *  decides which operand the slow plane and the tag-elimination
+     *  comparator watch). */
     bool
     predictRightLast(uint64_t pc) const
     {

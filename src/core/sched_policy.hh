@@ -27,13 +27,13 @@
  *  - `adjustWake()`     — producer wake-broadcast timing override
  *                         (load-delay-tracking counter saturation).
  *
- * Mask-level entry points (consulted by the masked scheduler engine,
- * CoreConfig::sched_engine — the per-entry hooks above remain the
- * reference semantics both engines must reproduce bit for bit):
+ * Bit-plane entry points (the scheduler's ready and slow planes,
+ * issue_window.hh; `ready()` stays the predicate the periodic
+ * cross-validation re-derives the ready plane from):
  *
  *  - `mask_ready_all_src` — true when `ready(di)` reduces to "every
  *                         scheduling operand has its tag match"
- *                         (di.allSrcReady()), so the engine can fold
+ *                         (di.allSrcReady()), so the core can fold
  *                         readiness into the ready-plane update
  *                         without consulting the per-entry hook.
  *                         Policies with extra per-entry state (tag

@@ -8,9 +8,7 @@
  * shared buffer read-only (core::TraceSource) instead of re-running
  * functional emulation per cell, so assembly, decode and
  * architectural execution are paid once per (workload, budget)
- * instead of once per (workload, budget, machine) — and a batched
- * replay (sim::BatchedSimulation) streams the same records through
- * many machine configs while they are cache-hot.
+ * instead of once per (workload, budget, machine).
  */
 
 #ifndef HPA_FUNC_TRACE_HH
@@ -38,7 +36,7 @@ namespace hpa::func
  * cursor is a single sequential prefetch stream and record access is
  * a stable pointer — no per-instruction gather, no copies, no shared
  * mutable state: one trace can feed any number of concurrent sweep
- * threads or batched replay lanes.
+ * threads.
  */
 class CommittedTrace
 {

@@ -122,15 +122,6 @@ MachineBuilder::bypassWindow(unsigned cycles)
 }
 
 MachineBuilder &
-MachineBuilder::schedEngine(core::SchedEngine e)
-{
-    // No name suffix: the engine is a simulator implementation
-    // choice, pinned result-invariant by the golden gate.
-    m_.cfg.sched_engine = e;
-    return *this;
-}
-
-MachineBuilder &
 MachineBuilder::detectDelay(unsigned cycles)
 {
     m_.cfg.tagelim_detect_delay = cycles;

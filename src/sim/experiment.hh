@@ -163,11 +163,6 @@ class MachineBuilder
     /** Bypass-network window in cycles (>= 1, Section 4.2). */
     MachineBuilder &bypassWindow(unsigned cycles);
 
-    /** Scheduler data-structure engine (masked or reference).
-     *  Result-invariant simulator implementation choice — never
-     *  appended to the machine name (see core::SchedEngine). */
-    MachineBuilder &schedEngine(core::SchedEngine e);
-
     /** Tag-elimination scoreboard detection delay (>= 1); requires
      *  WakeupModel::TagElimination. */
     MachineBuilder &detectDelay(unsigned cycles);
@@ -217,20 +212,6 @@ struct ExperimentSpec
      * inspection mid-run) at per-cell emulation cost.
      */
     bool trace_cache = true;
-
-    /**
-     * Batched replay width: how many cells sharing this workload's
-     * trace may be replayed in one pass by a single worker, their
-     * lanes ticked in interleaved quanta so the shared trace stream
-     * stays cache-hot across machine configs (sim::BatchedSimulation).
-     * 0 = auto (SweepRunner::resolveBatch), 1 = replay each cell
-     * alone. Purely a data-layout/scheduling knob: results are
-     * bit-identical for every batch size. Cells that need run-level
-     * isolation — fault injection, wall budgets, live emulators
-     * (trace_cache off) — always fall back to solo replay so
-     * RunOutcome isolation is preserved.
-     */
-    unsigned batch = 0;
 
     /** Per-run wall-clock budget in seconds (0 = unbounded). The
      *  core checks it cooperatively and raises hpa::Timeout. */

@@ -279,7 +279,6 @@ JobStore::specCanonical(const ExperimentSpec &spec)
        << "|max_cycles=" << spec.max_cycles
        << "|fast_forward=" << (spec.fast_forward ? 1 : 0)
        << "|trace_cache=" << (spec.trace_cache ? 1 : 0)
-       << "|batch=" << spec.batch
        << "|machine=" << spec.machine.name
        << "|width=" << c.width
        << "|ruu=" << c.ruu_size

@@ -3,7 +3,7 @@
  * Persistent, resumable sweep job store: an on-disk append-only
  * journal of completed sweep cells, keyed by a content hash of each
  * cell's ExperimentSpec (machine configuration + policies + workload
- * + budgets + trace-cache/batch knobs), so a sweep interrupted by
+ * + budgets + trace-cache knob), so a sweep interrupted by
  * SIGKILL, OOM or power loss resumes from the last durable record
  * instead of from scratch.
  *
@@ -98,7 +98,7 @@ class JobStore
      * Content hash (16 hex chars, FNV-1a 64) identifying a sweep
      * cell as an idempotent work unit: two specs share a key iff
      * specCanonical() agrees — same workload, scale, budgets,
-     * fast-forward, trace-cache/batch knobs, and every machine
+     * fast-forward, trace-cache knob, and every machine
      * configuration field including the policy selections.
      * Execution-policy fields (fault injection, retries, wall
      * budgets) are deliberately excluded: they change how a cell is

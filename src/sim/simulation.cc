@@ -18,15 +18,14 @@ Simulation::Simulation(const assembler::Program &prog,
     }
     source_ = std::make_unique<core::EmulatorSource>(*emu_, max_insts);
     core_ = std::make_unique<core::Core>(cfg, *source_);
-    corePtr_ = core_.get();
 }
 
 Simulation::Simulation(const func::CommittedTrace &trace,
                        const core::CoreConfig &cfg)
     : trace_(&trace), fastForwarded_(trace.fastForwarded())
 {
-    lane_ = std::make_unique<core::CoreLane>(cfg, trace);
-    corePtr_ = &lane_->core();
+    source_ = std::make_unique<core::TraceSource>(trace);
+    core_ = std::make_unique<core::Core>(cfg, *source_);
 }
 
 func::Emulator &
@@ -48,15 +47,15 @@ Simulation::console() const
 uint64_t
 Simulation::run(uint64_t max_cycles)
 {
-    return corePtr_->run(max_cycles);
+    return core_->run(max_cycles);
 }
 
 stats::Registry
 Simulation::statsRegistry()
 {
     stats::Registry reg;
-    corePtr_->regStats(reg);
-    core::Core *c = corePtr_;
+    core_->regStats(reg);
+    core::Core *c = core_.get();
     reg.add(stats::Formula("core.ipc", "committed per cycle",
                            [c] { return c->ipc(); }));
     return reg;

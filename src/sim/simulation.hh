@@ -14,7 +14,6 @@
 
 #include "asm/assembler.hh"
 #include "core/core.hh"
-#include "core/core_lane.hh"
 #include "func/emulator.hh"
 #include "func/trace.hh"
 
@@ -82,15 +81,7 @@ class Simulation
     /** Run to completion; @return committed instructions. */
     uint64_t run(uint64_t max_cycles = 0);
 
-    core::Core &core() { return *corePtr_; }
-
-    /**
-     * The replay lane of a trace-backed simulation, for batch
-     * schedulers that interleave several lanes over one shared
-     * trace (sim::BatchedSimulation). Null on execution-driven
-     * runs, which cannot be batched.
-     */
-    core::CoreLane *lane() { return lane_.get(); }
+    core::Core &core() { return *core_; }
 
     /** True on execution-driven runs; trace replays own no emulator. */
     bool hasEmulator() const { return emu_ != nullptr; }
@@ -106,7 +97,7 @@ class Simulation
      */
     const std::string &console() const;
 
-    double ipc() const { return corePtr_->ipc(); }
+    double ipc() const { return core_->ipc(); }
 
     /**
      * Every statistic of this run in one registry: the core's
@@ -124,13 +115,9 @@ class Simulation
     std::unique_ptr<func::Emulator> emu_;
     /** Non-owning on trace replays (the cache owns the trace). */
     const func::CommittedTrace *trace_ = nullptr;
-    /** Execution-driven path: emulator-backed source + core. */
+    /** Emulator-backed or trace-replay source, feeding the core. */
     std::unique_ptr<core::InstSource> source_;
     std::unique_ptr<core::Core> core_;
-    /** Trace-replay path: the (source, core) pair lives in a lane. */
-    std::unique_ptr<core::CoreLane> lane_;
-    /** The core of whichever path is active. */
-    core::Core *corePtr_ = nullptr;
     uint64_t fastForwarded_ = 0;
 };
 

@@ -5,11 +5,8 @@
 // hpa-nolint(HPA007): host wall-time measurement for throughput reporting; never simulated state
 #include <chrono>
 #include <exception>
-#include <map>
 #include <mutex>
 #include <thread>
-
-#include "sim/batched_simulation.hh"
 
 namespace hpa::sim
 {
@@ -27,19 +24,6 @@ SweepRunner::resolveJobs(unsigned requested)
         return requested;
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
-}
-
-unsigned
-SweepRunner::resolveBatch(unsigned requested)
-{
-    return requested > 0 ? requested : DEFAULT_BATCH;
-}
-
-bool
-SweepRunner::batchable(const SweepJob &job)
-{
-    return job.trace_cache && job.fault == FaultKind::None
-        && job.wall_budget_seconds <= 0.0;
 }
 
 namespace
@@ -112,97 +96,6 @@ runAttempt(const SweepJob &job, unsigned attempt,
     r.committed = r.sim->core().stats().committed.value();
     r.cycles = r.sim->core().cycle();
     r.fastForwarded = r.sim->fastForwarded();
-}
-
-/**
- * Replay one batch chunk: the cells at @p cell_indices (all sharing
- * one committed trace) as interleaved lanes of a BatchedSimulation.
- * Any setup failure — bad workload, trace capture error — and any
- * lane-level failure falls back to the solo runOne() path, whose
- * retry loop and error classification are the reference semantics;
- * successful lanes are bit-identical to solo replays, so the
- * fallback only costs (rare) duplicated work, never a divergent
- * result.
- *
- * The batch's wall time is attributed to lanes proportionally to
- * simulated cycles: lane wallSeconds = batch_wall x lane_cycles /
- * total_cycles, keeping cyclesPerSec() comparable across batch
- * sizes.
- */
-void
-runBatch(const std::vector<SweepJob> &jobs,
-         const std::vector<size_t> &cell_indices,
-         workloads::WorkloadCache &cache,
-         std::vector<SweepResult> &results)
-{
-    try {
-        const SweepJob &first = jobs[cell_indices.front()];
-        const workloads::Workload &w =
-            cache.get(first.workload, first.scale);
-
-        uint64_t ff = 0;
-        bool steady_missing = false;
-        if (first.fast_forward) {
-            auto it = w.program.symbols.find("steady");
-            if (it != w.program.symbols.end())
-                ff = it->second;
-            else
-                steady_missing = true;
-        }
-
-        const func::CommittedTrace &trace =
-            cache.trace(first.workload, first.scale, first.max_insts,
-                        ff);
-
-        std::vector<std::unique_ptr<Simulation>> lanes;
-        std::vector<uint64_t> caps;
-        lanes.reserve(cell_indices.size());
-        caps.reserve(cell_indices.size());
-        for (size_t idx : cell_indices) {
-            const SweepJob &job = jobs[idx];
-            lanes.push_back(std::make_unique<Simulation>(
-                trace, job.machine.cfg));
-            caps.push_back(job.max_cycles);
-        }
-
-        BatchedSimulation batch(std::move(lanes));
-        // hpa-nolint(HPA007): wall-time around the run; reported, never fed back
-        auto t0 = std::chrono::steady_clock::now();
-        batch.run(caps);
-        // hpa-nolint(HPA007): wall-time around the run; reported, never fed back
-        auto t1 = std::chrono::steady_clock::now();
-        double wall =
-            // hpa-nolint(HPA007): wall-time around the run; reported, never fed back
-            std::chrono::duration<double>(t1 - t0).count();
-
-        uint64_t total_cycles = 0;
-        for (size_t i = 0; i < batch.laneCount(); ++i)
-            total_cycles += batch.lane(i).core().cycle();
-
-        for (size_t i = 0; i < cell_indices.size(); ++i) {
-            size_t idx = cell_indices[i];
-            if (batch.laneError(i)) {
-                results[idx] =
-                    SweepRunner::runOne(jobs[idx], cache);
-                continue;
-            }
-            SweepResult &r = results[idx];
-            r.spec = jobs[idx];
-            r.outcome = RunOutcome{};
-            r.outcome.steadyMissing = steady_missing;
-            r.sim = batch.takeLane(i);
-            r.ipc = r.sim->ipc();
-            r.committed = r.sim->core().stats().committed.value();
-            r.cycles = r.sim->core().cycle();
-            r.fastForwarded = r.sim->fastForwarded();
-            r.wallSeconds = total_cycles
-                ? wall * double(r.cycles) / double(total_cycles)
-                : 0.0;
-        }
-    } catch (...) {
-        for (size_t idx : cell_indices)
-            results[idx] = SweepRunner::runOne(jobs[idx], cache);
-    }
 }
 
 } // namespace
@@ -358,55 +251,10 @@ SweepRunner::run(std::vector<SweepJob> jobs)
 {
     std::vector<SweepResult> results(jobs.size());
     workloads::WorkloadCache &cache = *cache_;
-
-    // Partition the cells into work units: solo cells, plus batch
-    // chunks of up to resolveBatch(spec.batch) lanes over one shared
-    // trace. Grouping is deterministic (submission order within each
-    // trace group) but scheduling never affects results — every unit
-    // writes only its own result slots and lanes are bit-identical
-    // to solo replays.
-    std::vector<std::vector<size_t>> units;
-    std::map<std::string, std::vector<size_t>> groups;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const SweepJob &job = jobs[i];
-        if (!batchable(job) || resolveBatch(job.batch) == 1) {
-            units.push_back({i});
-            continue;
-        }
-        // Cells batch iff they replay the same trace under the same
-        // requested width: (workload, scale, budget, fast-forward)
-        // keys WorkloadCache::trace(); batch keys the chunk size.
-        std::string key = job.workload + '\0'
-            + std::to_string(unsigned(job.scale)) + '\0'
-            + std::to_string(job.max_insts) + '\0'
-            + (job.fast_forward ? '1' : '0') + '\0'
-            + std::to_string(resolveBatch(job.batch));
-        groups[key].push_back(i);
-    }
-
-    batchesFormed_ = 0;
-    lanesMax_ = 0;
-    for (const auto &[key, cells] : groups) {
-        const unsigned width =
-            resolveBatch(jobs[cells.front()].batch);
-        for (size_t at = 0; at < cells.size(); at += width) {
-            size_t n = std::min<size_t>(width, cells.size() - at);
-            std::vector<size_t> chunk(cells.begin() + at,
-                                      cells.begin() + at + n);
-            if (n > 1) {
-                ++batchesFormed_;
-                lanesMax_ = std::max<size_t>(lanesMax_, n);
-            }
-            units.push_back(std::move(chunk));
-        }
-    }
-
-    parallelFor(units.size(), jobs_, [&](size_t u) {
-        const std::vector<size_t> &cells = units[u];
-        if (cells.size() == 1)
-            results[cells[0]] = runOne(jobs[cells[0]], cache);
-        else
-            runBatch(jobs, cells, cache, results);
+    // Every cell writes only its own result slot, so scheduling
+    // never affects results.
+    parallelFor(jobs.size(), jobs_, [&](size_t i) {
+        results[i] = runOne(jobs[i], cache);
     });
     return results;
 }

@@ -6,16 +6,9 @@
  * fixed thread pool: one isolated Simulation per job, workload
  * programs built once process-wide (thread-safe cache), and results
  * returned in submission order so table printing — and the stats
- * themselves — are identical to a serial run.
- *
- * On top of the thread pool the engine batches: cells that replay
- * the same shared trace (same workload, scale, budget, fast-forward)
- * are grouped into chunks of ExperimentSpec::batch lanes and run by
- * one worker as a BatchedSimulation, amortizing the trace decode
- * stream across machine configs. Batching never changes results —
- * lanes share only the immutable trace — and cells that need
- * run-level isolation (fault injection, wall budgets, trace_cache
- * off) always run solo.
+ * themselves — are identical to a serial run. Cells of one workload
+ * share its capture-once committed trace (read-only), never any
+ * mutable state.
  */
 
 #ifndef HPA_SIM_SWEEP_HH
@@ -104,34 +97,15 @@ class SweepRunner
     static unsigned backoffDelayMs(unsigned attempt, uint64_t seed,
                                    unsigned base_ms = 25);
 
-    /** Batched-replay width when ExperimentSpec::batch is 0 (auto).
-     *  Eight lanes keep the shared trace span cache-resident while
-     *  amortizing its decode across most of a reproduction sweep's
-     *  machines per workload. */
-    static constexpr unsigned DEFAULT_BATCH = 8;
-
-    /** Resolve an ExperimentSpec::batch request: 0 means
-     *  DEFAULT_BATCH, anything else is taken literally. */
-    static unsigned resolveBatch(unsigned requested);
-
-    /** True when @p job may share a BatchedSimulation with
-     *  lane-mates: trace-replayed, fault-free, and not under a wall
-     *  budget (wall deadlines are per-run and would be distorted by
-     *  interleaving; faulted cells keep their solo RunOutcome
-     *  isolation). Non-batchable jobs run solo — same results,
-     *  no sharing. */
-    static bool batchable(const SweepJob &job);
-
-    /** Batches formed by the most recent run() (diagnostics). */
-    size_t batchesFormed() const { return batchesFormed_; }
-    /** Widest batch actually formed by the most recent run(). */
-    size_t lanesMax() const { return lanesMax_; }
+    /** Multi-cell replay batches formed by run(): always 0, every
+     *  cell runs alone. Kept so existing reporting code compiles. */
+    size_t batchesFormed() const { return 0; }
+    /** Widest replay batch formed by run(): always 0, as above. */
+    size_t lanesMax() const { return 0; }
 
   private:
     unsigned jobs_;
     workloads::WorkloadCache *cache_;
-    size_t batchesFormed_ = 0;
-    size_t lanesMax_ = 0;
 };
 
 /**

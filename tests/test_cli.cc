@@ -341,6 +341,22 @@ TEST(SimCliBinary, UnknownOptionExitsTwo)
     EXPECT_NE(r.out.find("unknown option"), std::string::npos);
 }
 
+TEST(SimCliBinary, RemovedEngineFlagExitsTwoAndSaysWhy)
+{
+    for (const char *form : {" --sched-engine reference",
+                             " --sched-engine=masked"}) {
+        auto r = shell(simBinary() + " --bench gzip --insts 5000"
+                       + form);
+        EXPECT_EQ(r.status, 2) << form << "\n" << r.out;
+        EXPECT_NE(r.out.find("--sched-engine was removed"),
+                  std::string::npos)
+            << r.out;
+        EXPECT_NE(r.out.find("results never depended on it"),
+                  std::string::npos)
+            << r.out;
+    }
+}
+
 TEST(SimCliBinary, MalformedNumberExitsTwo)
 {
     auto r = shell(simBinary() + " --bench gzip --insts banana");

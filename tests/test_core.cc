@@ -727,6 +727,39 @@ TEST(CommitListener, ObservesEveryCommitInOrder)
     EXPECT_EQ(count, s.core().stats().committed.value());
 }
 
+// --- Pipeline-state dump (Deadlock/InvariantViolation context). ---
+
+/** The number after " key=" in a dumpPipelineState() header. */
+uint64_t
+dumpField(const std::string &dump, const std::string &key)
+{
+    size_t at = dump.find(" " + key + "=");
+    if (at == std::string::npos)
+        return ~uint64_t(0);
+    return std::stoull(dump.substr(at + key.size() + 2));
+}
+
+TEST(PipelineDump, ReadyAndIssuedCountsMatchTheScheduler)
+{
+    core::SyntheticParams sp;
+    sp.num_insts = 4000;
+    sp.seed = 42;
+    core::SyntheticSource src(sp);
+    core::Core c(base4(), src);
+    while (!c.done() && c.cycle() < 100000
+           && (c.readyListSnapshot().empty()
+               || c.issuedListSnapshot().empty()))
+        c.tick();
+    ASSERT_FALSE(c.readyListSnapshot().empty());
+    ASSERT_FALSE(c.issuedListSnapshot().empty());
+
+    const std::string dump = c.dumpPipelineState();
+    EXPECT_EQ(dumpField(dump, "ready"), c.readyListSnapshot().size())
+        << dump;
+    EXPECT_EQ(dumpField(dump, "issued"), c.issuedListSnapshot().size())
+        << dump;
+}
+
 // --- Property sweep over synthetic streams and configurations. ---
 
 struct SweepParam

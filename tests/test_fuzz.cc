@@ -6,6 +6,7 @@
 
 #include <map>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -264,22 +265,23 @@ TEST(CoreReadyListFuzz, IncrementalListsMatchBruteForceEveryCycle)
     }
 }
 
-TEST(CalendarQueueFuzz, MatchesMapReferenceIncludingOverflow)
+TEST(CalendarQueueFuzz, MatchesMapReference)
 {
     // Differential fuzz of the calendar event queue against the
     // std::map<cycle, per-rank vectors> structure it replaced: random
-    // deltas spanning the ring (1..255), the exact ring horizon
-    // (255/256 boundary) and far-future overflow territory (up to ~8
-    // ring spans), with new events scheduled while a bucket is being
-    // drained — exactly what core event handlers do, and a random
-    // delivery rank per event so the rank-split planes (including
-    // overflow migration per plane) are exercised. Per cycle each
-    // rank's drained vector must match the reference in content AND
-    // order.
+    // deltas spanning the ring interior, near-future hot-path
+    // distances and the exact horizon (the ring is sized to the
+    // largest delta, rounded up to a power of two), with new events
+    // scheduled while a bucket is being drained — exactly what core
+    // event handlers do, and a random delivery rank per event so the
+    // rank-split planes are exercised. Per cycle each rank's drained
+    // vector must match the reference in content AND order.
     using RankedBucket = std::array<std::vector<uint32_t>, 3>;
+    const uint64_t HORIZON = 300; // largest delta scheduled below
     for (uint64_t seed : {7ull, 1234ull, 998877ull}) {
         std::mt19937_64 rng(seed);
-        core::CalendarQueue<uint32_t, 3> q; // 256-slot default ring
+        core::CalendarQueue<uint32_t, 3> q(HORIZON);
+        ASSERT_EQ(q.horizon(), 511u) << "ring = next power of 2 above";
         std::map<uint64_t, RankedBucket> ref;
         uint32_t next_id = 0;
 
@@ -287,16 +289,13 @@ TEST(CalendarQueueFuzz, MatchesMapReferenceIncludingOverflow)
             uint64_t delta;
             switch (rng() % 4) {
               case 0:
-                delta = 1 + rng() % 254;             // ring interior
+                delta = 1 + rng() % 8;               // near future
                 break;
               case 1:
-                delta = 254 + rng() % 4;             // 254..257: the
-                break;                               // ring horizon
-              case 2:
-                delta = 257 + rng() % 1791;          // overflow
+                delta = HORIZON - rng() % 3;         // the horizon
                 break;
               default:
-                delta = 1 + rng() % 2047;            // anywhere
+                delta = 1 + rng() % HORIZON;         // anywhere
                 break;
             }
             uint32_t id = next_id++;
@@ -352,18 +351,16 @@ TEST(CalendarQueueFuzz, MatchesMapReferenceIncludingOverflow)
             q.endCycle(now);
         }
         ASSERT_EQ(q.pending(), 0u) << "seed " << seed;
-        ASSERT_EQ(q.overflowPending(), 0u) << "seed " << seed;
     }
 }
 
-TEST(CoreEventOverflowFuzz, FarFutureLatenciesKeepListsConsistent)
+TEST(CoreEventHorizonFuzz, FarFutureLatenciesKeepListsConsistent)
 {
-    // Drive real cores whose completion events land beyond the
-    // 256-cycle calendar ring (memory latency 1500, div-heavy
-    // synthetic streams), so load-miss completions take the overflow
-    // path while ALU wakes stay in the ring. The incremental
-    // scheduler lists and the consumer pool must stay consistent
-    // every cycle, and the run must still commit every instruction.
+    // Drive real cores whose load-miss completions land far ahead
+    // (memory latency 1500, so the calendar ring is sized to 2048
+    // slots and wraps many times per run) while ALU wakes stay near.
+    // The incremental scheduler planes must stay consistent every
+    // cycle, and the run must still commit every instruction.
     for (uint64_t seed : {5ull, 909ull}) {
         core::SyntheticParams sp;
         sp.num_insts = 2000;
@@ -377,7 +374,7 @@ TEST(CoreEventOverflowFuzz, FarFutureLatenciesKeepListsConsistent)
         core::CoreConfig cfg = core::fourWideConfig();
         cfg.ruu_size = 32;
         cfg.lsq_size = 16;
-        cfg.mem.mem_latency = 1500; // far past the ring horizon
+        cfg.mem.mem_latency = 1500;
         cfg.watchdog_cycles = 500000;
 
         core::Core c(cfg, src);
@@ -394,20 +391,69 @@ TEST(CoreEventOverflowFuzz, FarFutureLatenciesKeepListsConsistent)
 }
 
 /**
- * ReadyMaskFuzz: the masked engine's bit planes on randomized
- * dependence chains. Every N cycles the planes are cross-validated
- * against readyListConsistent()'s brute-force model-readiness
- * predicate (same members, oldest-first order), and the structural
- * plane invariants are checked directly: ready and issued are
- * disjoint, both are subsets of occupancy, and a dependency-matrix
- * bit only ever names an occupied consumer slot while its producer
- * is in the window. Trials randomize the chain shape (dependence
- * distance, two-source fraction, memory mix) and rotate the wakeup
- * model so the fast/slow planes and the tag-elimination path all
- * get traffic.
+ * ReadyMaskFuzz: the scheduler's bit planes on randomized dependence
+ * chains. Every N cycles the planes are cross-validated against
+ * readyListConsistent()'s brute-force model-readiness predicate
+ * (same members, oldest-first order), and the structural plane
+ * invariants are checked directly: ready and issued are disjoint,
+ * both are subsets of occupancy, and a dependency-matrix bit only
+ * ever names an occupied consumer slot while its producer is in the
+ * window. Random trials vary the chain shape (dependence distance,
+ * two-source fraction, memory mix) and rotate the wakeup model so
+ * the fast/slow planes and the tag-elimination path all get
+ * traffic; three more trials run sequential wakeup with sequential
+ * register access on dense two-source streams and validate every
+ * single cycle.
  */
 TEST(ReadyMaskFuzz, PlanesMatchModelReadinessOnRandomDepChains)
 {
+    auto runTrial = [](const core::SyntheticParams &sp,
+                       const core::CoreConfig &cfg, unsigned every,
+                       const std::string &tag) {
+        core::SyntheticSource src(sp);
+        core::Core c(cfg, src);
+        uint64_t guard = 0;
+        while (!c.done() && guard++ < 400000) {
+            c.tick();
+            if (guard % every)
+                continue;
+            ASSERT_TRUE(c.readyListConsistent())
+                << tag << " cycle " << c.cycle();
+            const core::IssueWindowMasks &m = c.issueMasks();
+            for (unsigned s = 0; s < cfg.ruu_size; ++s) {
+                ASSERT_FALSE(m.ready.test(s) && m.issued.test(s))
+                    << "slot " << s << " both ready and issued, "
+                    << tag << " cycle " << c.cycle();
+                if (m.ready.test(s) || m.issued.test(s)) {
+                    ASSERT_TRUE(m.occupancy.test(s))
+                        << "slot " << s << " ready/issued but "
+                        << "unoccupied, " << tag << " cycle "
+                        << c.cycle();
+                }
+            }
+            // While a producer is in the window, each of its
+            // dependency bits must name an occupied consumer slot
+            // (the header's lifetime invariant).
+            for (unsigned p = 0; p < cfg.ruu_size; ++p) {
+                if (!m.occupancy.test(p))
+                    continue;
+                for (int plane = 0; plane < 2; ++plane) {
+                    for (unsigned s = 0; s < cfg.ruu_size; ++s) {
+                        if (m.dep[plane].test(p, s)) {
+                            ASSERT_TRUE(m.occupancy.test(s))
+                                << "dep[" << plane << "] row " << p
+                                << " names unoccupied slot " << s
+                                << ", " << tag << " cycle "
+                                << c.cycle();
+                        }
+                    }
+                }
+            }
+        }
+        ASSERT_TRUE(c.done()) << tag;
+        EXPECT_EQ(c.stats().committed.value(), sp.num_insts) << tag;
+    };
+
     const core::WakeupModel wakeups[] = {
         core::WakeupModel::Conventional,
         core::WakeupModel::Sequential,
@@ -424,70 +470,14 @@ TEST(ReadyMaskFuzz, PlanesMatchModelReadinessOnRandomDepChains)
         sp.dep_distance_p = 0.15 + 0.20 * double(trial % 4);
         sp.load_frac = 0.10 + 0.10 * double(trial % 3);
         sp.store_frac = (trial % 2) ? 0.10 : 0.0;
-        core::SyntheticSource src(sp);
 
         core::CoreConfig cfg = core::fourWideConfig();
         cfg.ruu_size = 32;
         cfg.lsq_size = 16;
         cfg.wakeup = wakeups[trial % 5];
-        cfg.sched_engine = core::SchedEngine::Masked;
-        core::Core c(cfg, src);
-
-        const unsigned N = 3; // validate every N cycles
-        uint64_t guard = 0;
-        while (!c.done() && guard++ < 400000) {
-            c.tick();
-            if (guard % N)
-                continue;
-            ASSERT_TRUE(c.readyListConsistent())
-                << "trial " << trial << " cycle " << c.cycle();
-            const core::IssueWindowMasks &m = c.issueMasks();
-            for (unsigned s = 0; s < cfg.ruu_size; ++s) {
-                ASSERT_FALSE(m.ready.test(s) && m.issued.test(s))
-                    << "slot " << s << " both ready and issued, "
-                    << "trial " << trial << " cycle " << c.cycle();
-                if (m.ready.test(s) || m.issued.test(s)) {
-                    ASSERT_TRUE(m.occupancy.test(s))
-                        << "slot " << s << " ready/issued but "
-                        << "unoccupied, trial " << trial << " cycle "
-                        << c.cycle();
-                }
-            }
-            // While a producer is in the window, each of its
-            // dependency bits must name an occupied consumer slot
-            // (the header's lifetime invariant).
-            for (unsigned p = 0; p < cfg.ruu_size; ++p) {
-                if (!m.occupancy.test(p))
-                    continue;
-                for (int plane = 0; plane < 2; ++plane) {
-                    for (unsigned s = 0; s < cfg.ruu_size; ++s) {
-                        if (m.dep[plane].test(p, s)) {
-                            ASSERT_TRUE(m.occupancy.test(s))
-                                << "dep[" << plane << "] row " << p
-                                << " names unoccupied slot " << s
-                                << ", trial " << trial << " cycle "
-                                << c.cycle();
-                        }
-                    }
-                }
-            }
-        }
-        ASSERT_TRUE(c.done()) << "trial " << trial;
-        EXPECT_EQ(c.stats().committed.value(), sp.num_insts)
-            << "trial " << trial;
+        runTrial(sp, cfg, 3, "trial " + std::to_string(trial));
     }
-}
 
-/**
- * Lock-step differential: one masked-engine core and one
- * reference-engine core over the same synthetic stream must agree on
- * the ready and issued sets (members AND age order) every single
- * cycle, and on the cycle/commit totals at the end. This is the
- * strongest engine-equivalence statement short of the golden sweep:
- * not just same final IPC, same scheduler state at every step.
- */
-TEST(ReadyMaskFuzz, LockstepEnginesAgreeEveryCycle)
-{
     for (uint64_t seed : {11ull, 2025ull, 777777ull}) {
         core::SyntheticParams sp;
         sp.num_insts = 2000;
@@ -495,35 +485,13 @@ TEST(ReadyMaskFuzz, LockstepEnginesAgreeEveryCycle)
         sp.load_frac = 0.25;
         sp.store_frac = 0.10;
         sp.two_source_frac = 0.5;
-        core::SyntheticSource srcA(sp), srcB(sp);
 
         core::CoreConfig cfg = core::fourWideConfig();
         cfg.ruu_size = 32;
         cfg.lsq_size = 16;
         cfg.wakeup = core::WakeupModel::Sequential;
         cfg.regfile = core::RegfileModel::SequentialAccess;
-
-        core::CoreConfig cfgA = cfg, cfgB = cfg;
-        cfgA.sched_engine = core::SchedEngine::Masked;
-        cfgB.sched_engine = core::SchedEngine::Reference;
-        core::Core a(cfgA, srcA), b(cfgB, srcB);
-
-        uint64_t guard = 0;
-        while ((!a.done() || !b.done()) && guard++ < 400000) {
-            a.tick();
-            b.tick();
-            ASSERT_EQ(a.readyListSnapshot(), b.readyListSnapshot())
-                << "seed " << seed << " cycle " << a.cycle();
-            ASSERT_EQ(a.issuedListSnapshot(), b.issuedListSnapshot())
-                << "seed " << seed << " cycle " << a.cycle();
-        }
-        ASSERT_TRUE(a.done() && b.done()) << "seed " << seed;
-        EXPECT_EQ(a.cycle(), b.cycle()) << "seed " << seed;
-        EXPECT_EQ(a.stats().committed.value(),
-                  b.stats().committed.value())
-            << "seed " << seed;
-        EXPECT_EQ(a.stats().issued.value(), b.stats().issued.value())
-            << "seed " << seed;
+        runTrial(sp, cfg, 1, "seq/seq-rf seed " + std::to_string(seed));
     }
 }
 

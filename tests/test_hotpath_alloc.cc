@@ -1,23 +1,21 @@
 /** @file Dynamic half of the PR 4 zero-steady-state-allocation claim,
  *  cross-validating hpa-lint's static HPA002 rule: this binary
  *  replaces the global operator new with a counting wrapper, warms a
- *  trace-backed core past every pool/ring/map high-water mark, then
+ *  trace-backed core past every ring/map high-water mark, then
  *  counts allocations across thousands more Core::tick() calls. Any
  *  count above zero fails — the static rule catches per-operation
  *  container types at review time, this test catches everything the
  *  regexes cannot see (amortised std::vector growth, allocations in
- *  callees, regressions in the pooled containers themselves). */
+ *  callees, regressions in the window-sized containers themselves). */
 
 #include <atomic>
 #include <cstdlib>
-#include <memory>
 #include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/core.hh"
-#include "core/core_lane.hh"
 #include "core/inst_source.hh"
 #include "func/trace.hh"
 #include "sim/experiment.hh"
@@ -185,71 +183,6 @@ TEST(HotPathAlloc, PolicyZooMachineGzip)
                          .rfPolicy("prefetch")
                          .build();
     expectSteadyStateAllocFree("gzip", m.cfg);
-}
-
-/** Both scheduler engines, pinned explicitly. The masked engine's
- *  bit planes and dependency matrix are flat vectors sized once at
- *  reset — wakeup broadcasts and producer clears are pure bit ops,
- *  so the zero-allocation property must hold for the matrix storage
- *  exactly as it does for the reference engine's pooled lists. */
-TEST(HotPathAlloc, MaskedEngineGzip)
-{
-    core::CoreConfig cfg = core::fourWideConfig();
-    cfg.sched_engine = core::SchedEngine::Masked;
-    expectSteadyStateAllocFree("gzip", cfg);
-}
-
-TEST(HotPathAlloc, ReferenceEngineGzip)
-{
-    core::CoreConfig cfg = core::fourWideConfig();
-    cfg.sched_engine = core::SchedEngine::Reference;
-    expectSteadyStateAllocFree("gzip", cfg);
-}
-
-/** Batched replay must not reintroduce per-cycle allocation: warm a
- *  batch of lanes over one shared trace, then count across further
- *  tickQuantum rotations. The quantum switchovers themselves are on
- *  the measured path — rotating lanes is steady state, not setup. */
-TEST(HotPathAlloc, BatchedLanesTickAllocFree)
-{
-    const uint64_t budget = 60000;
-    const uint64_t warm_insts = 30000;
-    const uint64_t quantum = 1024;
-
-    auto &cache = workloads::globalCache();
-    const workloads::Workload &w = cache.get("gzip");
-    const func::CommittedTrace &trace =
-        cache.trace("gzip", workloads::Scale::Full, budget,
-                    steadyPc(w));
-
-    std::vector<std::unique_ptr<core::CoreLane>> lanes;
-    lanes.push_back(std::make_unique<core::CoreLane>(
-        core::fourWideConfig(), trace));
-    lanes.push_back(std::make_unique<core::CoreLane>(
-        core::eightWideConfig(), trace));
-
-    // Warm every lane past its high-water marks, interleaved the way
-    // BatchedSimulation rotates them.
-    bool more = true;
-    while (more
-           && lanes[0]->core().stats().committed.value() < warm_insts) {
-        more = false;
-        for (auto &lane : lanes)
-            more = lane->tickQuantum(quantum, 0) || more;
-    }
-    ASSERT_TRUE(more) << "trace exhausted during warm-up";
-
-    g_allocs.store(0);
-    g_armed.store(true);
-    for (int rotations = 0; rotations < 4 && more; ++rotations) {
-        more = false;
-        for (auto &lane : lanes)
-            more = lane->tickQuantum(quantum, 0) || more;
-    }
-    g_armed.store(false);
-
-    EXPECT_EQ(g_allocs.load(), 0u)
-        << "batched lane rotation allocated in steady state";
 }
 
 } // namespace

@@ -90,9 +90,6 @@ TEST_F(JobStoreTest, SpecKeyIsStableAndContentSensitive)
     EXPECT_NE(k, sim::JobStore::specKey(spec("crafty")));
     EXPECT_NE(k, sim::JobStore::specKey(spec("gzip", 8)));
     EXPECT_NE(k, sim::JobStore::specKey(spec("gzip", 4, 5000)));
-    auto batched = spec();
-    batched.batch = 2;
-    EXPECT_NE(k, sim::JobStore::specKey(batched));
     auto no_trace = spec();
     no_trace.trace_cache = false;
     EXPECT_NE(k, sim::JobStore::specKey(no_trace));

@@ -86,12 +86,15 @@ TEST(WorkloadCacheTest, ConcurrentGetsReturnTheSameBuiltEntry)
 
 TEST(SweepDeterminism, EightWorkersMatchSerialForEveryPair)
 {
-    // The full reproduction grid at a small budget: every machine of
-    // the paper's main figures crossed with every workload. jobs(8)
+    // The full reproduction grid at a small budget, plus the
+    // post-paper policy machines (dlt wakeup, prefetch regfile,
+    // combined): every machine crossed with every workload. jobs(8)
     // must reproduce jobs(1) bit-for-bit — same IPC doubles, same
     // cycle counts, and a byte-identical statistics report.
     const uint64_t BUDGET = 2000;
     auto machines = sim::reproductionMachines();
+    for (const auto &m : sim::policyZooMachines())
+        machines.push_back(m);
     auto names = workloads::benchmarkNames();
 
     std::vector<sim::SweepJob> jobs;
@@ -119,55 +122,6 @@ TEST(SweepDeterminism, EightWorkersMatchSerialForEveryPair)
         EXPECT_EQ(serial[i].ipc, parallel[i].ipc) << what;
         EXPECT_EQ(serial[i].cycles, parallel[i].cycles) << what;
         EXPECT_EQ(serial[i].committed, parallel[i].committed) << what;
-
-        std::ostringstream a, b;
-        serial[i].sim->report(a);
-        parallel[i].sim->report(b);
-        EXPECT_EQ(a.str(), b.str()) << what;
-    }
-}
-
-TEST(SweepDeterminism, PolicyZooMatchesSerialAtEveryBatchSize)
-{
-    // The post-paper policy machines (dlt wakeup, prefetch regfile,
-    // combined) go through the same determinism contract as the
-    // reproduction grid: jobs(8) must reproduce jobs(1) bit-for-bit,
-    // and batched replay (batch 8) must reproduce solo replay
-    // (batch 1) bit-for-bit.
-    const uint64_t BUDGET = 2000;
-    auto machines = sim::policyZooMachines();
-    ASSERT_GE(machines.size(), 4u);
-    auto names = workloads::benchmarkNames();
-
-    auto grid = [&](unsigned batch) {
-        std::vector<sim::SweepJob> jobs;
-        for (const auto &m : machines) {
-            for (const auto &n : names) {
-                sim::SweepJob j;
-                j.workload = n;
-                j.machine = m;
-                j.max_insts = BUDGET;
-                j.batch = batch;
-                jobs.push_back(j);
-            }
-        }
-        return jobs;
-    };
-
-    workloads::WorkloadCache cache;
-    auto serial = sim::SweepRunner(1, &cache).run(grid(1));
-    auto parallel = sim::SweepRunner(8, &cache).run(grid(8));
-    ASSERT_EQ(serial.size(), parallel.size());
-
-    for (size_t i = 0; i < serial.size(); ++i) {
-        std::string what = serial[i].spec.machine.name + "|"
-            + serial[i].spec.workload;
-        ASSERT_TRUE(serial[i].outcome.ok()) << what;
-        ASSERT_TRUE(parallel[i].outcome.ok()) << what;
-        EXPECT_EQ(serial[i].ipc, parallel[i].ipc) << what;
-        EXPECT_EQ(serial[i].cycles, parallel[i].cycles) << what;
-        EXPECT_EQ(serial[i].committed, parallel[i].committed)
-            << what;
 
         std::ostringstream a, b;
         serial[i].sim->report(a);
@@ -263,234 +217,6 @@ TEST(SweepTraceCache, ConcurrentCellsShareOneTraceDeterministically)
         EXPECT_EQ(serial[i].cycles, parallel[i].cycles) << what;
         EXPECT_EQ(serial[i].committed, parallel[i].committed) << what;
     }
-}
-
-TEST(SweepBatching, EveryBatchSizeReproducesSoloBitForBit)
-{
-    // The batched-replay acceptance gate at unit scale: the full
-    // reproduction grid run at batch {auto, 2, 8} must reproduce the
-    // batch=1 (solo) run bit for bit — IPC doubles, cycle counts and
-    // the complete statistics report — while actually forming
-    // multi-lane batches (the diagnostics prove the batched path,
-    // not a silent solo fallback, produced the results).
-    const uint64_t BUDGET = 2000;
-    auto machines = sim::reproductionMachines();
-    auto names = workloads::benchmarkNames();
-    workloads::WorkloadCache cache;
-
-    auto grid = [&](unsigned batch) {
-        std::vector<sim::SweepJob> jobs;
-        for (const auto &m : machines)
-            for (const auto &n : names) {
-                sim::SweepJob j;
-                j.workload = n;
-                j.machine = m;
-                j.max_insts = BUDGET;
-                j.batch = batch;
-                jobs.push_back(j);
-            }
-        return jobs;
-    };
-
-    sim::SweepRunner solo_runner(1, &cache);
-    auto solo = solo_runner.run(grid(1));
-    EXPECT_EQ(solo_runner.batchesFormed(), 0u);
-    EXPECT_EQ(solo_runner.lanesMax(), 0u);
-
-    for (unsigned batch : {0u, 2u, 8u}) {
-        sim::SweepRunner runner(1, &cache);
-        auto res = runner.run(grid(batch));
-        ASSERT_EQ(res.size(), solo.size());
-        EXPECT_GT(runner.batchesFormed(), 0u) << "batch " << batch;
-        EXPECT_LE(runner.lanesMax(),
-                  size_t(sim::SweepRunner::resolveBatch(batch)))
-            << "batch " << batch;
-        for (size_t i = 0; i < res.size(); ++i) {
-            std::string what = "batch " + std::to_string(batch) + " "
-                + solo[i].spec.machine.name + "|"
-                + solo[i].spec.workload;
-            ASSERT_TRUE(res[i].outcome.ok()) << what;
-            EXPECT_EQ(res[i].ipc, solo[i].ipc) << what;
-            EXPECT_EQ(res[i].cycles, solo[i].cycles) << what;
-            EXPECT_EQ(res[i].committed, solo[i].committed) << what;
-            EXPECT_EQ(res[i].fastForwarded, solo[i].fastForwarded)
-                << what;
-
-            std::ostringstream a, b;
-            res[i].sim->report(a);
-            solo[i].sim->report(b);
-            EXPECT_EQ(a.str(), b.str()) << what;
-        }
-    }
-}
-
-TEST(SweepBatching, MixedWorkloadGridBatchesPerTraceGroup)
-{
-    // Cells arrive interleaved across workloads (the natural order
-    // of a machine-major sweep); batches must form per trace group
-    // anyway, and every result must land at its submission index.
-    const uint64_t BUDGET = 2000;
-    auto names = workloads::benchmarkNames();
-    ASSERT_GE(names.size(), 3u);
-    std::vector<sim::Machine> machines = {
-        sim::Machine::base(4),
-        sim::Machine::base(8),
-        sim::Machine::base(4)
-            .wakeup(core::WakeupModel::Sequential)
-            .lap(1024),
-    };
-
-    std::vector<sim::SweepJob> jobs;
-    for (const auto &m : machines)
-        for (size_t w = 0; w < 3; ++w) {
-            sim::SweepJob j;
-            j.workload = names[w];
-            j.machine = m;
-            j.max_insts = BUDGET;
-            jobs.push_back(j);
-        }
-
-    workloads::WorkloadCache cache;
-    sim::SweepRunner solo_runner(1, &cache);
-    std::vector<sim::SweepJob> solo_jobs = jobs;
-    for (auto &j : solo_jobs)
-        j.batch = 1;
-    auto solo = solo_runner.run(solo_jobs);
-
-    sim::SweepRunner runner(1, &cache);
-    auto res = runner.run(jobs);
-    // 3 workload groups of 3 machine lanes each.
-    EXPECT_EQ(runner.batchesFormed(), 3u);
-    EXPECT_EQ(runner.lanesMax(), 3u);
-    for (size_t i = 0; i < res.size(); ++i) {
-        std::string what =
-            jobs[i].machine.name + "|" + jobs[i].workload;
-        ASSERT_TRUE(res[i].outcome.ok()) << what;
-        EXPECT_EQ(res[i].spec.workload, jobs[i].workload) << what;
-        EXPECT_EQ(res[i].spec.machine.name, jobs[i].machine.name)
-            << what;
-        EXPECT_EQ(res[i].ipc, solo[i].ipc) << what;
-        EXPECT_EQ(res[i].cycles, solo[i].cycles) << what;
-    }
-}
-
-TEST(SweepBatching, FaultInjectedCellsRunSoloAndLeaveLaneMatesIntact)
-{
-    // Fault-injected cells are never batchable (RunOutcome isolation
-    // needs the solo path), but their lane-mates — cells of the same
-    // workload group — still batch, and every surviving cell must be
-    // bit-identical to the all-clean batched sweep.
-    const uint64_t BUDGET = 2000;
-    auto names = workloads::benchmarkNames();
-    std::vector<sim::Machine> machines = {
-        sim::Machine::base(4),
-        sim::Machine::base(8),
-    };
-    std::vector<sim::SweepJob> jobs;
-    for (const auto &m : machines)
-        for (size_t w = 0; w < 4; ++w) {
-            sim::SweepJob j;
-            j.workload = names[w];
-            j.machine = m;
-            j.max_insts = BUDGET;
-            jobs.push_back(j);
-        }
-
-    workloads::WorkloadCache cache;
-    auto clean = sim::SweepRunner(1, &cache).run(jobs);
-
-    auto faulty = jobs;
-    faulty[1].fault = sim::FaultKind::InvariantTrip;
-    faulty[1].fault_cycle = 500;
-    sim::SweepRunner runner(1, &cache);
-    auto res = runner.run(faulty);
-    EXPECT_FALSE(sim::SweepRunner::batchable(faulty[1]));
-    EXPECT_GT(runner.batchesFormed(), 0u);
-
-    EXPECT_EQ(res[1].outcome.status, sim::RunStatus::Failed);
-    EXPECT_EQ(res[1].outcome.errorKind, ErrorKind::Invariant);
-    for (size_t i = 0; i < res.size(); ++i) {
-        if (i == 1)
-            continue;
-        std::string what =
-            jobs[i].machine.name + "|" + jobs[i].workload;
-        ASSERT_TRUE(res[i].outcome.ok()) << what;
-        EXPECT_EQ(res[i].ipc, clean[i].ipc) << what;
-        EXPECT_EQ(res[i].cycles, clean[i].cycles) << what;
-        EXPECT_EQ(res[i].committed, clean[i].committed) << what;
-    }
-}
-
-TEST(SweepBatching, LaneSetupFailureFallsBackToSoloSemantics)
-{
-    // A cell whose machine config cannot even construct (non-pow2
-    // predictor table, injected under the builder's validation)
-    // breaks its batch's setup; the engine must fall back to solo
-    // replay for the whole unit — the broken cell reports its
-    // ConfigError, lane-mates of the same batch still succeed with
-    // reference results.
-    const uint64_t BUDGET = 2000;
-    auto names = workloads::benchmarkNames();
-    std::vector<sim::Machine> machines = {
-        sim::Machine::base(4),
-        sim::Machine::base(4)
-            .wakeup(core::WakeupModel::Sequential)
-            .lap(1024),
-    };
-    std::vector<sim::SweepJob> jobs;
-    for (const auto &m : machines)
-        for (size_t w = 0; w < 2; ++w) {
-            sim::SweepJob j;
-            j.workload = names[w];
-            j.machine = m;
-            j.max_insts = BUDGET;
-            jobs.push_back(j);
-        }
-
-    workloads::WorkloadCache cache;
-    auto clean = sim::SweepRunner(1, &cache).run(jobs);
-
-    auto broken = jobs;
-    broken[2].machine.cfg.lap_entries = 1000; // not a power of 2
-    auto res = sim::SweepRunner(1, &cache).run(broken);
-
-    EXPECT_EQ(res[2].outcome.status, sim::RunStatus::Failed);
-    EXPECT_EQ(res[2].outcome.errorKind, ErrorKind::Config);
-    for (size_t i = 0; i < res.size(); ++i) {
-        if (i == 2)
-            continue;
-        std::string what =
-            jobs[i].machine.name + "|" + jobs[i].workload;
-        ASSERT_TRUE(res[i].outcome.ok()) << what;
-        EXPECT_EQ(res[i].ipc, clean[i].ipc) << what;
-        EXPECT_EQ(res[i].cycles, clean[i].cycles) << what;
-    }
-}
-
-TEST(SweepBatching, ResolveBatchAndBatchablePredicate)
-{
-    EXPECT_EQ(sim::SweepRunner::resolveBatch(0),
-              sim::SweepRunner::DEFAULT_BATCH);
-    EXPECT_EQ(sim::SweepRunner::resolveBatch(1), 1u);
-    EXPECT_EQ(sim::SweepRunner::resolveBatch(5), 5u);
-
-    sim::SweepJob j;
-    j.workload = "gzip";
-    j.machine = sim::Machine::base(4);
-    j.max_insts = 1000;
-    EXPECT_TRUE(sim::SweepRunner::batchable(j));
-
-    sim::SweepJob live = j;
-    live.trace_cache = false;
-    EXPECT_FALSE(sim::SweepRunner::batchable(live));
-
-    sim::SweepJob faulted = j;
-    faulted.fault = sim::FaultKind::BlockCommit;
-    EXPECT_FALSE(sim::SweepRunner::batchable(faulted));
-
-    sim::SweepJob budgeted = j;
-    budgeted.wall_budget_seconds = 10.0;
-    EXPECT_FALSE(sim::SweepRunner::batchable(budgeted));
 }
 
 /** The small grid the fault-isolation tests run: two machines by
@@ -612,6 +338,50 @@ TEST(SweepFaultIsolation, WallBudgetTimesOutRunawayCells)
         if (i != 3) {
             EXPECT_TRUE(res[i].outcome.ok()) << i;
         }
+    }
+}
+
+TEST(SweepFaultIsolation, UnconstructibleCellFailsAlone)
+{
+    // A cell whose machine config cannot even construct (non-pow2
+    // predictor table, injected under the builder's validation)
+    // reports its ConfigError; the other cells of its workload still
+    // succeed with the clean sweep's results.
+    const uint64_t BUDGET = 2000;
+    auto names = workloads::benchmarkNames();
+    std::vector<sim::Machine> machines = {
+        sim::Machine::base(4),
+        sim::Machine::base(4)
+            .wakeup(core::WakeupModel::Sequential)
+            .lap(1024),
+    };
+    std::vector<sim::SweepJob> jobs;
+    for (const auto &m : machines)
+        for (size_t w = 0; w < 2; ++w) {
+            sim::SweepJob j;
+            j.workload = names[w];
+            j.machine = m;
+            j.max_insts = BUDGET;
+            jobs.push_back(j);
+        }
+
+    workloads::WorkloadCache cache;
+    auto clean = sim::SweepRunner(1, &cache).run(jobs);
+
+    auto broken = jobs;
+    broken[2].machine.cfg.lap_entries = 1000; // not a power of 2
+    auto res = sim::SweepRunner(1, &cache).run(broken);
+
+    EXPECT_EQ(res[2].outcome.status, sim::RunStatus::Failed);
+    EXPECT_EQ(res[2].outcome.errorKind, ErrorKind::Config);
+    for (size_t i = 0; i < res.size(); ++i) {
+        if (i == 2)
+            continue;
+        std::string what =
+            jobs[i].machine.name + "|" + jobs[i].workload;
+        ASSERT_TRUE(res[i].outcome.ok()) << what;
+        EXPECT_EQ(res[i].ipc, clean[i].ipc) << what;
+        EXPECT_EQ(res[i].cycles, clean[i].cycles) << what;
     }
 }
 

@@ -29,14 +29,12 @@ Ground truth, in preference order:
                    calls from `call *` forms, frame sizes from the
                    prologue.
 
-Roots: Core::tick (the per-cycle pipeline), Core::tickGuards (the
-rare-but-every-cycle guard hooks) and CoreLane::tickQuantum (the
-batched-replay slice). Because every scheduler/register-file policy
-and both scheduler engines are compiled into one Core (runtime
-variant switch + engine flag), a single static reachability pass
-covers every registered policy combination on both engines: any code
-any combination could run on the hot path is reachable from these
-roots.
+Roots: Core::tick (the per-cycle pipeline) and Core::tickGuards
+(the rare-but-every-cycle guard hooks). Because every
+scheduler/register-file policy is compiled into one Core (runtime
+variant switch), a single static reachability pass covers every
+registered policy combination: any code any combination could run on
+the hot path is reachable from these roots.
 
 Properties (each reports named root->...->symbol violation paths):
 
@@ -60,8 +58,8 @@ Properties (each reports named root->...->symbol violation paths):
                    counted (cleanup_landing_pads), not violated.
   P3 no-indirect   no indirect or virtual call site in the hot
                    graph — the compiled proof of the policy zoo's
-                   "no virtual calls" contract and the bitmask
-                   engine's inlining claims.
+                   "no virtual calls" contract and the bit-plane
+                   scheduler's inlining claims.
   P4 stack-bound   the worst-case static stack depth along any hot
                    path stays under --stack-limit bytes, and the hot
                    graph is recursion-free (a cycle makes the static
@@ -112,13 +110,12 @@ PROVE_SCHEMA = "hpa.prove.v1"
 # Hot-path roots, matched as demangled-name substrings (clone
 # suffixes like [clone .part.0] still match). `required` roots must
 # exist in the graph or the proof is refused; optional roots may be
-# fully inlined away (tickQuantum is header-inline with essentially
-# one caller), in which case their body's calls are attributed to
-# the inlining caller and covered through the other roots.
+# fully inlined away, in which case their body's calls are
+# attributed to the inlining caller and covered through the other
+# roots.
 ROOTS = [
     ("tick", "hpa::core::Core::tick(", True),
     ("tickGuards", "hpa::core::Core::tickGuards(", False),
-    ("tickQuantum", "hpa::core::CoreLane::tickQuantum(", False),
 ]
 
 # Cold subtrees excluded from the graph for EVERY property, each
@@ -214,10 +211,10 @@ PROPERTIES = {
 # and P4 (even the guards must stay devirtualized and stack-bounded)
 # but is itself the P1/P2 whitelist: its body throws by design.
 PROPERTY_ROOTS = {
-    "P1": ("tick", "tickQuantum"),
-    "P2": ("tick", "tickQuantum"),
-    "P3": ("tick", "tickGuards", "tickQuantum"),
-    "P4": ("tick", "tickGuards", "tickQuantum"),
+    "P1": ("tick",),
+    "P2": ("tick",),
+    "P3": ("tick", "tickGuards"),
+    "P4": ("tick", "tickGuards"),
 }
 
 DEFAULT_STACK_LIMIT = 16384
@@ -1106,10 +1103,9 @@ def to_json(mode, build_dir, inputs, graph, results, roots_report,
         "roots": roots_report,
         "policy_keys": registry_policies(root_dir),
         "coverage_note":
-            "all registered sched/rf policies and both scheduler "
-            "engines are compiled into Core (runtime dispatch), so "
-            "static reachability from the roots covers every "
-            "combination",
+            "all registered sched/rf policies are compiled into Core "
+            "(runtime dispatch), so static reachability from the "
+            "roots covers every combination",
         "properties": [
             {
                 "id": r.id,

@@ -2,9 +2,10 @@
 """Compare two throughput-benchmark JSON artifacts.
 
 Diffs a baseline and a candidate BENCH_sweep.json
-("hpa.bench-sweep.v2"/"v3" — v3 only adds per-run policy names, so
-the two are throughput-comparable) or micro_throughput --json
-artifact ("hpa.micro-throughput.v1") and flags throughput
+("hpa.bench-sweep.v2"/"v3"/"v4" — v3 only adds per-run policy names
+and v4 only drops the scheduler-engine and batched-replay fields, so
+all three are throughput-comparable) or micro_throughput --json
+artifact ("hpa.micro-throughput.v1"/"v2"/"v3") and flags throughput
 regressions:
 
   tools/compare_bench.py docs/runs/BENCH_sweep_before.json BENCH_sweep.json
@@ -28,8 +29,10 @@ import sys
 KNOWN_SCHEMAS = (
     "hpa.bench-sweep.v2",
     "hpa.bench-sweep.v3",
+    "hpa.bench-sweep.v4",
     "hpa.micro-throughput.v1",
     "hpa.micro-throughput.v2",
+    "hpa.micro-throughput.v3",
 )
 
 
@@ -114,9 +117,9 @@ def find_regressions(base, cand, threshold, out=sys.stdout):
 def self_test():
     import io
 
-    def doc(agg, runs):
+    def doc(agg, runs, schema="hpa.bench-sweep.v2"):
         return {
-            "schema": "hpa.bench-sweep.v2",
+            "schema": schema,
             "aggregate_cycles_per_sec": agg,
             "runs": [
                 {"machine": m, "workload": w, "cycles_per_sec": cps}
@@ -152,6 +155,26 @@ def self_test():
     # micro-throughput artifacts key on width|workload.
     assert run_key({"width": 4, "workload": "gzip"}) == "4-wide|gzip"
     assert run_key({"machine": "m1", "workload": "gcc"}) == "m1|gcc"
+
+    # Every known schema loads, and the newest of each family diffs
+    # against its predecessors (same family, same metrics).
+    import os
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        for schema in KNOWN_SCHEMAS:
+            path = os.path.join(tmp, schema + ".json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(doc(1000.0, [], schema), f)
+            assert load(path)["schema"] == schema
+    v4 = doc(1000.0, [("m1", "gzip", 100.0)], "hpa.bench-sweep.v4")
+    v3 = doc(1000.0, [("m1", "gzip", 80.0)], "hpa.bench-sweep.v3")
+    assert [k for k, _ in find_regressions(v4, v3, 10.0, sink)] \
+        == ["m1|gzip"]
+    m3 = doc(1000.0, [("4-wide", "gzip", 100.0)],
+             "hpa.micro-throughput.v3")
+    m2 = doc(1000.0, [("4-wide", "gzip", 100.0)],
+             "hpa.micro-throughput.v2")
+    assert find_regressions(m2, m3, 10.0, sink) == []
 
     print("self-test OK")
     return 0
@@ -203,8 +226,9 @@ def main():
     base = load(args.baseline)
     cand = load(args.candidate)
 
-    # Schemas must be the same *family*; bench-sweep v2 vs v3 is fine
-    # (v3 only adds per-run policy names, the metrics are unchanged).
+    # Schemas must be the same *family*; versions within a family are
+    # fine (they add or drop descriptive fields, the metrics are
+    # unchanged).
     def family(doc):
         return doc.get("schema", "").rsplit(".", 1)[0]
 

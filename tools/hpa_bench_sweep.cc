@@ -4,7 +4,7 @@
  * every (paper machine x benchmark) pair once serially and once on
  * the thread pool, verify the two produce identical IPC (the sweep
  * engine's determinism contract), and emit BENCH_sweep.json
- * ("hpa.bench-sweep.v3") with per-run status, IPC, wall time,
+ * ("hpa.bench-sweep.v4") with per-run status, IPC, wall time,
  * simulated-cycles/sec and the run's registry policy names
  * (sched_policy / rf_policy) plus the measured serial-to-parallel
  * speedup.
@@ -263,15 +263,11 @@ rowFromStored(const sim::SweepJob &job, const sim::StoredRun &s)
     return row;
 }
 
-/** Everything the v3 artifact header needs besides the rows. */
+/** Everything the v4 artifact header needs besides the rows. */
 struct ArtifactMeta
 {
     uint64_t insts = 0;
     bool trace_cache = true;
-    const char *sched_engine = "masked";
-    unsigned batch = 0;
-    uint64_t batches_formed = 0;
-    uint64_t lanes_max = 0;
     unsigned hw = 1;
     unsigned requested_jobs = 0;
     bool jobs_clamped = false;
@@ -310,13 +306,9 @@ emitArtifact(const std::string &out, const std::vector<Row> &rows,
 
     stats::json::JsonWriter jw(os);
     jw.beginObject()
-        .kv("schema", "hpa.bench-sweep.v3")
+        .kv("schema", "hpa.bench-sweep.v4")
         .kv("insts_per_run", m.insts)
         .kv("trace_cache", m.trace_cache)
-        .kv("sched_engine", m.sched_engine)
-        .kv("batch", uint64_t(sim::SweepRunner::resolveBatch(m.batch)))
-        .kv("batches_formed", m.batches_formed)
-        .kv("lanes_max", m.lanes_max)
         .kv("hardware_threads", m.hw)
         .kv("requested_jobs", uint64_t(m.requested_jobs))
         .kv("jobs_clamped", m.jobs_clamped)
@@ -768,9 +760,7 @@ main(int argc, char **argv)
 {
     uint64_t insts = 50000;
     unsigned jobs = 0;
-    unsigned batch = 0;
     bool trace_cache = true;
-    core::SchedEngine engine = core::SchedEngine::Masked;
     std::string out = "BENCH_sweep.json";
     std::string check;
     std::string write_golden;
@@ -795,22 +785,18 @@ main(int argc, char **argv)
             insts = parseU64(a, need(i));
         else if (a == "--jobs")
             jobs = unsigned(parseU64(a, need(i)));
-        else if (a == "--batch")
-            batch = unsigned(parseU64(a, need(i)));
-        else if (a == "--trace-cache") {
+        else if (a == "--batch" || a == "--sched-engine") {
+            std::cerr << a << " was removed: results never depended "
+                         "on it (every cell runs alone on the one "
+                         "scheduler)\n";
+            return 2;
+        } else if (a == "--trace-cache") {
             std::string v = need(i);
             if (v != "on" && v != "off") {
                 std::cerr << "--trace-cache expects on | off\n";
                 return 2;
             }
             trace_cache = (v == "on");
-        } else if (a == "--sched-engine") {
-            std::string v = need(i);
-            if (!core::parseSchedEngine(v, engine)) {
-                std::cerr << "--sched-engine expects masked | "
-                             "reference\n";
-                return 2;
-            }
         } else if (a == "--out")
             out = need(i);
         else if (a == "--check")
@@ -867,9 +853,8 @@ main(int argc, char **argv)
         } else {
             std::cerr << "unknown option: " << a << "\n"
                       << "usage: hpa_bench_sweep [--insts N] "
-                         "[--jobs N] [--batch B] "
+                         "[--jobs N] "
                          "[--trace-cache on|off] "
-                         "[--sched-engine masked|reference] "
                          "[--zoo | --sched-policy P | "
                          "--rf-policy P] "
                          "[--out FILE] [--check GOLDEN] "
@@ -953,11 +938,6 @@ main(int argc, char **argv)
         machines = zoo ? sim::policyZooMachines()
                        : sim::reproductionMachines();
     }
-    // The engine knob is a result-invariant simulator implementation
-    // choice: apply it to every machine in the grid (names and spec
-    // keys are unchanged, so goldens/stores stay comparable).
-    for (auto &m : machines)
-        m.cfg.sched_engine = engine;
     auto names = workloads::benchmarkNames();
     std::vector<sim::SweepJob> sweep;
     for (const auto &m : machines) {
@@ -967,7 +947,6 @@ main(int argc, char **argv)
             j.machine = m;
             j.max_insts = insts;
             j.trace_cache = trace_cache;
-            j.batch = batch;
             j.validate();
             sweep.push_back(j);
         }
@@ -1001,18 +980,14 @@ main(int argc, char **argv)
     }
     std::printf("%zu runs (%zu machines x %zu benchmarks), "
                 "%llu insts per run, %u hardware thread(s), "
-                "trace cache %s, batch %u%s\n",
+                "trace cache %s\n",
                 sweep.size(), machines.size(), names.size(),
                 static_cast<unsigned long long>(insts), hw,
-                trace_cache ? "on" : "off",
-                sim::SweepRunner::resolveBatch(batch),
-                batch == 0 ? " (auto)" : "");
+                trace_cache ? "on" : "off");
 
     ArtifactMeta meta;
     meta.insts = insts;
     meta.trace_cache = trace_cache;
-    meta.sched_engine = core::schedEngineName(engine);
-    meta.batch = batch;
     meta.hw = hw;
     meta.requested_jobs = requested_jobs;
     meta.jobs_clamped = jobs_clamped;
@@ -1079,8 +1054,6 @@ main(int argc, char **argv)
     for (size_t i = 0; i < sweep.size(); ++i)
         rows.push_back(rowFromResult(sweep[i], parallel[i]));
 
-    meta.batches_formed = parallel_runner.batchesFormed();
-    meta.lanes_max = parallel_runner.lanesMax();
     meta.t_serial = t_serial;
     meta.t_parallel = t_parallel;
 

@@ -59,6 +59,12 @@ requiredFields()
              {"insts_per_run", "batch", "batches_formed",
               "lanes_max", "ok_runs", "failed_runs", "runs",
               "status", "valid", "sched_policy", "rf_policy"}},
+            // v4 is v3 without the scheduler-engine and batched-replay
+            // fields.
+            {"hpa.bench-sweep.v4",
+             {"insts_per_run", "trace_cache", "ok_runs", "failed_runs",
+              "runs", "status", "valid", "sched_policy",
+              "rf_policy"}},
             {"hpa.sweep-golden.v1", {"insts_per_run"}},
             {"hpa.sweep-journal.v1",
              {"spec_key", "workload", "machine", "status",
@@ -71,6 +77,12 @@ requiredFields()
              {"insts_per_run", "batch", "total_simulated_cycles",
               "aggregate_cycles_per_sec", "lane_cycles_per_sec",
               "runs"}},
+            // v3 is v2 without batch, batches_formed,
+            // lane_cycles_per_sec and the per-run engine.
+            {"hpa.micro-throughput.v3",
+             {"insts_per_run", "total_simulated_cycles",
+              "total_wall_seconds", "aggregate_cycles_per_sec",
+              "runs", "cycles_per_sec"}},
         };
     return req;
 }

@@ -82,10 +82,6 @@ robustness:
   --check-interval N  cross-validate the scheduler's incremental
                       bookkeeping against the window every N cycles
                       (default 0 = off)
-  --sched-engine E    masked (default) | reference: scheduler
-                      data-structure engine; results are
-                      bit-identical, reference keeps the per-entry
-                      chains as a cross-check
 
 structured output (FILE may be '-' for stdout; writing any document
 to stdout suppresses the human-readable summary):

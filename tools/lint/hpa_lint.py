@@ -122,9 +122,6 @@ HOT_PATH_FILES = {
     "src/core/inst_source.hh",
     "src/core/last_arrival.cc",
     "src/core/last_arrival.hh",
-    "src/core/core_lane.hh",
-    "src/sim/batched_simulation.cc",
-    "src/sim/batched_simulation.hh",
     "src/mem/cache.cc",
     "src/mem/cache.hh",
     "src/mem/hierarchy.cc",

@@ -7,9 +7,10 @@
 # does a simulated cycle spend its time on".
 #
 # Usage: tools/perf_flamegraph.sh [-- <hpa_bench_sweep args>]
-#   HPA_PROFILE_DIR   output dir (default: profile/)
-#   default workload: hpa_bench_sweep --insts 50000 --batch 1
-#                     (batch 1 keeps per-config attribution clean)
+#   HPA_PROFILE_DIR   output dir (default: profile/); the profiling
+#                     build goes to its build/ subdirectory, so the
+#                     checkout's own build trees are never touched
+#   default workload: hpa_bench_sweep --insts 50000
 #
 # Outputs, depending on tooling:
 #   perf path:  profile/perf.data, profile/folded.txt
@@ -20,8 +21,10 @@ cd "$(dirname "$0")/.."
 
 OUT="${HPA_PROFILE_DIR:-profile}"
 mkdir -p "$OUT"
+OUT="$(cd "$OUT" && pwd)"
+BUILD="$OUT/build"
 
-ARGS=(--insts 50000 --batch 1)
+ARGS=(--insts 50000)
 if [ "${1:-}" = "--" ]; then
     shift
     ARGS=("$@")
@@ -29,10 +32,11 @@ fi
 
 if command -v perf >/dev/null 2>&1; then
     echo "== perf found: sampling with call graphs =="
-    cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    cmake --build build -j"$(nproc)" --target hpa_bench_sweep
-    perf record -g --output "$OUT/perf.data" -- \
-        ./build/tools/hpa_bench_sweep "${ARGS[@]}"
+    cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    cmake --build "$BUILD" -j"$(nproc)" --target hpa_bench_sweep
+    # Run from $OUT so the sweep's own artifact lands there too.
+    (cd "$OUT" && perf record -g --output "$OUT/perf.data" -- \
+        "$BUILD/tools/hpa_bench_sweep" "${ARGS[@]}")
     perf script --input "$OUT/perf.data" \
         | awk '
             # Minimal stack folding: collapse each sample stack into
@@ -50,13 +54,11 @@ if command -v perf >/dev/null 2>&1; then
     echo "render: flamegraph.pl $OUT/folded.txt > $OUT/flame.svg"
 elif command -v gprof >/dev/null 2>&1; then
     echo "== no perf; falling back to gprof (-pg build) =="
-    cmake -B build-prof -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-pg" -DCMAKE_EXE_LINKER_FLAGS="-pg"
-    cmake --build build-prof -j"$(nproc)" --target hpa_bench_sweep
-    # Absolute binary path: gmon.out lands in the CWD of the run, so
-    # we cd into $OUT (which may itself be absolute, e.g. when ctest
-    # sets HPA_PROFILE_DIR) and invoke the binary from the repo root.
-    BIN="$PWD/build-prof/tools/hpa_bench_sweep"
+    cmake --build "$BUILD" -j"$(nproc)" --target hpa_bench_sweep
+    # gmon.out and the sweep's artifact land in the CWD of the run.
+    BIN="$BUILD/tools/hpa_bench_sweep"
     (cd "$OUT" && "$BIN" "${ARGS[@]}")
     gprof "$BIN" "$OUT/gmon.out" > "$OUT/gprof.txt"
     echo "wrote $OUT/gprof.txt (flat profile + call graph)"

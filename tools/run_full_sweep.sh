@@ -4,7 +4,7 @@
 # pool, and check the resulting IPC matrix against the checked-in
 # golden ("hpa.sweep-golden.v1"; any drift is reported per cell as
 # machine, workload, expected and got). Writes BENCH_sweep.json
-# ("hpa.bench-sweep.v3": per-run status/IPC, wall time, simulated-
+# ("hpa.bench-sweep.v4": per-run status/IPC, wall time, simulated-
 # cycles/sec, and the measured serial-to-parallel speedup) in the
 # repo root — the canonical committed artifact — then validates both
 # documents with hpa_json_validate and diffs the regenerated sweep
@@ -52,7 +52,7 @@ fi
     --out BENCH_sweep.json "${CHECK[@]}"
 
 ./build/tools/hpa_json_validate --schema hpa.sweep-golden.v1 "$GOLDEN"
-./build/tools/hpa_json_validate --schema hpa.bench-sweep.v3 \
+./build/tools/hpa_json_validate --schema hpa.bench-sweep.v4 \
     BENCH_sweep.json
 
 if [ "$HAVE_BASELINE" = 1 ] && [ "$INSTS" = 50000 ]; then

@@ -53,11 +53,6 @@ struct SimOptions
     /** --check-interval N: scheduler cross-validation every N cycles
      *  (0 = off, the default). */
     uint64_t check_interval = 0;
-    /** --sched-engine masked|reference: scheduler data-structure
-     *  engine. Result-invariant (the golden gate pins both engines
-     *  bit-identical), so it never enters the machine name. */
-    core::SchedEngine sched_engine = core::SchedEngine::Masked;
-    bool sched_engine_set = false;
     /** --trace-cache on|off: sweep cells replay a shared committed
      *  trace (default) or re-emulate per cell. IPC is bit-identical
      *  either way; off trades speed for exercising the emulator. */
@@ -295,9 +290,8 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
             if (!needNumber(&opt.check_interval))
                 return 2;
         } else if (a == "--sched-engine") {
-            if (!need(&v) || !core::parseSchedEngine(v, opt.sched_engine))
-                return fail("--sched-engine expects masked | reference");
-            opt.sched_engine_set = true;
+            return fail("--sched-engine was removed: results never "
+                        "depended on it (one scheduler remains)");
         } else if (a == "--trace-cache") {
             if (!need(&v) || (v != "on" && v != "off"))
                 return fail("--trace-cache expects on | off");
@@ -324,9 +318,8 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
     return 0;
 }
 
-/** Apply --watchdog / --check-interval / --sched-engine onto a core
- *  configuration (sweep mode applies them to every reproduction
- *  machine). */
+/** Apply --watchdog / --check-interval onto a core configuration
+ *  (sweep mode applies them to every reproduction machine). */
 inline void
 applyRobustnessKnobs(const SimOptions &opt, core::CoreConfig &cfg)
 {
@@ -334,8 +327,6 @@ applyRobustnessKnobs(const SimOptions &opt, core::CoreConfig &cfg)
         cfg.watchdog_cycles = opt.watchdog;
     if (opt.check_interval)
         cfg.check_interval = opt.check_interval;
-    if (opt.sched_engine_set)
-        cfg.sched_engine = opt.sched_engine;
 }
 
 /**

@@ -41,9 +41,10 @@ const char *statusName(RunStatus status);
 
 /**
  * Test-only fault injection, threaded through ExperimentSpec so the
- * robustness tests can exercise the whole isolation pipeline — core
- * guard, sweep catch, CLI/JSON reporting — end to end. None in all
- * production specs.
+ * robustness tests can exercise the whole in-process isolation
+ * pipeline — core guard, sweep catch and retry, CLI/JSON reporting —
+ * end to end. Every kind fails inside one cell's attempt; none in
+ * any production spec.
  */
 enum class FaultKind
 {
@@ -59,27 +60,6 @@ enum class FaultKind
     /** Fail (WorkloadError) on the first attempt only — exercises
      *  max_retries recovery. */
     FlakyOnce,
-    /**
-     * Process-level: kill the whole worker process (SIGKILL) after
-     * the cell computed its result but before it reaches the
-     * journal — the closest controllable stand-in for an OOM kill or
-     * power loss mid-cell. Only honoured by the job-store execution
-     * paths (sim/shard.hh), which arm it exactly once per store via
-     * an on-disk marker so the resumed/reclaimed retry runs clean;
-     * the plain in-memory SweepRunner ignores it.
-     */
-    CrashProcess,
-    /**
-     * Process-level: the worker claims the cell's lease, then stops
-     * renewing the heartbeat and stalls past the lease timeout
-     * before running — so the coordinator/peers reclaim and re-queue
-     * the cell while this worker is still "executing" it. When the
-     * stalled worker finally finishes it must notice it lost the
-     * lease and discard its result (no duplicate journal record).
-     * Only meaningful under lease-based sharding (ShardWorker);
-     * armed once per store, ignored elsewhere.
-     */
-    StallHeartbeat,
 };
 
 /**
@@ -101,9 +81,9 @@ struct RunOutcome
     /** Attempts consumed (1 = first try; > 1 means retries). */
     unsigned attempts = 1;
     /** Total milliseconds slept in retry backoff before the final
-     *  attempt (0 when the first attempt succeeded). Recorded so
-     *  journal records and artifacts can attribute wall time lost to
-     *  recovery, not simulation. */
+     *  attempt (0 when the first attempt succeeded). Recorded so the
+     *  sweep artifact can attribute wall time lost to recovery, not
+     *  simulation. */
     uint64_t backoffMs = 0;
     /** fast_forward was requested but the kernel has no `steady:`
      *  symbol — the run timed the initialization code too. */

@@ -90,9 +90,10 @@ class SweepRunner
      * Exponential retry backoff with deterministic jitter: the sleep
      * before attempt @p attempt + 1, in milliseconds —
      * base * 2^(attempt-1), capped at 2 s, plus a hash-derived jitter
-     * of up to 25% so co-failing workers decorrelate without any
-     * global randomness (same seed + attempt → same delay, so runs
-     * stay reproducible). @p base_ms 0 disables sleeping (tests).
+     * of up to 25% so cells retrying at the same time spread out
+     * without any global randomness (same seed + attempt → same
+     * delay, so runs stay reproducible). @p base_ms 0 disables
+     * sleeping (tests).
      */
     static unsigned backoffDelayMs(unsigned attempt, uint64_t seed,
                                    unsigned base_ms = 25);

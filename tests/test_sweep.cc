@@ -1,22 +1,20 @@
 /** @file Sweep-engine tests: parallel results byte-identical to a
  *  serial run for every (machine x workload) pair of the full
  *  reproduction sweep, thread-safe build-once workload cache,
- *  deterministic parallelFor, and the strict environment parsing of
+ *  deterministic parallelFor, per-cell fault isolation with its
+ *  retry backoff schedule, and the strict environment parsing of
  *  the harness helpers. */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "bench_util.hh"
-#include "sim/job_store.hh"
-#include "sim/shard.hh"
 #include "sim/sweep.hh"
 #include "workloads/workloads.hh"
 
@@ -326,6 +324,32 @@ TEST(SweepFaultIsolation, RetriesRecoverTransientFaults)
     EXPECT_GT(retried[1].cycles, 0u);
 }
 
+TEST(BackoffDelay, GrowsExponentiallyWithCapAndJitter)
+{
+    const uint64_t seed = 12345;
+    unsigned prev = 0;
+    for (unsigned attempt = 1; attempt <= 6; ++attempt) {
+        unsigned d =
+            sim::SweepRunner::backoffDelayMs(attempt, seed, 25);
+        const unsigned base = std::min(25u << (attempt - 1), 2000u);
+        EXPECT_GE(d, base) << "attempt " << attempt;
+        EXPECT_LE(d, base + base / 4) << "attempt " << attempt;
+        EXPECT_GT(d, prev);
+        prev = d;
+    }
+    // Capped: far-out attempts never exceed 2 s + 25% jitter.
+    EXPECT_LE(sim::SweepRunner::backoffDelayMs(30, seed, 25), 2500u);
+}
+
+TEST(BackoffDelay, DeterministicPerSeedZeroBaseDisables)
+{
+    EXPECT_EQ(sim::SweepRunner::backoffDelayMs(3, 99, 25),
+              sim::SweepRunner::backoffDelayMs(3, 99, 25));
+    EXPECT_NE(sim::SweepRunner::backoffDelayMs(3, 99, 25),
+              sim::SweepRunner::backoffDelayMs(4, 99, 25));
+    EXPECT_EQ(sim::SweepRunner::backoffDelayMs(3, 99, 0), 0u);
+}
+
 TEST(SweepFaultIsolation, WallBudgetTimesOutRunawayCells)
 {
     workloads::WorkloadCache cache;
@@ -426,95 +450,6 @@ TEST(InstBudgetEnv, AcceptsOnlyPositiveIntegers)
     EXPECT_EQ(benchutil::instBudget(500), 500u);
     unsetenv("HPA_INSTS");
     EXPECT_EQ(benchutil::instBudget(500), 500u);
-}
-
-/** Fresh store directory under TMPDIR, removed on scope exit. */
-class TempStoreDir
-{
-  public:
-    explicit TempStoreDir(const std::string &tag)
-        : path_((std::filesystem::temp_directory_path()
-                 / ("hpa_sweep_store." + std::to_string(::getpid())
-                    + "." + tag))
-                    .string())
-    {
-        std::filesystem::remove_all(path_);
-    }
-    ~TempStoreDir() { std::filesystem::remove_all(path_); }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-std::vector<sim::SweepJob>
-resumeGrid()
-{
-    std::vector<sim::SweepJob> jobs;
-    for (const auto &m :
-         {sim::Machine::base(4), sim::Machine::base(8)}) {
-        for (const char *w : {"gzip", "parser", "crafty"}) {
-            sim::SweepJob j;
-            j.workload = w;
-            j.machine = m;
-            j.max_insts = 2000;
-            jobs.push_back(j);
-        }
-    }
-    return jobs;
-}
-
-TEST(SweepStore, ResumeRunsOnlyTheRemainderBitIdentically)
-{
-    const auto jobs = resumeGrid();
-
-    // Reference: the same grid through the plain (storeless) runner.
-    auto reference = sim::SweepRunner(1).run(jobs);
-    sim::requireAllOk(reference);
-
-    TempStoreDir dir("resume");
-    {
-        // "Crashed" first pass: only half the grid reached the
-        // journal before the process died.
-        sim::JobStore store(dir.path(), "w0");
-        std::vector<sim::SweepJob> half(jobs.begin(),
-                                        jobs.begin() + 3);
-        auto s = sim::runWithStore(store, half, 1);
-        EXPECT_EQ(s.executed, 3u);
-        EXPECT_EQ(s.resumed, 0u);
-    }
-    sim::JobStore store(dir.path(), "w1");
-    auto s = sim::runWithStore(store, jobs, 1);
-    EXPECT_EQ(s.resumed, 3u) << "journaled cells must not re-run";
-    EXPECT_EQ(s.executed, jobs.size() - 3);
-
-    // The merged journal reproduces the fresh run bit for bit.
-    ASSERT_EQ(store.completed(), jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const auto *r = store.find(sim::JobStore::specKey(jobs[i]));
-        ASSERT_NE(r, nullptr) << jobs[i].workload;
-        EXPECT_TRUE(r->ok());
-        EXPECT_EQ(r->ipc, reference[i].ipc) << jobs[i].workload;
-        EXPECT_EQ(r->cycles, reference[i].cycles);
-        EXPECT_EQ(r->committed, reference[i].committed);
-        EXPECT_EQ(r->fastForwarded, reference[i].fastForwarded);
-    }
-}
-
-TEST(SweepStore, CompletedStoreExecutesNothingAndNeverDuplicates)
-{
-    const auto jobs = resumeGrid();
-    TempStoreDir dir("dedupe");
-    sim::JobStore store(dir.path(), "w0");
-    auto first = sim::runWithStore(store, jobs, 2);
-    EXPECT_EQ(first.executed, jobs.size());
-
-    auto again = sim::runWithStore(store, jobs, 2);
-    EXPECT_EQ(again.executed, 0u);
-    EXPECT_EQ(again.resumed, jobs.size());
-    // One record per cell even after two full passes over the grid.
-    EXPECT_EQ(store.loadedRecords(), jobs.size());
-    EXPECT_EQ(store.completed(), jobs.size());
 }
 
 TEST(SweepJobsEnv, AcceptsSmallUnsignedIntegers)

@@ -66,10 +66,6 @@ requiredFields()
               "runs", "status", "valid", "sched_policy",
               "rf_policy"}},
             {"hpa.sweep-golden.v1", {"insts_per_run"}},
-            {"hpa.sweep-journal.v1",
-             {"spec_key", "workload", "machine", "status",
-              "attempts", "backoff_ms", "ipc", "committed",
-              "cycles", "worker"}},
             {"hpa.micro-throughput.v1",
              {"insts_per_run", "total_simulated_cycles",
               "aggregate_cycles_per_sec", "runs"}},

@@ -190,7 +190,7 @@ POLICY_DOC = "EXPERIMENTS.md"
 # --- HPA007 -----------------------------------------------------------
 # The deterministic sim core: simulated state may depend only on
 # config + workload. Wall-clock and randomness are banned across
-# src/ (the sweep/shard engines' timing and backoff uses carry
+# src/ (the sweep engine's timing and backoff uses carry
 # hpa-nolint(HPA007) suppressions with reasons); hash-order
 # iteration is banned in the layers that produce simulated output.
 DETERMINISM_SCOPE = ("src/",)
@@ -715,9 +715,9 @@ SELF_TEST_CASES = [
     ("identifier containing time is clean", "src/x/a.cc",
      "int arrival_time(int x) { return x; }\n"
      "int g() { return arrival_time(3); }\n", []),
-    ("suppressed chrono with reason is clean", "src/sim/shard.cc",
+    ("suppressed chrono with reason is clean", "src/sim/sweep.cc",
      "#include <chrono> "
-     "// hpa-nolint(HPA007): lease timing, not simulated state\n",
+     "// hpa-nolint(HPA007): host wall time, not simulated state\n",
      []),
     ("unordered iteration in sim core is flagged", "src/func/m.hh",
      "std::unordered_map<int, int> pages;\n"

@@ -1,10 +1,10 @@
 /**
  * @file
  * Shared helpers for the experiment harnesses: per-run instruction
- * budgets, cached workload programs, simulation runners and aligned
- * table printing. Every harness regenerates one of the paper's
- * tables or figures; `HPA_INSTS` bounds the committed instructions
- * per timing run (default 200k) so a full sweep stays laptop-sized.
+ * budgets, sweep jobs and runners, and aligned table printing. Every
+ * harness regenerates one of the paper's tables or figures;
+ * `HPA_INSTS` bounds the committed instructions per timing run
+ * (default 200k) so a full sweep stays laptop-sized.
  */
 
 #ifndef HPA_BENCH_BENCH_UTIL_HH
@@ -16,11 +16,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/simulation.hh"
 #include "sim/sweep.hh"
 #include "workloads/workloads.hh"
 
@@ -53,9 +51,6 @@ instBudget(uint64_t def = 200000)
     }
     return v;
 }
-
-/** Shared build-once workload cache (also used by the sweep engine). */
-using workloads::WorkloadCache;
 
 /**
  * Worker threads for the harness sweeps (HPA_JOBS env; unset or 0 =
@@ -111,25 +106,6 @@ runSweep(std::vector<sim::SweepJob> jobs)
     auto results = sim::SweepRunner(sweepJobs()).run(std::move(jobs));
     sim::requireAllOk(results);
     return results;
-}
-
-/**
- * Run one timing simulation to the instruction budget, fast-forwarding
- * functionally to the kernel's `steady:` label (past data-structure
- * initialization) when the program defines one.
- */
-inline std::unique_ptr<sim::Simulation>
-runSim(const workloads::Workload &w, const core::CoreConfig &cfg,
-       uint64_t budget)
-{
-    uint64_t ff = 0;
-    auto it = w.program.symbols.find("steady");
-    if (it != w.program.symbols.end())
-        ff = it->second;
-    auto s = std::make_unique<sim::Simulation>(w.program, cfg, budget,
-                                               ff);
-    s->run();
-    return s;
 }
 
 /** Print the harness banner. */

@@ -197,8 +197,7 @@ RunResult::statsRegistry() const
 }
 
 void
-RunResult::toJson(stats::json::JsonWriter &jw, bool with_stats,
-                  bool with_timing) const
+RunResult::toJson(stats::json::JsonWriter &jw, bool with_stats) const
 {
     jw.beginObject()
         .kv("schema", JSON_SCHEMA)
@@ -220,10 +219,6 @@ RunResult::toJson(stats::json::JsonWriter &jw, bool with_stats,
         jw.kv("error_kind", kindName(outcome.errorKind))
             .kv("error", outcome.error);
     }
-    if (with_timing) {
-        jw.kv("wall_seconds", wallSeconds)
-            .kv("cycles_per_sec", cyclesPerSec(), 0);
-    }
     if (with_stats && sim) {
         jw.key("stats");
         statsRegistry().toJson(jw);
@@ -232,11 +227,10 @@ RunResult::toJson(stats::json::JsonWriter &jw, bool with_stats,
 }
 
 void
-RunResult::toJson(std::ostream &os, bool with_stats,
-                  bool with_timing) const
+RunResult::toJson(std::ostream &os, bool with_stats) const
 {
     stats::json::JsonWriter jw(os);
-    toJson(jw, with_stats, with_timing);
+    toJson(jw, with_stats);
 }
 
 } // namespace hpa::sim

@@ -250,13 +250,6 @@ struct RunResult
         return outcome.ok() && cycles > 0;
     }
 
-    /** Simulated cycles per wall second (host throughput). */
-    double
-    cyclesPerSec() const
-    {
-        return wallSeconds > 0 ? double(cycles) / wallSeconds : 0.0;
-    }
-
     /** The core's statistics block (requires sim). */
     const core::CoreStats &coreStats() const;
 
@@ -269,16 +262,14 @@ struct RunResult
      * the status/error outcome, the metrics and (optionally) the
      * full stats snapshot. v2 adds status, valid, steady_missing,
      * attempts and — on failed cells — error_kind/error over v1.
-     * Wall-clock fields are emitted only when @p with_timing — keep
-     * them out of committed reference artifacts, which must be
+     * No wall-clock field is emitted, so the document is
      * reproducible byte-for-byte.
      */
-    void toJson(stats::json::JsonWriter &jw, bool with_stats = true,
-                bool with_timing = false) const;
+    void toJson(stats::json::JsonWriter &jw,
+                bool with_stats = true) const;
 
     /** Standalone toJson() convenience: one document on @p os. */
-    void toJson(std::ostream &os, bool with_stats = true,
-                bool with_timing = false) const;
+    void toJson(std::ostream &os, bool with_stats = true) const;
 
     /** Schema tag of toJson() documents. */
     static constexpr const char *JSON_SCHEMA = "hpa.run.v2";

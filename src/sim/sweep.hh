@@ -33,7 +33,7 @@ using SweepJob = ExperimentSpec;
 /** A completed sweep job. Historical name for RunResult
  *  (sim/experiment.hh); the Simulation is kept alive so callers read
  *  IPC, CoreStats, the LAP monitor, … exactly as they would after a
- *  serial runSim(). */
+ *  serial run. */
 using SweepResult = RunResult;
 
 /**

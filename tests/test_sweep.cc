@@ -1,9 +1,10 @@
 /** @file Sweep-engine tests: parallel results byte-identical to a
  *  serial run for every (machine x workload) pair of the full
- *  reproduction sweep, thread-safe build-once workload cache,
- *  deterministic parallelFor, per-cell fault isolation with its
- *  retry backoff schedule, and the strict environment parsing of
- *  the harness helpers. */
+ *  reproduction sweep, the policy zoo and every registered
+ *  scheduler x register-file pair, thread-safe build-once workload
+ *  cache, deterministic parallelFor, per-cell fault isolation with
+ *  its retry backoff schedule, and the strict environment parsing
+ *  of the harness helpers. */
 
 #include <algorithm>
 #include <atomic>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_util.hh"
+#include "core/policy_registry.hh"
 #include "sim/sweep.hh"
 #include "workloads/workloads.hh"
 
@@ -86,13 +88,29 @@ TEST(SweepDeterminism, EightWorkersMatchSerialForEveryPair)
 {
     // The full reproduction grid at a small budget, plus the
     // post-paper policy machines (dlt wakeup, prefetch regfile,
-    // combined): every machine crossed with every workload. jobs(8)
-    // must reproduce jobs(1) bit-for-bit — same IPC doubles, same
-    // cycle counts, and a byte-identical statistics report.
+    // combined) and every registered scheduler x register-file pair
+    // at both widths: every machine crossed with every workload.
+    // jobs(8) must reproduce jobs(1) bit-for-bit — same IPC doubles,
+    // same cycle counts, and a byte-identical statistics report — and
+    // no pair may throw or deadlock.
     const uint64_t BUDGET = 2000;
     auto machines = sim::reproductionMachines();
     for (const auto &m : sim::policyZooMachines())
         machines.push_back(m);
+    for (unsigned w : {4u, 8u}) {
+        for (const auto &s : core::schedPolicies()) {
+            for (const auto &r : core::rfPolicies()) {
+                sim::Machine m =
+                    sim::Machine::base(w).schedPolicy(s.name).rfPolicy(
+                        r.name);
+                if (std::none_of(machines.begin(), machines.end(),
+                                 [&](const sim::Machine &x) {
+                                     return x.name == m.name;
+                                 }))
+                    machines.push_back(m);
+            }
+        }
+    }
     auto names = workloads::benchmarkNames();
 
     std::vector<sim::SweepJob> jobs;
@@ -115,6 +133,10 @@ TEST(SweepDeterminism, EightWorkersMatchSerialForEveryPair)
     for (size_t i = 0; i < jobs.size(); ++i) {
         std::string what =
             jobs[i].machine.name + "|" + jobs[i].workload;
+        ASSERT_TRUE(serial[i].outcome.ok())
+            << what << ": " << serial[i].outcome.error;
+        ASSERT_TRUE(parallel[i].outcome.ok())
+            << what << ": " << parallel[i].outcome.error;
         ASSERT_NE(serial[i].sim, nullptr) << what;
         ASSERT_NE(parallel[i].sim, nullptr) << what;
         EXPECT_EQ(serial[i].ipc, parallel[i].ipc) << what;

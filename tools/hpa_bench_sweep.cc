@@ -1,13 +1,15 @@
 /**
  * @file
- * Host-throughput benchmark of the full reproduction sweep: run
+ * Determinism and golden check of the full reproduction sweep: run
  * every (paper machine x benchmark) pair once serially and once on
- * the thread pool, verify the two produce identical IPC (the sweep
- * engine's determinism contract), and emit BENCH_sweep.json
- * ("hpa.bench-sweep.v4") with per-run status, IPC, wall time,
- * simulated-cycles/sec and the run's registry policy names
- * (sched_policy / rf_policy) plus the measured serial-to-parallel
- * speedup.
+ * the thread pool, verify the two produce identical results (the
+ * sweep engine's determinism contract), and emit BENCH_sweep.json
+ * ("hpa.bench-sweep.v5") with per-run status, IPC, committed and
+ * simulated-cycle counts and the run's registry policy names
+ * (sched_policy / rf_policy). The artifact holds no host timing:
+ * every field depends only on the grid and the budget, so two runs
+ * of one grid write byte-identical files. Host speed is measured by
+ * perfbench (perfbench/README.md), not here.
  *
  *   hpa_bench_sweep [--insts N] [--jobs N] [--trace-cache on|off]
  *                   [--out FILE]
@@ -15,9 +17,9 @@
  *                   [--check GOLDEN] [--write-golden FILE]
  *                   [--inject KIND@INDEX]
  *
- * One path: pre-build every workload (and its committed trace), run
- * the grid serially, run it again on the thread pool, check the two
- * passes agree, write the artifact, then apply the golden check.
+ * One path: run the grid serially, run it again on the thread pool,
+ * check the two passes agree, write the artifact, then apply the
+ * golden check.
  *
  * The machine axis defaults to the paper's reproduction grid.
  * --zoo swaps in sim::policyZooMachines() (the post-paper policies:
@@ -27,8 +29,8 @@
  *
  * --check compares the sweep's IPC values against a golden JSON map
  * ("hpa.sweep-golden.v1", tools/golden_sweep_ipc.json in the repo)
- * and fails with a per-cell diff on any drift — the cheap regression
- * gate run by tools/run_full_sweep.sh.
+ * and fails with a per-cell diff on any drift — the regression gate
+ * the `golden` ctest label runs.
  *
  * Failed cells are fault-isolated: they appear in the JSON with
  * status/error_kind/error, are excluded from the determinism and
@@ -38,15 +40,12 @@
  * fault in one job so these paths can be exercised end to end.
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -115,33 +114,10 @@ parseGolden(const std::string &text)
     return kv;
 }
 
-double
-wallSeconds(const std::function<void()> &fn)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-/** Everything the v4 artifact header needs besides the runs. */
-struct ArtifactMeta
-{
-    uint64_t insts = 0;
-    bool trace_cache = true;
-    unsigned hw = 1;
-    unsigned requested_jobs = 0;
-    bool jobs_clamped = false;
-    unsigned par_jobs = 1;
-    double t_serial = 0.0;
-    double t_parallel = 0.0;
-};
-
 bool
 emitArtifact(const std::string &out,
              const std::vector<sim::SweepResult> &results,
-             const ArtifactMeta &m)
+             uint64_t insts)
 {
     std::ofstream os(out);
     if (!os) {
@@ -155,29 +131,12 @@ emitArtifact(const std::string &out,
             ++failed;
         total_cycles += r.cycles;
     }
-    double speedup =
-        m.t_parallel > 0 ? m.t_serial / m.t_parallel : 0.0;
-    double efficiency =
-        speedup / double(std::min<unsigned>(m.par_jobs, m.hw));
 
     stats::json::JsonWriter jw(os);
     jw.beginObject()
-        .kv("schema", "hpa.bench-sweep.v4")
-        .kv("insts_per_run", m.insts)
-        .kv("trace_cache", m.trace_cache)
-        .kv("hardware_threads", m.hw)
-        .kv("requested_jobs", uint64_t(m.requested_jobs))
-        .kv("jobs_clamped", m.jobs_clamped)
-        .kv("parallel_jobs", m.par_jobs)
-        .kv("serial_wall_seconds", m.t_serial, 3)
-        .kv("parallel_wall_seconds", m.t_parallel, 3)
-        .kv("speedup", speedup, 3)
-        .kv("scaling_efficiency", efficiency, 3)
+        .kv("schema", "hpa.bench-sweep.v5")
+        .kv("insts_per_run", insts)
         .kv("total_simulated_cycles", total_cycles)
-        .kv("aggregate_cycles_per_sec",
-            m.t_parallel > 0 ? double(total_cycles) / m.t_parallel
-                             : 0.0,
-            0)
         .kv("ok_runs", uint64_t(results.size() - failed))
         .kv("failed_runs", uint64_t(failed));
     jw.key("runs").beginArray();
@@ -195,9 +154,7 @@ emitArtifact(const std::string &out,
             .kv("backoff_ms", r.outcome.backoffMs)
             .kv("ipc", r.ipc, 6)
             .kv("committed", r.committed)
-            .kv("cycles", r.cycles)
-            .kv("wall_seconds", r.wallSeconds, 4)
-            .kv("cycles_per_sec", r.cyclesPerSec(), 0);
+            .kv("cycles", r.cycles);
         if (!r.outcome.ok()) {
             jw.kv("error_kind", kindName(r.outcome.errorKind))
                 .kv("error", r.outcome.error);
@@ -313,31 +270,6 @@ reportFailures(const std::vector<sim::SweepResult> &results,
                              r.outcome.error.c_str());
     }
     return failed;
-}
-
-/** Pre-build every workload (and, with the trace cache, its
- *  committed trace) touched by @p jobs so the timed passes pay no
- *  assembly or one-time emulation. */
-void
-prebuildWorkloads(const std::vector<sim::SweepJob> &jobs,
-                  bool trace_cache, uint64_t insts)
-{
-    std::vector<std::string> names;
-    for (const auto &j : jobs)
-        if (std::find(names.begin(), names.end(), j.workload)
-            == names.end())
-            names.push_back(j.workload);
-    for (const auto &n : names) {
-        const workloads::Workload &w = workloads::globalCache().get(n);
-        if (trace_cache) {
-            uint64_t ff = 0;
-            auto it = w.program.symbols.find("steady");
-            if (it != w.program.symbols.end())
-                ff = it->second;
-            workloads::globalCache().trace(
-                n, workloads::Scale::Full, insts, ff);
-        }
-    }
 }
 
 } // namespace
@@ -483,48 +415,24 @@ main(int argc, char **argv)
             sweep[idx].machine.cfg.watchdog_cycles = 20000;
     }
 
-    unsigned hw = sim::SweepRunner::resolveJobs(0);
-    unsigned requested_jobs = jobs;
-    unsigned par_jobs = sim::SweepRunner::resolveJobs(jobs);
-    bool jobs_clamped = false;
-    if (par_jobs > hw) {
-        // Oversubscribing a throughput benchmark only adds context
-        // switches; the runs would still be deterministic, but the
-        // timing numbers would not mean what the artifact claims.
-        std::fprintf(stderr,
-                     "warning: --jobs %u exceeds the %u hardware "
-                     "thread(s); clamping the parallel pass to %u\n",
-                     requested_jobs, hw, hw);
-        par_jobs = hw;
-        jobs_clamped = true;
-    }
     std::printf("%zu runs (%zu machines x %zu benchmarks), "
-                "%llu insts per run, %u hardware thread(s), "
-                "trace cache %s\n",
+                "%llu insts per run, trace cache %s\n",
                 sweep.size(), machines.size(), names.size(),
-                static_cast<unsigned long long>(insts), hw,
+                static_cast<unsigned long long>(insts),
                 trace_cache ? "on" : "off");
 
-    // Pre-build every workload so neither timed pass pays assembly;
-    // with the trace cache on, also pre-capture each committed trace
-    // so the one-time emulation cost stays out of both timed passes.
-    prebuildWorkloads(sweep, trace_cache, insts);
-
     std::printf("serial pass (1 worker)...\n");
-    sim::SweepRunner serial_runner(1);
-    std::vector<sim::SweepResult> serial;
-    double t_serial =
-        wallSeconds([&] { serial = serial_runner.run(sweep); });
+    std::vector<sim::SweepResult> serial =
+        sim::SweepRunner(1).run(sweep);
 
-    std::printf("parallel pass (%u workers)...\n", par_jobs);
-    sim::SweepRunner parallel_runner(par_jobs);
-    std::vector<sim::SweepResult> parallel;
-    double t_parallel =
-        wallSeconds([&] { parallel = parallel_runner.run(sweep); });
+    sim::SweepRunner parallel_runner(jobs);
+    std::printf("parallel pass (%u workers)...\n",
+                parallel_runner.jobs());
+    std::vector<sim::SweepResult> parallel = parallel_runner.run(sweep);
 
     // Determinism contract: parallel results bit-identical to serial
     // — including which cells failed and why (error kinds are
-    // deterministic; only the wall-clock fields may differ).
+    // deterministic).
     size_t mismatches = 0;
     for (size_t i = 0; i < sweep.size(); ++i) {
         if (serial[i].outcome.status != parallel[i].outcome.status
@@ -557,23 +465,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    double speedup = t_parallel > 0 ? t_serial / t_parallel : 0.0;
-    double efficiency =
-        speedup / double(std::min<unsigned>(par_jobs, hw));
-    std::printf("serial %.2f s, parallel %.2f s at %u workers: "
-                "speedup %.2fx (%.0f%% of linear up to %u cores)\n",
-                t_serial, t_parallel, par_jobs, speedup,
-                100.0 * efficiency, std::min(par_jobs, hw));
-
-    const ArtifactMeta meta{.insts = insts,
-                            .trace_cache = trace_cache,
-                            .hw = hw,
-                            .requested_jobs = requested_jobs,
-                            .jobs_clamped = jobs_clamped,
-                            .par_jobs = par_jobs,
-                            .t_serial = t_serial,
-                            .t_parallel = t_parallel};
-    if (!emitArtifact(out, parallel, meta))
+    if (!emitArtifact(out, parallel, insts))
         return 1;
     if (!write_golden.empty()
         && !writeGoldenFile(write_golden, parallel, insts))

@@ -50,35 +50,13 @@ requiredFields()
              {"workload", "machine", "status", "valid",
               "steady_missing", "attempts", "ipc", "committed",
               "cycles"}},
-            {"hpa.bench-sweep.v2",
-             {"insts_per_run", "batch", "batches_formed",
-              "lanes_max", "ok_runs", "failed_runs", "runs",
-              "status", "valid"}},
-            // v3 adds the per-run registry policy names.
-            {"hpa.bench-sweep.v3",
-             {"insts_per_run", "batch", "batches_formed",
-              "lanes_max", "ok_runs", "failed_runs", "runs",
-              "status", "valid", "sched_policy", "rf_policy"}},
-            // v4 is v3 without the scheduler-engine and batched-replay
-            // fields.
-            {"hpa.bench-sweep.v4",
-             {"insts_per_run", "trace_cache", "ok_runs", "failed_runs",
-              "runs", "status", "valid", "sched_policy",
-              "rf_policy"}},
+            // What hpa_bench_sweep writes: every field depends only
+            // on the grid and the budget (no host timing).
+            {"hpa.bench-sweep.v5",
+             {"insts_per_run", "total_simulated_cycles", "ok_runs",
+              "failed_runs", "runs", "status", "valid", "sched_policy",
+              "rf_policy", "ipc", "committed", "cycles"}},
             {"hpa.sweep-golden.v1", {"insts_per_run"}},
-            {"hpa.micro-throughput.v1",
-             {"insts_per_run", "total_simulated_cycles",
-              "aggregate_cycles_per_sec", "runs"}},
-            {"hpa.micro-throughput.v2",
-             {"insts_per_run", "batch", "total_simulated_cycles",
-              "aggregate_cycles_per_sec", "lane_cycles_per_sec",
-              "runs"}},
-            // v3 is v2 without batch, batches_formed,
-            // lane_cycles_per_sec and the per-run engine.
-            {"hpa.micro-throughput.v3",
-             {"insts_per_run", "total_simulated_cycles",
-              "total_wall_seconds", "aggregate_cycles_per_sec",
-              "runs", "cycles_per_sec"}},
         };
     return req;
 }

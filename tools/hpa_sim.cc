@@ -14,7 +14,6 @@
  * the regression tests exercise them directly.
  */
 
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -129,11 +128,7 @@ runSweepMode(const tools::SimOptions &opt)
               << " machines x " << names.size() << " benchmarks), "
               << runner.jobs() << " worker thread(s), " << insts
               << " insts per run\n\n";
-    auto t0 = std::chrono::steady_clock::now();
     auto res = runner.run(std::move(sweep));
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
 
     // IPC matrix: machines down, benchmarks across.
     std::cout << std::left << std::setw(26) << "machine (IPC)";
@@ -161,10 +156,7 @@ runSweepMode(const tools::SimOptions &opt)
     }
     std::cout << "\n"
               << std::setprecision(1) << double(total_cycles) / 1e6
-              << " Mcycles simulated in " << wall << " s wall ("
-              << std::setprecision(2)
-              << double(total_cycles) / 1e6 / wall
-              << " Mcycles/s aggregate)\n";
+              << " Mcycles simulated\n";
     if (steady_missing)
         std::cerr << "warning: some kernels have no steady: symbol; "
                      "their timing includes initialization\n";
@@ -286,11 +278,7 @@ main(int argc, char **argv)
 
         r.sim = std::make_unique<sim::Simulation>(
             image, r.spec.machine.cfg, opt.insts, ff);
-        auto t0 = std::chrono::steady_clock::now();
         r.sim->run(opt.cycles);
-        r.wallSeconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
         r.ipc = r.sim->ipc();
         r.committed = r.sim->core().stats().committed.value();
         r.cycles = r.sim->core().cycle();
@@ -320,8 +308,7 @@ main(int argc, char **argv)
         bool ok = true;
         if (!opt.json_out.empty())
             ok &= writeDocument(opt.json_out, [&](std::ostream &os) {
-                r.toJson(os, /*with_stats=*/true,
-                         /*with_timing=*/false);
+                r.toJson(os);
             });
         if (!opt.stats_json_out.empty())
             ok &= writeDocument(

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace hpa::core
 {
@@ -108,18 +110,28 @@ eventHorizon(const CoreConfig &cfg)
                      uint64_t(cfg.tagelim_detect_delay) + 1});
 }
 
+/** The most events pending at once on @p cfg: 7 per issue, from the
+ *  issues of the last eventHorizon + 2 cycles (derived in
+ *  event_queue.hh). */
+size_t
+eventCapacity(const CoreConfig &cfg)
+{
+    return 7 * size_t(cfg.width) * (eventHorizon(cfg) + 2);
+}
+
 } // namespace
 
 Core::Core(const CoreConfig &cfg, InstSource &source)
     : cfg_(cfg), source_(source), hier_(cfg.mem), bp_(cfg.bpred),
       fu_(cfg), lap_(cfg.lap_entries), sched_(makeSchedPolicy(cfg)),
       rf_(makeRFPolicy(cfg)), window_(cfg.ruu_size),
-      events_(eventHorizon(cfg))
+      events_(eventHorizon(cfg), eventCapacity(cfg))
 {
     // Every hot-path container is sized to its configuration bound
     // here so steady-state simulation allocates nothing: stores never
     // outnumber window slots, the fetch queue is capped by the
-    // front-end depth, and the calendar spans the furthest event.
+    // front-end depth, and the calendar spans the furthest event
+    // with a pool for the most events pending at once.
     HPA_CHECK(cfg.ruu_size > 0 && cfg.ruu_size <= 32767,
               "ruu_size must fit Event::slot (int16)");
     storeSlots_.reset(cfg.ruu_size);
@@ -132,13 +144,6 @@ Core::Core(const CoreConfig &cfg, InstSource &source)
     squashList_.reserve(cfg.ruu_size);
     squashTainted_.reserve(size_t(cfg.ruu_size) + 1);
     squashIn_.reserve(cfg.ruu_size);
-    // A cycle's event bucket delivers wake/complete/detect events
-    // keyed to window slots; with only a few events in flight per
-    // in-window instruction, ruu_size + width bounds any single
-    // cycle's bucket comfortably. Exceeding it is still correct
-    // (the vector grows), just no longer allocation-free —
-    // test_hotpath_alloc guards the contract.
-    events_.reserveSlots(size_t(cfg.ruu_size) + cfg.width);
     lookahead_ = source_.next();
     if (!lookahead_)
         sourceDone_ = true;
@@ -478,10 +483,6 @@ Core::commit()
 // Events
 // --------------------------------------------------------------------
 
-// hpa-prove-allow(P1,P2): calendar-bucket vector growth, fully
-// inlined by GCC (invisible to the amortized-growth wall); buckets
-// are reserved at construction and quiescent at steady state
-// (tests/test_hotpath_alloc.cc)
 void
 Core::scheduleEvent(uint64_t when, Event ev)
 {
@@ -491,40 +492,40 @@ Core::scheduleEvent(uint64_t when, Event ev)
                       + std::to_string(events_.horizon())
                       + " cycles ahead",
                   invariantContext());
+    HPA_CHECK_CTX(!events_.full(),
+                  "event pool full: "
+                      + std::to_string(events_.capacity())
+                      + " events pending",
+                  invariantContext());
     events_.schedule(when, cycle_, ev, unsigned(eventRank(ev.kind)));
 }
 
 void
 Core::processEvents()
 {
-    auto &bucket = events_.beginCycle(cycle_);
-
     // The calendar splits each cycle's events by rank at schedule
     // time, so delivery is one compare-free pass per rank class
     // (rank class ascending, schedule order within a class).
-    // Handlers only schedule strictly-future events, so no vector is
-    // appended to mid-iteration; the staleness filter runs at
-    // delivery time.
-    for (int rank = 0; rank < 3; ++rank) {
-        for (const Event &ev : bucket[size_t(rank)]) {
-            DynInst &di = window_[ev.slot];
-            if (!di.inWindow || di.seq != ev.seq || !di.issued
-                || di.issueToken != ev.token)
-                continue;
-            switch (ev.kind) {
-              case EventKind::FastWake: handleFastWake(ev); break;
-              case EventKind::SlowWake: handleSlowWake(ev); break;
-              case EventKind::Complete: handleComplete(ev); break;
-              case EventKind::LoadMissDetect:
-                handleLoadMiss(ev);
-                break;
-              case EventKind::TagElimDetect:
-                handleTagElim(ev);
-                break;
-            }
+    // Handlers only schedule strictly-future events, so the lists
+    // being drained are never appended to; the staleness filter runs
+    // at delivery time.
+    events_.drain(cycle_, [this](const Event &ev) {
+        DynInst &di = window_[ev.slot];
+        if (!di.inWindow || di.seq != ev.seq || !di.issued
+            || di.issueToken != ev.token)
+            return;
+        switch (ev.kind) {
+          case EventKind::FastWake: handleFastWake(ev); break;
+          case EventKind::SlowWake: handleSlowWake(ev); break;
+          case EventKind::Complete: handleComplete(ev); break;
+          case EventKind::LoadMissDetect:
+            handleLoadMiss(ev);
+            break;
+          case EventKind::TagElimDetect:
+            handleTagElim(ev);
+            break;
         }
-    }
-    events_.endCycle(cycle_);
+    });
 }
 
 // hpa-prove-allow(P1,P2): the wakeup-order history is an
@@ -1240,7 +1241,10 @@ Core::dispatch()
 
         unsigned slot = tail_;
         DynInst &di = window_[slot];
-        di = DynInst{};
+        // Re-construct in place: assigning a DynInst{} temporary
+        // copies 264 B twice.
+        static_assert(std::is_trivially_destructible_v<DynInst>);
+        std::construct_at(&di);
         // Slot reuse: retire the previous tenant's planes (its
         // occupancy/ready/issued bits were cleared on its way out;
         // its dependency rows were left stale at commit).

@@ -534,10 +534,12 @@ class Core
     };
     ProducerRef lastProducer_[isa::NUM_UNIFIED_REGS];
 
-    /** Rank-split calendar: one vector per (cycle, delivery rank),
-     *  rank fixed at schedule time (eventRank), so processEvents()
-     *  drains each rank in one compare-free pass. Its ring spans the
-     *  configuration's furthest event (eventHorizon in core.cc). */
+    /** Rank-split calendar: one FIFO list per (cycle, delivery
+     *  rank), rank fixed at schedule time (eventRank), so
+     *  processEvents() drains each rank in one compare-free pass.
+     *  Its ring spans the configuration's furthest event
+     *  (eventHorizon in core.cc) and its fixed pool the most events
+     *  pending at once (eventCapacity). */
     CalendarQueue<Event, 3> events_;
 
     // Front end; occupancy bounded by front_end_depth x width.

@@ -1,31 +1,49 @@
 /**
  * @file
  * Calendar event queue for the core's cycle-indexed event machinery:
- * a power-of-2 ring of per-cycle buckets (reused vectors, so the
- * steady state allocates nothing), sized at construction to the
- * furthest distance any event can be scheduled ahead. Schedule and
- * drain are an index into the ring — no tree walk, no node
- * allocation.
+ * a power-of-2 ring of cycle slots, sized at construction to the
+ * furthest distance any event can be scheduled ahead, over one
+ * fixed-capacity pool of event nodes. Schedule and drain are an
+ * index into the ring plus a linked-list step — no tree walk, and no
+ * allocation after construction.
  *
- * Buckets are split by delivery rank (NumRanks vectors per cycle
- * slot, rank fixed at schedule time), so draining a cycle is one
- * pass per rank over exactly that rank's events — no per-event rank
- * compares, and no re-scanning the whole bucket once per rank class.
+ * Each (cycle slot, delivery rank) pair owns a FIFO list threaded
+ * through the pool by 32-bit links. Every list starts at its own
+ * sentinel node, so an append does the same stores whether the list
+ * is empty or not (no branch on emptiness). Free nodes sit on an
+ * index stack: schedule() pops one, drain() pushes each back once
+ * its event has been handled.
  *
  * Ordering invariants (the core's bit-identity depends on these):
  *  - Per cycle, events are delivered rank-ascending, and in global
- *    schedule order within a rank: ring appends preserve it.
- *  - A bucket only ever holds events for one cycle, and the bucket
- *    being drained is never appended to: schedules target strictly
+ *    schedule order within a rank: appends go to the list's tail.
+ *  - A list only ever holds events for one cycle, and the lists
+ *    being drained are never appended to: schedules target strictly
  *    future cycles at most horizon() ahead, and for
  *    1 <= when - now <= horizon() the slot index (when & mask)
- *    never equals (now & mask).
+ *    never equals (now & mask). So drain() can read a node's link
+ *    before its handler runs.
+ *
+ * Capacity (chosen by Core, computed from its configuration): every
+ * pending event descends from one issue, and
+ *  - an issue schedules at most FastWake, Complete, LoadMissDetect
+ *    and TagElimDetect (4);
+ *  - a delivered FastWake adds at most one SlowWake (+1);
+ *  - a delivered LoadMissDetect adds at most one re-broadcast
+ *    FastWake (+1), plus that FastWake's SlowWake (+1);
+ * so an issue begets at most 7 events. With H = eventHorizon(cfg),
+ * an issue at cycle t schedules for at most t + H, and the two
+ * one-step descendants (SlowWake after a FastWake) land at most at
+ * t + H + 1. An event pending at cycle `now` therefore comes from an
+ * issue in now - H - 1 .. now: H + 2 cycles of at most `width`
+ * issues each, hence 7 * width * (H + 2) nodes. Core checks full()
+ * before every schedule, so a broken bound raises an
+ * InvariantViolation in that cell and never writes past the pool.
  */
 
 #ifndef HPA_CORE_EVENT_QUEUE_HH
 #define HPA_CORE_EVENT_QUEUE_HH
 
-#include <array>
 #include <bit>
 #include <cassert>
 #include <cstddef>
@@ -39,73 +57,97 @@ template <typename T, unsigned NumRanks = 1>
 class CalendarQueue
 {
   public:
-    /** One cycle's events, one vector per delivery rank. */
-    using Bucket = std::array<std::vector<T>, NumRanks>;
-
     /** @param horizon the largest distance (when - now) schedule()
      *  will be asked for; the ring gets the next power of two above
-     *  it. */
-    explicit CalendarQueue(uint64_t horizon)
-        : slots_(std::bit_ceil(size_t(horizon) + 1)),
-          mask_(slots_.size() - 1)
-    {}
+     *  it.
+     *  @param capacity the most events pending at once. */
+    CalendarQueue(uint64_t horizon, size_t capacity)
+        : mask_(std::bit_ceil(size_t(horizon) + 1) - 1),
+          ev_(capacity),
+          next_(capacity + lists()),
+          tail_(lists()),
+          free_(capacity),
+          freeTop_(capacity)
+    {
+        assert(next_.size() <= UINT32_MAX);
+        for (size_t l = 0; l < tail_.size(); ++l)
+            tail_[l] = sentinel(l);
+        // Pop order 0, 1, 2, ...: a lightly loaded queue stays in
+        // the pool's first cache lines.
+        for (size_t k = 0; k < capacity; ++k)
+            free_[k] = uint32_t(capacity - 1 - k);
+    }
 
     /** Largest schedulable distance: the ring size minus one. */
     uint64_t horizon() const { return mask_; }
 
-    /** Pre-size every ring bucket. clear() keeps capacity, so a
-     *  bucket never shrinks — but it starts at zero and would
-     *  otherwise learn its high-water mark through reallocation,
-     *  which leaks allocations into steady-state ticks long after
-     *  warm-up (test_hotpath_alloc counts them). A bound-derived
-     *  reserve at construction makes the zero-allocation claim
-     *  structural instead of empirical. */
-    void
-    reserveSlots(size_t per_slot)
-    {
-        for (auto &s : slots_)
-            for (auto &r : s)
-                r.reserve(per_slot);
-    }
+    /** Events the pool holds when full. */
+    size_t capacity() const { return ev_.size(); }
+
+    /** No free node: the next schedule() must not happen. */
+    bool full() const { return freeTop_ == 0; }
+
+    /** Events scheduled and not yet drained. */
+    size_t pending() const { return capacity() - freeTop_; }
 
     /** Append @p ev for cycle @p when at delivery rank @p rank;
      *  @p now is the current cycle and @p when must be strictly in
-     *  the future and at most horizon() ahead. */
+     *  the future and at most horizon() ahead. The queue must not
+     *  be full(). */
     void
     schedule(uint64_t when, [[maybe_unused]] uint64_t now, const T &ev,
              unsigned rank = 0)
     {
-        assert(when > now && when - now <= mask_);
-        ++pending_;
-        slots_[when & mask_][rank].push_back(ev);
+        assert(when > now && when - now <= mask_ && !full());
+        const size_t l = size_t(when & mask_) * NumRanks + rank;
+        const uint32_t n = free_[--freeTop_];
+        ev_[n] = ev;
+        next_[tail_[l]] = n;
+        tail_[l] = n;
     }
 
     /**
-     * Return cycle @p now's bucket for processing; follow it with
-     * endCycle() once the bucket has been handled. The reference
-     * stays valid while handlers schedule new events (they can never
-     * land in it).
+     * Deliver cycle @p now's events to @p fn(const T &):
+     * rank-ascending, and in schedule order within a rank. @p fn may
+     * schedule() new events (they always land in later cycles).
      */
-    Bucket &beginCycle(uint64_t now) { return slots_[now & mask_]; }
-
-    /** Release cycle-@p now's processed bucket (keeps capacity). */
+    template <typename Fn>
     void
-    endCycle(uint64_t now)
+    drain(uint64_t now, Fn &&fn)
     {
-        Bucket &b = slots_[now & mask_];
-        for (auto &r : b) {
-            pending_ -= r.size();
-            r.clear();
+        const size_t first = size_t(now & mask_) * NumRanks;
+        for (size_t l = first; l < first + NumRanks; ++l) {
+            const uint32_t head = sentinel(l);
+            const uint32_t tail = tail_[l];
+            if (tail == head)
+                continue;
+            tail_[l] = head;
+            for (uint32_t i = next_[head];;) {
+                const uint32_t link = next_[i];
+                fn(ev_[i]);
+                free_[freeTop_++] = i;
+                if (i == tail)
+                    break;
+                i = link;
+            }
         }
     }
 
-    /** Events scheduled and not yet drained. */
-    size_t pending() const { return pending_; }
-
   private:
-    std::vector<Bucket> slots_;
+    size_t lists() const { return (size_t(mask_) + 1) * NumRanks; }
+    /** List @p l's sentinel: the node after the pool's last. */
+    uint32_t sentinel(size_t l) const { return uint32_t(ev_.size() + l); }
+
     uint64_t mask_;
-    size_t pending_ = 0;
+    /** Event payload per pool node. */
+    std::vector<T> ev_;
+    /** Link per node: pool nodes, then one sentinel per list. */
+    std::vector<uint32_t> next_;
+    /** Last node of each (slot, rank) list; its sentinel when empty. */
+    std::vector<uint32_t> tail_;
+    /** Free pool nodes; the top is free_[freeTop_ - 1]. */
+    std::vector<uint32_t> free_;
+    size_t freeTop_;
 };
 
 } // namespace hpa::core

@@ -78,10 +78,12 @@ Cache::access(uint64_t addr, bool is_write)
     uint64_t tag = tagOf(addr);
     AccessResult res;
 
+    const uint64_t write_bit = is_write ? Line::DIRTY : 0;
+
     for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        if (s[w].valid && s[w].tag == tag) {
-            s[w].lru = ++lru_clock_;
-            s[w].dirty |= is_write;
+        if (s[w].valid() && s[w].tag == tag) {
+            s[w].stamp = ++lru_clock_ | (s[w].stamp & Line::DIRTY)
+                | write_bit;
             res.hit = true;
             ++hits;
             return res;
@@ -93,24 +95,23 @@ Cache::access(uint64_t addr, bool is_write)
     // Fill: choose invalid way or LRU victim.
     Line *victim = &s[0];
     for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        if (!s[w].valid) {
+        if (!s[w].valid()) {
             victim = &s[w];
             break;
         }
-        if (s[w].lru < victim->lru)
+        if (s[w].lru() < victim->lru())
             victim = &s[w];
     }
-    if (victim->valid && victim->dirty) {
+    // Only a valid line carries the dirty bit.
+    if (victim->dirty()) {
         res.writeback = true;
         // Reconstruct the victim's line address from its tag and this
         // set index (tag includes the set bits by construction).
         res.victim_line_addr = victim->tag << set_shift_;
         ++writebacks;
     }
-    victim->valid = true;
-    victim->dirty = is_write;
     victim->tag = tag;
-    victim->lru = ++lru_clock_;
+    victim->stamp = ++lru_clock_ | write_bit;
     return res;
 }
 
@@ -120,7 +121,7 @@ Cache::probe(uint64_t addr) const
     const Line *s = set(addr);
     uint64_t tag = tagOf(addr);
     for (unsigned w = 0; w < cfg_.assoc; ++w)
-        if (s[w].valid && s[w].tag == tag)
+        if (s[w].valid() && s[w].tag == tag)
             return true;
     return false;
 }
@@ -128,10 +129,8 @@ Cache::probe(uint64_t addr) const
 void
 Cache::flush()
 {
-    for (Line &l : lines_) {
-        l.valid = false;
-        l.dirty = false;
-    }
+    for (Line &l : lines_)
+        l.stamp = 0;
 }
 
 void

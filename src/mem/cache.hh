@@ -70,13 +70,21 @@ class Cache
     stats::Counter writebacks;
 
   private:
+    /** 16 bytes: the valid and dirty flags live in the stamp word.
+     *  Stamps count up from 1 and never reach bit 63, so a stamp of
+     *  0 marks an invalid line and bit 63 is free for the dirty
+     *  flag. */
     struct Line
     {
-        bool valid = false;
-        bool dirty = false;
         uint64_t tag = 0;
-        /** LRU stamp; larger is more recent. */
-        uint64_t lru = 0;
+        /** LRU stamp (larger is more recent) | DIRTY; 0 = invalid. */
+        uint64_t stamp = 0;
+
+        static constexpr uint64_t DIRTY = uint64_t(1) << 63;
+
+        bool valid() const { return stamp != 0; }
+        bool dirty() const { return (stamp & DIRTY) != 0; }
+        uint64_t lru() const { return stamp & ~DIRTY; }
     };
 
     CacheConfig cfg_;

@@ -267,21 +267,24 @@ TEST(CoreReadyListFuzz, IncrementalListsMatchBruteForceEveryCycle)
 
 TEST(CalendarQueueFuzz, MatchesMapReference)
 {
-    // Differential fuzz of the calendar event queue against the
-    // std::map<cycle, per-rank vectors> structure it replaced: random
-    // deltas spanning the ring interior, near-future hot-path
-    // distances and the exact horizon (the ring is sized to the
-    // largest delta, rounded up to a power of two), with new events
-    // scheduled while a bucket is being drained — exactly what core
-    // event handlers do, and a random delivery rank per event so the
-    // rank-split planes are exercised. Per cycle each rank's drained
-    // vector must match the reference in content AND order.
+    // Differential fuzz of the calendar event queue against a
+    // std::map<cycle, per-rank vectors> reference: random deltas
+    // spanning the ring interior, near-future hot-path distances and
+    // the exact horizon (the ring is sized to the largest delta,
+    // rounded up to a power of two), with new events scheduled from
+    // inside drain() — exactly what core event handlers do — and a
+    // random delivery rank per event so every (slot, rank) list is
+    // exercised. Per cycle, drain() must deliver the reference's
+    // events in content AND order: rank-ascending, schedule order
+    // within a rank.
     using RankedBucket = std::array<std::vector<uint32_t>, 3>;
     const uint64_t HORIZON = 300; // largest delta scheduled below
+    const size_t CAPACITY = 4096;
     for (uint64_t seed : {7ull, 1234ull, 998877ull}) {
         std::mt19937_64 rng(seed);
-        core::CalendarQueue<uint32_t, 3> q(HORIZON);
+        core::CalendarQueue<uint32_t, 3> q(HORIZON, CAPACITY);
         ASSERT_EQ(q.horizon(), 511u) << "ring = next power of 2 above";
+        ASSERT_EQ(q.capacity(), CAPACITY);
         std::map<uint64_t, RankedBucket> ref;
         uint32_t next_id = 0;
 
@@ -298,35 +301,44 @@ TEST(CalendarQueueFuzz, MatchesMapReference)
                 delta = 1 + rng() % HORIZON;         // anywhere
                 break;
             }
+            if (q.full()) {
+                ADD_FAILURE() << "pool full at cycle " << now;
+                return;
+            }
             uint32_t id = next_id++;
             unsigned rank = unsigned(rng() % 3);
             q.schedule(now + delta, now, id, rank);
             ref[now + delta][rank].push_back(id);
         };
 
+        // Drain cycle `now` and compare with the reference. The
+        // cycle's first event schedules up to three follow-ups while
+        // the drain is still walking its lists.
+        auto drainAndCheck = [&](uint64_t now, bool follow_ups) {
+            std::vector<uint32_t> got;
+            q.drain(now, [&](uint32_t id) {
+                got.push_back(id);
+                if (follow_ups && got.size() == 1)
+                    for (unsigned k = rng() % 4; k > 0; --k)
+                        scheduleRandom(now);
+            });
+            std::vector<uint32_t> want;
+            auto it = ref.find(now);
+            if (it != ref.end()) {
+                for (const std::vector<uint32_t> &rank : it->second)
+                    want.insert(want.end(), rank.begin(), rank.end());
+                ref.erase(it);
+            }
+            return got == want;
+        };
+
         uint64_t now = 0;
         for (int step = 0; step < 4000; ++step) {
             ++now;
-            RankedBucket &bucket = q.beginCycle(now);
-            auto it = ref.find(now);
-            const RankedBucket empty;
-            const RankedBucket &want =
-                it != ref.end() ? it->second : empty;
-            ASSERT_EQ(bucket, want)
+            ASSERT_TRUE(drainAndCheck(now, true))
                 << "seed " << seed << " cycle " << now;
-            // Handlers schedule follow-up events mid-drain; the
-            // bucket reference must stay valid and unperturbed.
-            size_t before = bucket[0].size() + bucket[1].size()
-                + bucket[2].size();
-            for (unsigned k = rng() % 4; k > 0; --k)
+            for (unsigned k = rng() % 2; k > 0; --k)
                 scheduleRandom(now);
-            ASSERT_EQ(bucket[0].size() + bucket[1].size()
-                          + bucket[2].size(),
-                      before)
-                << "seed " << seed << " cycle " << now;
-            q.endCycle(now);
-            if (it != ref.end())
-                ref.erase(it);
         }
 
         // Drain everything left so the accounting closes.
@@ -337,30 +349,59 @@ TEST(CalendarQueueFuzz, MatchesMapReference)
         ASSERT_EQ(q.pending(), left) << "seed " << seed;
         while (!ref.empty()) {
             ++now;
-            RankedBucket &bucket = q.beginCycle(now);
-            auto it = ref.find(now);
-            if (it != ref.end()) {
-                ASSERT_EQ(bucket, it->second)
-                    << "seed " << seed << " cycle " << now;
-                ref.erase(it);
-            } else {
-                ASSERT_TRUE(bucket[0].empty() && bucket[1].empty()
-                            && bucket[2].empty())
-                    << "seed " << seed << " cycle " << now;
-            }
-            q.endCycle(now);
+            ASSERT_TRUE(drainAndCheck(now, false))
+                << "seed " << seed << " cycle " << now;
         }
         ASSERT_EQ(q.pending(), 0u) << "seed " << seed;
     }
+}
+
+TEST(CalendarQueueFuzz, FixedCapacityPoolFillsAndRecycles)
+{
+    // A queue of capacity N takes exactly N schedules before full(),
+    // and every node a drain releases is reusable: fill, drain,
+    // refill (into other slots and ranks) and drain again, checking
+    // delivery order each time.
+    const size_t N = 10;
+    core::CalendarQueue<uint32_t, 2> q(7, N);
+    for (uint32_t i = 0; i < N; ++i) {
+        ASSERT_FALSE(q.full()) << "after " << i << " schedules";
+        q.schedule(1 + i % 3, 0, i, i % 2);
+    }
+    EXPECT_TRUE(q.full());
+    EXPECT_EQ(q.pending(), N);
+
+    std::vector<uint32_t> got;
+    auto collect = [&](uint32_t id) { got.push_back(id); };
+    for (uint64_t now = 1; now <= 3; ++now)
+        q.drain(now, collect);
+    // Cycle 1 holds 0,3,6,9 (ranks 0,1,0,1), cycle 2 holds 1,4,7
+    // (ranks 1,0,1), cycle 3 holds 2,5,8 (ranks 0,1,0).
+    EXPECT_EQ(got, (std::vector<uint32_t>{0, 6, 3, 9, 4, 1, 7, 2, 8,
+                                          5}));
+    EXPECT_FALSE(q.full());
+    EXPECT_EQ(q.pending(), 0u);
+
+    // Reuse: N more schedules fit again, in different slots.
+    for (uint32_t i = 0; i < N; ++i)
+        q.schedule(4 + i % 7, 3, 100 + i, (i + 1) % 2);
+    EXPECT_TRUE(q.full());
+    got.clear();
+    for (uint64_t now = 4; now <= 10; ++now)
+        q.drain(now, collect);
+    EXPECT_EQ(got.size(), N);
+    EXPECT_EQ(got.front(), 100u + 7);   // cycle 4, rank 0 first
+    EXPECT_EQ(q.pending(), 0u);
 }
 
 TEST(CoreEventHorizonFuzz, FarFutureLatenciesKeepListsConsistent)
 {
     // Drive real cores whose load-miss completions land far ahead
     // (memory latency 1500, so the calendar ring is sized to 2048
-    // slots and wraps many times per run) while ALU wakes stay near.
-    // The incremental scheduler planes must stay consistent every
-    // cycle, and the run must still commit every instruction.
+    // slots and wraps many times per run, over a 42,420-node event
+    // pool) while ALU wakes stay near. The incremental scheduler
+    // planes must stay consistent every cycle, and the run must
+    // still commit every instruction.
     for (uint64_t seed : {5ull, 909ull}) {
         core::SyntheticParams sp;
         sp.num_insts = 2000;

@@ -112,6 +112,80 @@ TEST(Cache, FlushInvalidatesEverything)
     EXPECT_FALSE(c.access(0x100, false).hit);
 }
 
+// --- Packed lines: valid and dirty live in the LRU stamp word. ---
+
+TEST(Cache, DirtyVictimAddressKeepsBit63)
+{
+    // 1-byte lines: the tag is the whole address, bit 63 included.
+    Cache c(CacheConfig{"t", 8, 2, 1, 1});
+    const uint64_t hi = uint64_t(1) << 63;
+    c.access(hi | 0x10, true);
+    c.access(hi | 0x14, false);
+    auto r = c.access(0x18, false);    // same set: evicts hi|0x10
+    EXPECT_TRUE(r.writeback);
+    EXPECT_EQ(r.victim_line_addr, hi | 0x10);
+    EXPECT_FALSE(c.probe(hi | 0x10));
+    EXPECT_TRUE(c.probe(hi | 0x14));
+}
+
+TEST(Cache, ReadHitKeepsDirtyAndWriteHitSetsIt)
+{
+    Cache c(smallCache());
+    c.access(0x100, true);             // dirty fill
+    c.access(0x100, false);            // read hit: stays dirty
+    c.access(0x180, false);
+    c.access(0x180, true);             // write hit on a clean line
+    auto r = c.access(0x200, false);   // evicts 0x100
+    EXPECT_TRUE(r.writeback);
+    EXPECT_EQ(r.victim_line_addr, 0x100u);
+    r = c.access(0x280, false);        // evicts 0x180
+    EXPECT_TRUE(r.writeback);
+    EXPECT_EQ(r.victim_line_addr, 0x180u);
+    EXPECT_EQ(c.writebacks.value(), 2u);
+}
+
+TEST(Cache, RefillAfterFlushUsesInvalidWaysFirst)
+{
+    Cache c(smallCache());
+    c.access(0x100, true);
+    c.access(0x180, false);
+    c.flush();
+    // Both ways are invalid again: two new lines of the set fill
+    // them without evicting each other, and the dropped dirty line
+    // reports no writeback.
+    EXPECT_FALSE(c.access(0x200, false).writeback);
+    EXPECT_FALSE(c.access(0x280, true).writeback);
+    EXPECT_TRUE(c.probe(0x200));
+    EXPECT_TRUE(c.probe(0x280));
+    EXPECT_FALSE(c.probe(0x100));
+    EXPECT_EQ(c.writebacks.value(), 0u);
+}
+
+TEST(Cache, LruOrderAfterMixedHits)
+{
+    // One 4-way set of 16-B lines.
+    Cache c(CacheConfig{"t", 64, 4, 16, 1});
+    for (uint64_t a : {0x00, 0x10, 0x20, 0x30})
+        c.access(a, false);
+    // Hits in the order C(write), A, D(write), B: LRU is now C.
+    c.access(0x20, true);
+    c.access(0x00, false);
+    c.access(0x30, true);
+    c.access(0x10, false);
+    auto r = c.access(0x40, false);    // evicts C, dirty
+    EXPECT_TRUE(r.writeback);
+    EXPECT_EQ(r.victim_line_addr, 0x20u);
+    r = c.access(0x50, false);         // evicts A, clean
+    EXPECT_FALSE(r.writeback);
+    EXPECT_FALSE(c.probe(0x00));
+    r = c.access(0x60, false);         // evicts D, dirty
+    EXPECT_TRUE(r.writeback);
+    EXPECT_EQ(r.victim_line_addr, 0x30u);
+    EXPECT_TRUE(c.probe(0x10));        // B, the most recent hit
+    EXPECT_EQ(c.misses.value(), 7u);
+    EXPECT_EQ(c.hits.value(), 4u);
+}
+
 TEST(Cache, LineAddr)
 {
     Cache c(smallCache());

@@ -16,15 +16,15 @@ Ground truth, in preference order:
 
   callgraph mode   per-TU VCG call graphs from GCC
                    `-fcallgraph-info=su,da` (.ci files) plus
-                   `-fstack-usage` (.su files), produced by the
-                   `analyze` CMake preset (-DHPA_ANALYZE=ON). These
+                   `-fstack-usage` (.su files), which every CMake
+                   build emits when the compiler supports them. These
                    are emitted AFTER optimization: an inlined call
                    has no edge, a devirtualized call is direct, so
                    the graph is exactly what the machine executes.
   objdump mode     disassembly of the linked hpa static libraries
                    (objdump -dlr + nm), used as a fallback when the
-                   build carries no .ci files (e.g. a default-preset
-                   build, or a non-GCC toolchain). Direct calls come
+                   build carries no .ci files (a non-GCC
+                   toolchain). Direct calls come
                    from relocations and symbolized targets, indirect
                    calls from `call *` forms, frame sizes from the
                    prologue.
@@ -1412,9 +1412,8 @@ def main(argv=None):
         if graph is not None:
             mode = "callgraph"
         elif args.mode == "callgraph":
-            print("SKIP: no .ci files under %s (configure with "
-                  "-DHPA_ANALYZE=ON and a GCC that supports "
-                  "-fcallgraph-info)" % args.build_dir,
+            print("SKIP: no .ci files under %s (build with a GCC "
+                  "that supports -fcallgraph-info)" % args.build_dir,
                   file=sys.stderr)
             return 77
     if graph is None and args.mode in ("auto", "objdump"):

@@ -1,7 +1,7 @@
 /**
  * @file
- * Quickstart: assemble an HPA-ISA program, run it through the
- * execution-driven out-of-order timing simulator, and print the key
+ * Quickstart: assemble an HPA-ISA program, replay its committed
+ * trace through the out-of-order timing simulator, and print the key
  * statistics. Build and run:
  *
  *   cmake -B build -G Ninja && cmake --build build
@@ -43,13 +43,14 @@ data:   .word 1, 2, 3, 4, 5, 6, 7, 8
               << image.entry << std::dec << "\n";
 
     // 3. Pick a machine: the paper's 4-wide base configuration
-    //    (Table 1), then run execution-driven timing simulation.
+    //    (Table 1), then capture the program's committed trace and
+    //    replay it through the timing core.
     sim::Machine base = sim::Machine::base(4);
     sim::Simulation s(image, base.cfg);
     s.run();
 
     std::cout << "console bytes: "
-              << unsigned(uint8_t(s.emulator().console()[0])) << "\n";
+              << unsigned(uint8_t(s.console()[0])) << "\n";
     std::cout << "committed: " << s.core().stats().committed.value()
               << " instructions in " << s.core().cycle()
               << " cycles (IPC " << s.ipc() << ")\n\n";

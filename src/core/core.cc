@@ -121,8 +121,8 @@ eventCapacity(const CoreConfig &cfg)
 
 } // namespace
 
-Core::Core(const CoreConfig &cfg, InstSource &source)
-    : cfg_(cfg), source_(source), hier_(cfg.mem), bp_(cfg.bpred),
+Core::Core(const CoreConfig &cfg, const func::CommittedTrace &trace)
+    : cfg_(cfg), trace_(trace), hier_(cfg.mem), bp_(cfg.bpred),
       fu_(cfg), lap_(cfg.lap_entries), sched_(makeSchedPolicy(cfg)),
       rf_(makeRFPolicy(cfg)), window_(cfg.ruu_size),
       events_(eventHorizon(cfg), eventCapacity(cfg))
@@ -144,9 +144,6 @@ Core::Core(const CoreConfig &cfg, InstSource &source)
     squashList_.reserve(cfg.ruu_size);
     squashTainted_.reserve(size_t(cfg.ruu_size) + 1);
     squashIn_.reserve(cfg.ruu_size);
-    lookahead_ = source_.next();
-    if (!lookahead_)
-        sourceDone_ = true;
 }
 
 // --------------------------------------------------------------------
@@ -1292,14 +1289,10 @@ Core::dispatch()
 // Fetch
 // --------------------------------------------------------------------
 
-// hpa-prove-allow(P3): source_.next() is the one sanctioned virtual
-// call on the hot path — the InstSource boundary that switches
-// between trace replay and the execution-driven emulator; one call
-// per fetched instruction, outside the paper's measured loops
 void
 Core::fetch()
 {
-    if (sourceDone_ && !lookahead_)
+    if (nextRec_ == trace_.size())
         return;
     if (fetchStalledOnBranch_ || cycle_ < fetchResumeCycle_)
         return;
@@ -1309,8 +1302,9 @@ Core::fetch()
     uint64_t fetched_line = ~0ull;
     uint64_t line_mask = ~uint64_t(hier_.il1().config().line_bytes - 1);
 
-    while (budget > 0 && fetchQueue_.size() < fq_cap && lookahead_) {
-        const func::ExecRecord &rec = *lookahead_;
+    while (budget > 0 && fetchQueue_.size() < fq_cap
+           && nextRec_ < trace_.size()) {
+        const func::ExecRecord &rec = trace_.record(nextRec_);
 
         uint64_t line = rec.pc & line_mask;
         if (line != fetched_line) {
@@ -1325,7 +1319,7 @@ Core::fetch()
         }
 
         FetchedInst fi;
-        fi.rec = lookahead_;
+        fi.rec = &rec;
         fi.fetchCycle = cycle_;
         fi.earliestDispatch = cycle_ + cfg_.front_end_depth;
         fi.mispredicted = false;
@@ -1356,9 +1350,7 @@ Core::fetch()
         }
 
         fetchQueue_.push_back(fi);
-        lookahead_ = source_.next();
-        if (!lookahead_)
-            sourceDone_ = true;
+        ++nextRec_;
         --budget;
         if (stop_group)
             break;

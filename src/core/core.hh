@@ -42,11 +42,11 @@
 #include "core/dyn_inst.hh"
 #include "core/event_queue.hh"
 #include "core/fu_pool.hh"
-#include "core/inst_source.hh"
 #include "core/issue_window.hh"
 #include "core/last_arrival.hh"
 #include "core/rf_policy.hh"
 #include "core/sched_policy.hh"
+#include "func/trace.hh"
 #include "mem/hierarchy.hh"
 #include "sim/error.hh"
 #include "stats/stats.hh"
@@ -129,19 +129,21 @@ struct CoreStats
 };
 
 /**
- * The out-of-order core. Construct with a configuration and a
- * committed-path instruction source, then run().
+ * The out-of-order core. Construct with a configuration and the
+ * committed trace to replay, then run().
  */
 class Core
 {
   public:
-    Core(const CoreConfig &cfg, InstSource &source);
+    /** @param trace committed stream, fetched by index; must
+     *  outlive the core. */
+    Core(const CoreConfig &cfg, const func::CommittedTrace &trace);
 
     /** Advance one cycle. */
     void tick();
 
     /**
-     * Run to completion (source drained and window empty).
+     * Run to completion (trace fetched and window empty).
      * @param max_cycles optional safety bound (0 = unbounded)
      * @return committed instruction count
      */
@@ -150,7 +152,8 @@ class Core
     bool
     done() const
     {
-        return sourceDone_ && windowCount_ == 0 && fetchQueue_.empty();
+        return nextRec_ == trace_.size() && windowCount_ == 0
+            && fetchQueue_.empty();
     }
 
     uint64_t cycle() const { return cycle_; }
@@ -474,7 +477,9 @@ class Core
     void commitFormatStats(const DynInst &di);
 
     CoreConfig cfg_;
-    InstSource &source_;
+    const func::CommittedTrace &trace_;
+    /** Index of the next trace record to fetch. */
+    size_t nextRec_ = 0;
     mem::Hierarchy hier_;
     bpred::BranchPredictor bp_;
     FuPool fu_;
@@ -547,8 +552,6 @@ class Core
     uint64_t fetchResumeCycle_ = 0;
     bool fetchStalledOnBranch_ = false;
     uint64_t stalledBranchSeqTag_ = NO_SEQ; // pc tag for bookkeeping
-    bool sourceDone_ = false;
-    const func::ExecRecord *lookahead_ = nullptr;
 
     /** Issue slots blocked this cycle by sequential register access
      *  issues of the previous cycle. */

@@ -57,10 +57,10 @@ struct OperandState
 /** A dynamic instruction occupying a window (RUU) slot. */
 struct DynInst
 {
-    /** Committed-path record; points into the instruction source's
-     *  stable storage (see InstSource's lifetime contract), so slot
-     *  setup and recovery never copy the record. Null only in an
-     *  empty slot. */
+    /** Committed-path record; points into the replayed
+     *  CommittedTrace, which never moves while the core runs, so
+     *  slot setup and recovery never copy the record. Null only in
+     *  an empty slot. */
     const func::ExecRecord *rec = nullptr;
     uint64_t seq = NO_SEQ;
 

@@ -1,7 +1,15 @@
 #include "func/trace.hh"
 
+#include <utility>
+
 namespace hpa::func
 {
+
+CommittedTrace::CommittedTrace(std::vector<ExecRecord> records)
+    : records_(std::move(records)),
+      halted_(!records_.empty()
+              && records_.back().inst.op == isa::Opcode::HALT)
+{}
 
 CommittedTrace
 CommittedTrace::capture(const assembler::Program &prog,
@@ -10,8 +18,8 @@ CommittedTrace::capture(const assembler::Program &prog,
     CommittedTrace t;
     Emulator emu(prog);
 
-    // Same loop as sim::Simulation's fast-forward: architectural
-    // execution only, stopping the first time the PC hits the label.
+    // Fast-forward: architectural execution only, stopping the first
+    // time the PC hits the label.
     if (fast_forward_pc) {
         while (!emu.halted() && emu.pc() != fast_forward_pc) {
             emu.step();
@@ -19,11 +27,12 @@ CommittedTrace::capture(const assembler::Program &prog,
         }
     }
 
+    // Reserve the whole budget up front: growth by doubling would
+    // hold the old and the new buffer at once.
     if (max_insts)
         t.records_.reserve(max_insts);
 
-    // Same stop condition as EmulatorSource::next(): halt or budget,
-    // checked before each step.
+    // Stop at halt or budget, checked before each step.
     uint64_t count = 0;
     while (!emu.halted() && (!max_insts || count < max_insts)) {
         ++count;
@@ -31,6 +40,7 @@ CommittedTrace::capture(const assembler::Program &prog,
     }
 
     t.console_ = emu.console();
+    t.halted_ = emu.halted();
     return t;
 }
 

@@ -1,13 +1,12 @@
 /**
  * @file
- * Committed-trace capture for trace-once/replay-many sweeps. A
- * CommittedTrace records the exact ExecRecord stream an Emulator
- * would feed the timing core — fast-forward skip, per-instruction
- * dynamic record, console output — once, into one flat immutable
- * record array. Every machine cell of a sweep then replays the
- * shared buffer read-only (core::TraceSource) instead of re-running
- * functional emulation per cell, so assembly, decode and
- * architectural execution are paid once per (workload, budget)
+ * The committed instruction stream the timing core replays. A
+ * CommittedTrace records the exact ExecRecord stream of a program —
+ * fast-forward skip, per-instruction dynamic record, console output,
+ * whether it reached HALT — once, into one flat immutable record
+ * array. The core fetches from it by index; every machine cell of a
+ * sweep replays the one shared buffer read-only, so assembly, decode
+ * and architectural execution are paid once per (workload, budget)
  * instead of once per (workload, budget, machine).
  */
 
@@ -27,35 +26,39 @@ namespace hpa::func
 /**
  * Immutable recording of a program's committed dynamic stream.
  *
- * Replay contract: record(0..size()) reproduces, byte for byte, the
- * ExecRecords an EmulatorSource over a fresh Emulator (after the
- * same fast-forward) would return, and size() marks end-of-stream
- * exactly where EmulatorSource::next() would first return null
- * (HALT or the instruction budget, whichever comes first). Records
- * are stored as one contiguous array of ExecRecords, so a replay
- * cursor is a single sequential prefetch stream and record access is
- * a stable pointer — no per-instruction gather, no copies, no shared
- * mutable state: one trace can feed any number of concurrent sweep
- * threads.
+ * Capture contract: record(0..size()) is, byte for byte, what
+ * Emulator::step() returns on a fresh Emulator after the same
+ * fast-forward, and size() stops exactly at HALT or the instruction
+ * budget, whichever comes first. Records are stored as one
+ * contiguous std::vector<ExecRecord> (56 B each), so a replay
+ * cursor is a single sequential prefetch stream and record access
+ * is a stable reference — no per-instruction gather, no copies, no
+ * shared mutable state: one trace can feed any number of concurrent
+ * sweep threads.
  */
 class CommittedTrace
 {
   public:
+    /** A generated stream (no program behind it): nothing was
+     *  fast-forwarded, the console is empty, and halted() is true
+     *  when the last record is a HALT. */
+    explicit CommittedTrace(std::vector<ExecRecord> records);
+
     /**
      * Functionally execute @p prog and record its committed stream.
      *
      * @param prog assembled program
      * @param fast_forward_pc architecturally execute (without
-     *        recording) until the PC first reaches this address —
-     *        the same loop sim::Simulation runs. 0 disables.
+     *        recording) until the PC first reaches this address.
+     *        0 disables.
      * @param max_insts record at most this many instructions
-     *        (0 = run to HALT), mirroring EmulatorSource's budget.
+     *        (0 = run to HALT).
      */
     static CommittedTrace capture(const assembler::Program &prog,
                                   uint64_t fast_forward_pc,
                                   uint64_t max_insts);
 
-    /** Recorded instructions (EmulatorSource stream length). */
+    /** Recorded instructions. */
     size_t size() const { return records_.size(); }
 
     /** The @p i-th ExecRecord of the stream. The reference is
@@ -66,9 +69,12 @@ class CommittedTrace
     uint64_t fastForwarded() const { return fastForwarded_; }
 
     /** Console bytes emitted over the whole capture (fast-forward
-     *  plus the recorded stream) — what an emulator-backed run's
-     *  console holds once the source is drained. */
+     *  plus the recorded stream). */
     const std::string &console() const { return console_; }
+
+    /** The program halted within the capture (its stream ends at
+     *  HALT, not at the budget). */
+    bool halted() const { return halted_; }
 
     /** Approximate heap footprint, for diagnostics. */
     size_t
@@ -78,9 +84,12 @@ class CommittedTrace
     }
 
   private:
+    CommittedTrace() = default;
+
     std::vector<ExecRecord> records_;
     uint64_t fastForwarded_ = 0;
     std::string console_;
+    bool halted_ = false;
 };
 
 } // namespace hpa::func

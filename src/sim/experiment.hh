@@ -181,18 +181,6 @@ struct ExperimentSpec
     bool fast_forward = true;
     workloads::Scale scale = workloads::Scale::Full;
 
-    /**
-     * Replay the workload's committed stream from a shared,
-     * capture-once trace (WorkloadCache::trace()) instead of
-     * stepping a private emulator per cell. Bit-identical results —
-     * the trace replays the exact ExecRecord stream — but functional
-     * emulation is paid once per (workload, budget, fast-forward)
-     * instead of once per cell, which is what makes N-machine sweeps
-     * cheap. Off buys back the live emulator (architectural state
-     * inspection mid-run) at per-cell emulation cost.
-     */
-    bool trace_cache = true;
-
     /** Per-run wall-clock budget in seconds (0 = unbounded). The
      *  core checks it cooperatively and raises hpa::Timeout. */
     double wall_budget_seconds = 0.0;
@@ -221,7 +209,7 @@ struct ExperimentSpec
 
 /**
  * A completed experiment. The Simulation is kept alive so callers
- * can reach the core, the LAP monitor, the emulator console, … —
+ * can reach the core, the LAP monitor, the workload console, … —
  * and so the statistics snapshot can be rendered in any format
  * after the fact.
  */

@@ -8,41 +8,17 @@ namespace hpa::sim
 Simulation::Simulation(const assembler::Program &prog,
                        const core::CoreConfig &cfg, uint64_t max_insts,
                        uint64_t fast_forward_pc)
-{
-    emu_ = std::make_unique<func::Emulator>(prog);
-    if (fast_forward_pc) {
-        while (!emu_->halted() && emu_->pc() != fast_forward_pc) {
-            emu_->step();
-            ++fastForwarded_;
-        }
-    }
-    source_ = std::make_unique<core::EmulatorSource>(*emu_, max_insts);
-    core_ = std::make_unique<core::Core>(cfg, *source_);
-}
+    : owned_(std::make_unique<func::CommittedTrace>(
+          func::CommittedTrace::capture(prog, fast_forward_pc,
+                                        max_insts))),
+      trace_(owned_.get()),
+      core_(std::make_unique<core::Core>(cfg, *trace_))
+{}
 
 Simulation::Simulation(const func::CommittedTrace &trace,
                        const core::CoreConfig &cfg)
-    : trace_(&trace), fastForwarded_(trace.fastForwarded())
-{
-    source_ = std::make_unique<core::TraceSource>(trace);
-    core_ = std::make_unique<core::Core>(cfg, *source_);
-}
-
-func::Emulator &
-Simulation::emulator()
-{
-    if (!emu_)
-        throw ConfigError(
-            "trace-replay simulation has no emulator (use console() "
-            "or construct from a program for architectural state)");
-    return *emu_;
-}
-
-const std::string &
-Simulation::console() const
-{
-    return emu_ ? emu_->console() : trace_->console();
-}
+    : trace_(&trace), core_(std::make_unique<core::Core>(cfg, trace))
+{}
 
 uint64_t
 Simulation::run(uint64_t max_cycles)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Convenience driver tying together an assembled program, the
- * functional emulator and the timing core, plus the Table 1 machine
- * configurations.
+ * Convenience driver tying together a committed trace (captured from
+ * an assembled program, or shared) and the timing core, plus the
+ * Table 1 machine configurations.
  */
 
 #ifndef HPA_SIM_SIMULATION_HH
@@ -14,7 +14,6 @@
 
 #include "asm/assembler.hh"
 #include "core/core.hh"
-#include "func/emulator.hh"
 #include "func/trace.hh"
 
 namespace hpa::sim
@@ -42,18 +41,18 @@ struct Machine
 };
 
 /**
- * One simulation: the timing core plus its committed-path source.
- * Two source flavours share every other member:
- *  - execution-driven: owns an emulator stepped per instruction
- *    (the program-based constructor), or
- *  - trace-replay: replays a shared read-only CommittedTrace (the
- *    trace-based constructor; no emulator, functional execution was
- *    paid once at capture).
+ * One simulation: the timing core replaying one committed trace,
+ * either captured from a program and owned (the program-based
+ * constructor) or shared read-only (the trace-based constructor).
  */
 class Simulation
 {
   public:
     /**
+     * Capture @p prog's committed stream, then replay it. The trace
+     * is held in memory (56 B per instruction), so a budget bounds
+     * the run's footprint.
+     *
      * @param prog assembled program
      * @param cfg core configuration
      * @param max_insts cap on simulated committed instructions
@@ -67,35 +66,28 @@ class Simulation
                uint64_t fast_forward_pc = 0);
 
     /**
-     * Trace-replay simulation: drive the core from @p trace (which
-     * already encodes the fast-forward skip and instruction budget
-     * it was captured with). @p trace must outlive this Simulation —
+     * Replay a shared @p trace (which already encodes the
+     * fast-forward skip and instruction budget it was captured
+     * with). @p trace must outlive this Simulation —
      * WorkloadCache::trace() entries satisfy that for free.
      */
     Simulation(const func::CommittedTrace &trace,
                const core::CoreConfig &cfg);
 
     /** Instructions skipped by fast-forwarding. */
-    uint64_t fastForwarded() const { return fastForwarded_; }
+    uint64_t fastForwarded() const { return trace_->fastForwarded(); }
 
     /** Run to completion; @return committed instructions. */
     uint64_t run(uint64_t max_cycles = 0);
 
     core::Core &core() { return *core_; }
 
-    /** True on execution-driven runs; trace replays own no emulator. */
-    bool hasEmulator() const { return emu_ != nullptr; }
+    /** The committed stream the core replays: its length, whether
+     *  the program halted within it, and its console. */
+    const func::CommittedTrace &trace() const { return *trace_; }
 
-    /** The emulator of an execution-driven run. Throws
-     *  hpa::ConfigError on trace-replay simulations. */
-    func::Emulator &emulator();
-
-    /**
-     * Console bytes of the workload: the emulator's console (live,
-     * grows as the source is stepped) or, on trace replays, the
-     * console recorded at capture (complete from the start).
-     */
-    const std::string &console() const;
+    /** Console bytes of the workload, recorded at capture. */
+    const std::string &console() const { return trace_->console(); }
 
     double ipc() const { return core_->ipc(); }
 
@@ -112,13 +104,11 @@ class Simulation
     void report(std::ostream &os);
 
   private:
-    std::unique_ptr<func::Emulator> emu_;
-    /** Non-owning on trace replays (the cache owns the trace). */
-    const func::CommittedTrace *trace_ = nullptr;
-    /** Emulator-backed or trace-replay source, feeding the core. */
-    std::unique_ptr<core::InstSource> source_;
+    /** Set when this simulation captured its own trace. */
+    std::unique_ptr<func::CommittedTrace> owned_;
+    /** owned_, or a shared trace (the cache owns it). */
+    const func::CommittedTrace *trace_;
     std::unique_ptr<core::Core> core_;
-    uint64_t fastForwarded_ = 0;
 };
 
 /**

@@ -66,18 +66,13 @@ runAttempt(const SweepJob &job, unsigned attempt,
     if (job.fault == FaultKind::InvariantTrip && cfg.check_interval == 0)
         cfg.check_interval = 1;
 
-    if (job.trace_cache) {
-        // Trace-once/replay-many: the first cell of a (workload,
-        // budget, fast-forward) group captures the committed stream;
-        // every other cell — across machines, threads and repeat
-        // sweeps — replays the shared immutable buffer.
-        const func::CommittedTrace &trace =
-            cache.trace(name, job.scale, job.max_insts, ff);
-        r.sim = std::make_unique<Simulation>(trace, cfg);
-    } else {
-        r.sim = std::make_unique<Simulation>(w.program, cfg,
-                                             job.max_insts, ff);
-    }
+    // Trace-once/replay-many: the first cell of a (workload, budget,
+    // fast-forward) group captures the committed stream; every other
+    // cell — across machines, threads and repeat sweeps — replays
+    // the shared immutable buffer.
+    const func::CommittedTrace &trace =
+        cache.trace(name, job.scale, job.max_insts, ff);
+    r.sim = std::make_unique<Simulation>(trace, cfg);
     if (job.wall_budget_seconds > 0)
         r.sim->core().setWallDeadline(job.wall_budget_seconds);
     if (job.fault == FaultKind::InvariantTrip)

@@ -88,8 +88,8 @@ class WorkloadCache
      * — the trace-once half of trace-once/replay-many sweeps. Like
      * get(), each trace is captured exactly once per key under a
      * per-entry once_flag and the returned reference is stable and
-     * immutable, so any number of sweep threads can replay it
-     * concurrently through core::TraceSource.
+     * immutable, so any number of sweep threads' cores can replay
+     * it concurrently.
      */
     const func::CommittedTrace &trace(const std::string &name,
                                       Scale scale, uint64_t max_insts,

@@ -74,6 +74,24 @@ TEST(SimOptionsParse, Defaults)
     EXPECT_TRUE(o.fastforward);
     EXPECT_FALSE(o.lap_set);
     EXPECT_FALSE(o.machineReadableStdout());
+    // Single runs and --sweep share one budget default.
+    EXPECT_EQ(o.insts, 200000u);
+}
+
+TEST(SimOptionsParse, ZeroBudgetIsRejected)
+{
+    // Every run holds its committed trace in memory, so "no budget"
+    // is not a value: --insts 0 is an error in both forms.
+    for (std::vector<std::string> args :
+         {std::vector<std::string>{"--insts", "0"},
+          std::vector<std::string>{"--insts=0"}}) {
+        SimOptions o;
+        std::string err;
+        EXPECT_EQ(parse(args, o, err), 2) << args[0];
+        EXPECT_NE(err.find("--insts must be at least 1"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 TEST(SimOptionsParse, FullMachineLine)
@@ -343,18 +361,32 @@ TEST(SimCliBinary, UnknownOptionExitsTwo)
 
 TEST(SimCliBinary, RemovedEngineFlagExitsTwoAndSaysWhy)
 {
-    for (const char *form : {" --sched-engine reference",
-                             " --sched-engine=masked"}) {
+    for (std::string form : {" --sched-engine reference",
+                             " --sched-engine=masked",
+                             " --trace-cache on",
+                             " --trace-cache=off"}) {
         auto r = shell(simBinary() + " --bench gzip --insts 5000"
                        + form);
         EXPECT_EQ(r.status, 2) << form << "\n" << r.out;
-        EXPECT_NE(r.out.find("--sched-engine was removed"),
-                  std::string::npos)
+        std::string flag =
+            form.substr(1, form.find_first_of(" =", 1) - 1);
+        EXPECT_NE(r.out.find(flag + " was removed"), std::string::npos)
             << r.out;
         EXPECT_NE(r.out.find("results never depended on it"),
                   std::string::npos)
             << r.out;
     }
+}
+
+TEST(SimCliBinary, DefaultBudgetCommitsTwoHundredThousand)
+{
+    // No --insts: the run stops at the 200,000-instruction default
+    // instead of capturing the Full-scale kernel to HALT.
+    auto r = shell(simBinary() + " --bench gzip");
+    ASSERT_EQ(r.status, 0) << r.out;
+    EXPECT_NE(r.out.find("committed 200000 instructions"),
+              std::string::npos)
+        << r.out;
 }
 
 TEST(SimCliBinary, MalformedNumberExitsTwo)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/synthetic.hh"
 #include "sim/simulation.hh"
 
 namespace
@@ -82,12 +83,11 @@ loop:   add r2, #1, r2
     EXPECT_LE(s->ipc(), 4.0);
 }
 
-TEST(CoreBase, CommittedMatchesEmulator)
+TEST(CoreBase, CommittedMatchesTrace)
 {
     auto s = run(CHAIN, base4());
-    EXPECT_TRUE(s->emulator().halted());
-    EXPECT_EQ(s->core().stats().committed.value(),
-              s->emulator().instCount());
+    EXPECT_TRUE(s->trace().halted());
+    EXPECT_EQ(s->core().stats().committed.value(), s->trace().size());
 }
 
 TEST(CoreBase, Deterministic)
@@ -170,7 +170,7 @@ TEST(CoreBase, WindowLimitRespected)
     tiny.ruu_size = 8;
     tiny.lsq_size = 4;
     auto s = run(CHAIN, tiny);
-    EXPECT_TRUE(s->emulator().halted());
+    EXPECT_TRUE(s->trace().halted());
     // A small window must be slower than the 64-entry window.
     auto big = run(CHAIN, base4());
     EXPECT_GE(s->core().cycle(), big->core().cycle());
@@ -194,10 +194,14 @@ loop:   stq r3, 0(r1)
 slot:   .space 8
 )";
     auto s = run(src, base4());
-    EXPECT_TRUE(s->emulator().halted());
-    // Forwarding keeps this from paying miss latencies; the final
-    // architectural value proves the ordering was preserved.
-    EXPECT_EQ(s->emulator().intReg(3), 300);
+    EXPECT_TRUE(s->trace().halted());
+    EXPECT_EQ(s->core().stats().committed.value(), s->trace().size());
+    // The final architectural value is the emulator's own: the
+    // program really round-trips its counter through memory.
+    func::Emulator emu(assembler::assemble(src));
+    emu.run(100000);
+    EXPECT_TRUE(emu.halted());
+    EXPECT_EQ(emu.intReg(3), 300);
 }
 
 // --- Speculative scheduling / replay. ---
@@ -457,7 +461,7 @@ TEST(TagElimination, MisissuesDetectedAndRecovered)
     // several squashes per mis-schedule.
     EXPECT_GT(s->core().stats().squashedIssues.value(),
               s->core().stats().tagElimMisissues.value() * 2);
-    EXPECT_TRUE(s->emulator().halted());
+    EXPECT_TRUE(s->trace().halted());
 }
 
 TEST(TagElimination, MispredictionsCostCyclesUnlikeConventional)
@@ -634,7 +638,7 @@ TEST(Combined, RunsCorrectlyAndSlowerThanBase)
     comb.regfile = RegfileModel::SequentialAccess;
     auto a = run(SIMUL, comb);
     auto b = run(SIMUL, base4());
-    EXPECT_TRUE(a->emulator().halted());
+    EXPECT_TRUE(a->trace().halted());
     EXPECT_GE(a->core().cycle(), b->core().cycle());
     // Simultaneous wakeups force sequential register access in the
     // combined configuration (Section 5.3).
@@ -744,8 +748,8 @@ TEST(PipelineDump, ReadyAndIssuedCountsMatchTheScheduler)
     core::SyntheticParams sp;
     sp.num_insts = 4000;
     sp.seed = 42;
-    core::SyntheticSource src(sp);
-    core::Core c(base4(), src);
+    func::CommittedTrace trace = core::syntheticTrace(sp);
+    core::Core c(base4(), trace);
     while (!c.done() && c.cycle() < 100000
            && (c.readyListSnapshot().empty()
                || c.issuedListSnapshot().empty()))
@@ -779,14 +783,14 @@ TEST_P(CoreSweep, InvariantsHold)
     core::SyntheticParams sp;
     sp.num_insts = 6000;
     sp.seed = p.seed;
-    core::SyntheticSource src(sp);
+    func::CommittedTrace trace = core::syntheticTrace(sp);
 
     CoreConfig cfg = core::fourWideConfig();
     cfg.wakeup = p.wakeup;
     cfg.regfile = p.regfile;
     cfg.recovery = p.recovery;
 
-    core::Core c(cfg, src);
+    core::Core c(cfg, trace);
     c.run(4000000);
     ASSERT_TRUE(c.done());
 

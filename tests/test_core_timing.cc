@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/synthetic.hh"
 #include "sim/simulation.hh"
 
 namespace
@@ -43,7 +44,7 @@ trace(const std::string &src, const CoreConfig &cfg)
                                 di.rec->inst.isMemRef()});
         });
     s.run(2000000);
-    EXPECT_TRUE(s.emulator().halted());
+    EXPECT_TRUE(s.trace().halted());
     return out;
 }
 
@@ -228,8 +229,8 @@ TEST(Occupancy, CommitWidthBounded)
 {
     core::SyntheticParams sp;
     sp.num_insts = 5000;
-    core::SyntheticSource src(sp);
-    core::Core c(core::fourWideConfig(), src);
+    func::CommittedTrace stream = core::syntheticTrace(sp);
+    core::Core c(core::fourWideConfig(), stream);
     std::map<uint64_t, unsigned> per_cycle;
     c.setCommitListener([&](const DynInst &, uint64_t commit) {
         ++per_cycle[commit];
@@ -248,8 +249,8 @@ TEST(Occupancy, WindowAndLsqNeverExceedConfiguredSize)
     sp.num_insts = 4000;
     sp.load_frac = 0.3;
     sp.store_frac = 0.15;
-    core::SyntheticSource src(sp);
-    core::Core c(cfg, src);
+    func::CommittedTrace stream = core::syntheticTrace(sp);
+    core::Core c(cfg, stream);
 
     // Sweep-line over [dispatch, commit) intervals.
     std::vector<std::pair<uint64_t, int>> events;     // window

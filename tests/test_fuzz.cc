@@ -13,8 +13,8 @@
 #include "asm/assembler.hh"
 #include "core/core.hh"
 #include "core/event_queue.hh"
-#include "core/inst_source.hh"
 #include "core/issue_window.hh"
+#include "core/synthetic.hh"
 #include "func/emulator.hh"
 #include "mem/cache.hh"
 
@@ -239,7 +239,7 @@ TEST(CoreReadyListFuzz, IncrementalListsMatchBruteForceEveryCycle)
             sp.seed = seed;
             sp.load_frac = 0.25;
             sp.store_frac = 0.15;
-            core::SyntheticSource src(sp);
+            func::CommittedTrace trace = core::syntheticTrace(sp);
 
             core::CoreConfig cfg = core::fourWideConfig();
             cfg.ruu_size = 32;
@@ -248,7 +248,7 @@ TEST(CoreReadyListFuzz, IncrementalListsMatchBruteForceEveryCycle)
             cfg.regfile = mix.regfile;
             cfg.recovery = mix.recovery;
 
-            core::Core c(cfg, src);
+            core::Core c(cfg, trace);
             uint64_t guard = 0;
             while (!c.done() && guard++ < 200000) {
                 c.tick();
@@ -410,7 +410,7 @@ TEST(CoreEventHorizonFuzz, FarFutureLatenciesKeepListsConsistent)
         sp.store_frac = 0.10;
         // Small span so the same lines thrash between hits/misses.
         sp.mem_span = 1 << 14;
-        core::SyntheticSource src(sp);
+        func::CommittedTrace trace = core::syntheticTrace(sp);
 
         core::CoreConfig cfg = core::fourWideConfig();
         cfg.ruu_size = 32;
@@ -418,7 +418,7 @@ TEST(CoreEventHorizonFuzz, FarFutureLatenciesKeepListsConsistent)
         cfg.mem.mem_latency = 1500;
         cfg.watchdog_cycles = 500000;
 
-        core::Core c(cfg, src);
+        core::Core c(cfg, trace);
         uint64_t guard = 0;
         while (!c.done() && guard++ < 2000000) {
             c.tick();
@@ -451,8 +451,8 @@ TEST(ReadyMaskFuzz, PlanesMatchModelReadinessOnRandomDepChains)
     auto runTrial = [](const core::SyntheticParams &sp,
                        const core::CoreConfig &cfg, unsigned every,
                        const std::string &tag) {
-        core::SyntheticSource src(sp);
-        core::Core c(cfg, src);
+        func::CommittedTrace trace = core::syntheticTrace(sp);
+        core::Core c(cfg, trace);
         uint64_t guard = 0;
         while (!c.done() && guard++ < 400000) {
             c.tick();

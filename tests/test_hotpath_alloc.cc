@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "core/core.hh"
-#include "core/inst_source.hh"
 #include "func/trace.hh"
 #include "sim/experiment.hh"
 #include "workloads/workloads.hh"
@@ -117,8 +116,7 @@ expectSteadyStateAllocFree(const std::string &bench,
     const func::CommittedTrace &trace =
         cache.trace(bench, workloads::Scale::Full, budget,
                     steadyPc(w));
-    core::TraceSource src(trace);
-    core::Core core(cfg, src);
+    core::Core core(cfg, trace);
 
     while (core.stats().committed.value() < warm_insts
            && !core.done()) {

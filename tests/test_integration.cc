@@ -1,6 +1,6 @@
-/** @file End-to-end integration: SPEC substitutes running through the
- *  full execution-driven timing pipeline on every scheme, validated
- *  against the golden-model console output. */
+/** @file End-to-end integration: SPEC substitutes captured to HALT
+ *  and replayed through the full timing pipeline on every scheme,
+ *  validated against the golden-model console output. */
 
 #include <tuple>
 
@@ -34,12 +34,11 @@ TEST_P(FullPipe, TimingRunPreservesArchitecturalResults)
 
     sim::Simulation s(w.program, cfg);
     s.run(20000000);
-    ASSERT_TRUE(s.emulator().halted()) << name;
+    ASSERT_TRUE(s.trace().halted()) << name;
     // The timing core consumed the committed stream to completion and
-    // the emulator produced the golden checksum on the way.
-    EXPECT_EQ(s.emulator().console(), w.expectedConsole) << name;
-    EXPECT_EQ(s.core().stats().committed.value(),
-              s.emulator().instCount());
+    // the capture produced the golden checksum on the way.
+    EXPECT_EQ(s.console(), w.expectedConsole) << name;
+    EXPECT_EQ(s.core().stats().committed.value(), s.trace().size());
     EXPECT_GT(s.ipc(), 0.1);
     EXPECT_LE(s.ipc(), 4.0);
 }
@@ -72,7 +71,7 @@ TEST_P(AllBenchTiming, BaseMachineIpcInPlausibleBand)
     auto w = workloads::make(GetParam(), workloads::Scale::Test);
     sim::Simulation s(w.program, core::fourWideConfig());
     s.run(20000000);
-    ASSERT_TRUE(s.emulator().halted());
+    ASSERT_TRUE(s.trace().halted());
     // Table 2 base IPCs range 0.71-2.02 on the 4-wide machine; allow
     // a wider band for the substitutes.
     EXPECT_GT(s.ipc(), 0.3) << GetParam();
@@ -98,8 +97,8 @@ TEST(Integration, SchemesDegradeGracefullyOnRealKernel)
     sim::Simulation half(w.program, comb);
     half.run(20000000);
 
-    ASSERT_TRUE(base.emulator().halted());
-    ASSERT_TRUE(half.emulator().halted());
+    ASSERT_TRUE(base.trace().halted());
+    ASSERT_TRUE(half.trace().halted());
     double ratio = half.ipc() / base.ipc();
     EXPECT_LE(ratio, 1.001);
     EXPECT_GT(ratio, 0.85);
@@ -115,8 +114,8 @@ TEST(Integration, EightWideRunsEveryScheme)
         cfg.wakeup = wakeup;
         sim::Simulation s(w.program, cfg);
         s.run(20000000);
-        ASSERT_TRUE(s.emulator().halted());
-        EXPECT_EQ(s.emulator().console(), w.expectedConsole);
+        ASSERT_TRUE(s.trace().halted());
+        EXPECT_EQ(s.console(), w.expectedConsole);
     }
 }
 

@@ -311,7 +311,7 @@ meas:   sub r2, #1, r2
     EXPECT_GT(s.fastForwarded(), 190u);
     // Only the measured region is timed.
     EXPECT_LT(s.core().stats().committed.value(), 120u);
-    EXPECT_TRUE(s.emulator().halted());
+    EXPECT_TRUE(s.trace().halted());
 }
 
 TEST(Simulation, FastForwardToUnreachedPcRunsToHalt)
@@ -319,7 +319,7 @@ TEST(Simulation, FastForwardToUnreachedPcRunsToHalt)
     auto p = assembler::assemble("li r1, 5\nhalt");
     Simulation s(p, core::fourWideConfig(), 0, 0xDEAD000);
     s.run();
-    // The emulator halts during fast-forward; nothing is timed.
+    // The program halts during fast-forward; nothing is timed.
     EXPECT_EQ(s.core().stats().committed.value(), 0u);
 }
 
@@ -340,7 +340,7 @@ TEST(Simulation, MaxInstsCapsRun)
     Simulation s(p, core::fourWideConfig(), 500);
     s.run();
     EXPECT_EQ(s.core().stats().committed.value(), 500u);
-    EXPECT_FALSE(s.emulator().halted());
+    EXPECT_FALSE(s.trace().halted());
 }
 
 TEST(Simulation, ReportContainsKeySections)

@@ -150,61 +150,6 @@ TEST(SweepDeterminism, EightWorkersMatchSerialForEveryPair)
     }
 }
 
-TEST(SweepTraceCache, ReplayGridMatchesEmulatorGridByteForByte)
-{
-    // The trace cache is a pure host-side optimization: every cell
-    // of a grid run with job.trace_cache on must reproduce the
-    // emulator-driven grid bit for bit — IPC doubles, cycle counts
-    // and the full statistics report.
-    const uint64_t BUDGET = 2000;
-    std::vector<sim::Machine> machines = {
-        sim::Machine::base(4),
-        sim::Machine::base(8),
-        sim::Machine::base(4)
-            .wakeup(core::WakeupModel::Sequential)
-            .lap(1024),
-        sim::Machine::base(4)
-            .regfile(core::RegfileModel::SequentialAccess),
-    };
-    auto names = workloads::benchmarkNames();
-
-    std::vector<sim::SweepJob> traced, live;
-    for (const auto &m : machines) {
-        for (const auto &n : names) {
-            sim::SweepJob j;
-            j.workload = n;
-            j.machine = m;
-            j.max_insts = BUDGET;
-            j.trace_cache = true;
-            traced.push_back(j);
-            j.trace_cache = false;
-            live.push_back(j);
-        }
-    }
-
-    workloads::WorkloadCache cache;
-    auto with = sim::SweepRunner(1, &cache).run(traced);
-    auto without = sim::SweepRunner(1, &cache).run(live);
-    ASSERT_EQ(with.size(), without.size());
-
-    for (size_t i = 0; i < with.size(); ++i) {
-        std::string what =
-            traced[i].machine.name + "|" + traced[i].workload;
-        ASSERT_TRUE(with[i].outcome.ok()) << what;
-        ASSERT_TRUE(without[i].outcome.ok()) << what;
-        EXPECT_EQ(with[i].ipc, without[i].ipc) << what;
-        EXPECT_EQ(with[i].cycles, without[i].cycles) << what;
-        EXPECT_EQ(with[i].committed, without[i].committed) << what;
-        EXPECT_EQ(with[i].fastForwarded, without[i].fastForwarded)
-            << what;
-
-        std::ostringstream a, b;
-        with[i].sim->report(a);
-        without[i].sim->report(b);
-        EXPECT_EQ(a.str(), b.str()) << what;
-    }
-}
-
 TEST(SweepTraceCache, ConcurrentCellsShareOneTraceDeterministically)
 {
     // Many cells of one (workload, budget) group racing on the
@@ -220,7 +165,6 @@ TEST(SweepTraceCache, ConcurrentCellsShareOneTraceDeterministically)
         j.workload = "parser";
         j.machine = m;
         j.max_insts = BUDGET;
-        j.trace_cache = true;
         jobs.push_back(j);
     }
 

@@ -1,18 +1,20 @@
-/** @file Trace capture/replay tests: the committed-trace SoA buffer
- *  must reproduce the emulator-driven instruction stream byte for
- *  byte for every registered workload (the tentpole determinism
- *  contract of trace-once/replay-many sweeps), the workload cache
- *  must hand every cell of a (workload, budget, fast-forward) group
- *  the same immutable trace instance, and a trace-backed Simulation
- *  must report exactly the metrics of an emulator-backed one. */
+/** @file Trace capture/replay tests: the committed trace's record
+ *  array must reproduce a bare Emulator::step loop byte for byte for
+ *  every registered workload (the determinism contract of
+ *  trace-once/replay-many sweeps), the workload cache must hand
+ *  every cell of a (workload, budget, fast-forward) group the same
+ *  immutable trace instance, a Simulation that captures its own
+ *  trace must report exactly what one replaying a shared capture
+ *  does, and synthetic traces must be pure functions of their
+ *  parameters. */
 
-#include <optional>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/inst_source.hh"
+#include "core/synthetic.hh"
 #include "func/trace.hh"
 #include "sim/experiment.hh"
 #include "sim/simulation.hh"
@@ -52,16 +54,15 @@ expectSameRecord(const func::ExecRecord &a, const func::ExecRecord &b,
         << what << " record " << index;
 }
 
-/** Drain a TraceSource over @p trace and an EmulatorSource over a
- *  fresh emulator with the same fast-forward/budget; both streams
- *  must agree on every record and end together. */
+/** Capture @p w and step a fresh emulator with the same
+ *  fast-forward/budget by hand; both streams must agree on every
+ *  record, end together, and agree on halt and console. */
 void
 expectSameStream(const workloads::Workload &w, uint64_t ff,
                  uint64_t budget, const std::string &what)
 {
     func::CommittedTrace trace =
         func::CommittedTrace::capture(w.program, ff, budget);
-    core::TraceSource replay(trace);
 
     func::Emulator emu(w.program);
     uint64_t skipped = 0;
@@ -72,20 +73,15 @@ expectSameStream(const workloads::Workload &w, uint64_t ff,
         }
     }
     ASSERT_EQ(skipped, trace.fastForwarded()) << what;
-    core::EmulatorSource live(emu, budget);
 
     uint64_t n = 0;
-    for (;; ++n) {
-        const func::ExecRecord *a = replay.next();
-        const func::ExecRecord *b = live.next();
-        ASSERT_EQ(a != nullptr, b != nullptr)
-            << what << ": streams end at different lengths (record "
-            << n << ")";
-        if (!a)
-            break;
-        expectSameRecord(*a, *b, what, n);
+    for (; !emu.halted() && (budget == 0 || n < budget); ++n) {
+        ASSERT_LT(n, trace.size())
+            << what << ": trace ends early (record " << n << ")";
+        expectSameRecord(trace.record(n), emu.step(), what, n);
     }
-    ASSERT_EQ(n, trace.size()) << what;
+    ASSERT_EQ(n, trace.size()) << what << ": trace runs long";
+    ASSERT_EQ(emu.halted(), trace.halted()) << what;
     ASSERT_EQ(emu.console(), trace.console()) << what;
 }
 
@@ -112,9 +108,17 @@ TEST(TraceCapture, UncappedCaptureRunsToHalt)
 {
     // A Test-scale kernel runs to HALT under budget 0 (no cap); the
     // last record's stream position must coincide with the halted
-    // emulator, and replay must deliver every record.
+    // emulator.
     auto w = workloads::make("mcf", workloads::Scale::Test);
     expectSameStream(w, 0, 0, "mcf to-halt");
+    // A budget past the program's end also stops at HALT.
+    func::CommittedTrace t =
+        func::CommittedTrace::capture(w.program, 0, 0);
+    func::CommittedTrace past =
+        func::CommittedTrace::capture(w.program, 0, t.size() + 100);
+    EXPECT_TRUE(t.halted());
+    EXPECT_TRUE(past.halted());
+    EXPECT_EQ(past.size(), t.size());
 }
 
 TEST(WorkloadCacheTrace, SameKeyReturnsTheSameInstance)
@@ -156,37 +160,62 @@ TEST(WorkloadCacheTrace, ConcurrentFirstUseCapturesOnce)
     EXPECT_EQ(seen[0]->size(), 1500u);
 }
 
-TEST(TraceReplay, SimulationMatchesEmulatorDrivenMetrics)
+TEST(TraceReplay, ProgramAndSharedTraceSimulationsReportTheSame)
 {
-    // The acceptance criterion behind the trace cache: replaying the
-    // captured stream through the timing core must give bit-identical
-    // results to driving the emulator live — IPC doubles and all.
+    // A Simulation built from the program captures its own trace; one
+    // built from a shared capture of the same program, fast-forward
+    // and budget must print the identical statistics report.
     for (const auto &name : {"gzip", "vpr", "twolf"}) {
         auto w = workloads::make(name, workloads::Scale::Full);
         uint64_t ff = steadyPc(w);
         sim::Machine m = sim::Machine::base(4);
         core::CoreConfig cfg = m.cfg;
 
-        sim::Simulation live(w.program, cfg, 4000, ff);
-        live.run();
+        sim::Simulation own(w.program, cfg, 4000, ff);
+        own.run();
 
         func::CommittedTrace trace =
             func::CommittedTrace::capture(w.program, ff, 4000);
-        sim::Simulation replay(trace, cfg);
-        replay.run();
+        sim::Simulation shared(trace, cfg);
+        shared.run();
 
-        EXPECT_EQ(live.ipc(), replay.ipc()) << name;
-        EXPECT_EQ(live.core().cycle(), replay.core().cycle()) << name;
-        EXPECT_EQ(live.core().stats().committed.value(),
-                  replay.core().stats().committed.value())
+        std::ostringstream a, b;
+        own.report(a);
+        shared.report(b);
+        EXPECT_EQ(a.str(), b.str()) << name;
+        EXPECT_EQ(own.trace().size(), 4000u) << name;
+        EXPECT_EQ(&shared.trace(), &trace) << name;
+        EXPECT_EQ(own.fastForwarded(), shared.fastForwarded())
             << name;
-        EXPECT_EQ(live.fastForwarded(), replay.fastForwarded())
-            << name;
-        EXPECT_EQ(live.console(), replay.console()) << name;
-        EXPECT_TRUE(live.hasEmulator());
-        EXPECT_FALSE(replay.hasEmulator());
-        EXPECT_THROW(replay.emulator(), ConfigError);
+        EXPECT_EQ(own.console(), shared.console()) << name;
     }
+}
+
+TEST(SyntheticTrace, DeterministicPerSeedAndEndsInHalt)
+{
+    core::SyntheticParams sp;
+    sp.num_insts = 3000;
+    sp.seed = 7;
+    func::CommittedTrace a = core::syntheticTrace(sp);
+    func::CommittedTrace b = core::syntheticTrace(sp);
+    ASSERT_EQ(a.size(), sp.num_insts);
+    ASSERT_EQ(b.size(), sp.num_insts);
+    for (size_t i = 0; i < a.size(); ++i)
+        expectSameRecord(a.record(i), b.record(i), "seed 7", i);
+    EXPECT_EQ(a.record(a.size() - 1).inst.op, isa::Opcode::HALT);
+    EXPECT_TRUE(a.halted());
+    EXPECT_EQ(a.fastForwarded(), 0u);
+    EXPECT_TRUE(a.console().empty());
+
+    // Another seed gives another stream of the same length.
+    sp.seed = 8;
+    func::CommittedTrace c = core::syntheticTrace(sp);
+    ASSERT_EQ(c.size(), sp.num_insts);
+    bool differs = false;
+    for (size_t i = 0; i < c.size() && !differs; ++i)
+        differs = a.record(i).inst.op != c.record(i).inst.op
+            || a.record(i).pc != c.record(i).pc;
+    EXPECT_TRUE(differs);
 }
 
 } // namespace

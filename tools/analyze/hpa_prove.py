@@ -12,22 +12,13 @@ the gap: it ingests compiler-emitted ground truth, builds the
 whole-program call graph transitively reachable from the hot-path
 roots, and proves four properties with named violation paths.
 
-Ground truth, in preference order:
-
-  callgraph mode   per-TU VCG call graphs from GCC
-                   `-fcallgraph-info=su,da` (.ci files) plus
-                   `-fstack-usage` (.su files), which every CMake
-                   build emits when the compiler supports them. These
-                   are emitted AFTER optimization: an inlined call
-                   has no edge, a devirtualized call is direct, so
-                   the graph is exactly what the machine executes.
-  objdump mode     disassembly of the linked hpa static libraries
-                   (objdump -dlr + nm), used as a fallback when the
-                   build carries no .ci files (a non-GCC
-                   toolchain). Direct calls come
-                   from relocations and symbolized targets, indirect
-                   calls from `call *` forms, frame sizes from the
-                   prologue.
+Ground truth: per-TU VCG call graphs from GCC `-fcallgraph-info=su,da`
+(.ci files) plus `-fstack-usage` (.su files), which every CMake build
+emits when the compiler supports them. These are emitted AFTER
+optimization: an inlined call has no edge, a devirtualized call is
+direct, so the graph is exactly what the machine executes. A build
+tree without .ci files (a non-GCC toolchain) cannot be analyzed: the
+tool exits 77 and says why.
 
 Roots: Core::tick (the per-cycle pipeline) and Core::tickGuards
 (the rare-but-every-cycle guard hooks). Because every
@@ -87,9 +78,8 @@ in ctest by hpa_json_validate. Exit codes: 0 = all properties
 proved, 1 = violations, 2 = usage error, 77 = the toolchain or build
 tree cannot support the analysis (ctest turns 77 into SKIP).
 
-Standard library only, by design (like hpa_lint): binutils
-(nm/objdump/c++filt) are invoked via subprocess when present, never
-required for callgraph mode.
+Standard library only, by design (like hpa_lint); the self-test
+invokes the C++ compiler via subprocess.
 """
 
 import argparse
@@ -225,37 +215,6 @@ ALLOW_RE = re.compile(
 SOURCE_EXTENSIONS = (".cc", ".hh", ".cpp", ".hpp")
 SOURCE_DIRS = ("src", "tools", "bench", "tests", "examples")
 FIXTURE_FILE = "tests/prove_fixture.cc"
-
-
-# --------------------------------------------------------------------
-# Demangling
-# --------------------------------------------------------------------
-
-class Demangler:
-    """Batch c++filt front end with a cache; identity fallback."""
-
-    def __init__(self):
-        self.cache = {}
-        self.tool = shutil.which("c++filt")
-
-    def demangle_all(self, names):
-        todo = [n for n in names if n not in self.cache]
-        if todo and self.tool:
-            try:
-                out = subprocess.run(
-                    [self.tool], input="\n".join(todo) + "\n",
-                    capture_output=True, text=True, timeout=120)
-                lines = out.stdout.splitlines()
-                if len(lines) == len(todo):
-                    for n, d in zip(todo, lines):
-                        self.cache[n] = d
-            except (OSError, subprocess.SubprocessError):
-                pass
-        for n in todo:
-            self.cache.setdefault(n, n)
-
-    def get(self, name):
-        return self.cache.get(name, name)
 
 
 # --------------------------------------------------------------------
@@ -410,144 +369,6 @@ def load_ci_graph(build_dir):
                                  recursive=True)):
         parse_su_file(graph, path)
     return graph, ci
-
-
-# --------------------------------------------------------------------
-# objdump fallback
-# --------------------------------------------------------------------
-
-FUNC_HEADER_RE = re.compile(r"^[0-9a-f]+ <([^>]+)>:$")
-SRC_LINE_RE = re.compile(r"^(/[^:]*|[A-Za-z]?[^:]*\.(?:cc|hh|cpp|hpp|h|c)):(\d+)")
-CALL_RE = re.compile(r"\b(call[a-z]*|jmp[a-z]*)\s+(.*)$")
-TARGET_SYM_RE = re.compile(r"<([^>+]+)(?:\+0x[0-9a-f]+)?>")
-RELOC_RE = re.compile(r"^\s*[0-9a-f]+:\s+(R_\S+)\s+(\S+)")
-SUB_RSP_RE = re.compile(r"\bsub\s+\$0x([0-9a-f]+),%rsp")
-PUSH_RE = re.compile(r"\bpush")
-
-
-def find_objects(build_dir):
-    """The linked hpa libraries, or raw src/ objects as a fallback."""
-    libs = sorted(glob.glob(os.path.join(build_dir, "**", "libhpa*.a"),
-                            recursive=True))
-    if libs:
-        return libs
-    return sorted(glob.glob(
-        os.path.join(build_dir, "src", "**", "*.o"), recursive=True))
-
-
-def parse_objdump(graph, path, objdump):
-    """Disassemble one archive/object and merge call edges.
-
-    Direct calls (and `jmp` tail calls) come from symbolized targets
-    and relocations; when both are present the relocation wins — in
-    relocatable archive members the displacement is 0, so the
-    symbolized target of an external call is bogus (it resolves
-    inside the current function). `call *...` forms become edges to
-    the indirect placeholder. Indirect *jumps* are NOT flagged: at
-    -O2/-O3 they are almost always switch jump tables
-    (intra-function control flow), which -fcallgraph-info correctly
-    ignores too. Frame size is read from the prologue (pushes + the
-    first `sub $N,%rsp`)."""
-    try:
-        out = subprocess.run(
-            [objdump, "-dlr", "--no-show-raw-insn", path],
-            capture_output=True, text=True, timeout=600)
-    except (OSError, subprocess.SubprocessError):
-        return False
-    if out.returncode != 0:
-        return False
-    state = {"cur": None, "pending": None}
-    cur_loc = ""
-    prologue = True
-    pushes = 0
-
-    def flush():
-        # Commit a call whose relocation (if any) never arrived.
-        if state["pending"] is not None:
-            cs, tgt = state["pending"]
-            if tgt and tgt != state["cur"]:
-                graph.add_edge(state["cur"], tgt, cs)
-            state["pending"] = None
-
-    for line in out.stdout.splitlines():
-        m = FUNC_HEADER_RE.match(line)
-        if m:
-            flush()
-            state["cur"] = m.group(1)
-            n = graph.node(state["cur"])
-            n.defined = True
-            cur_loc = ""
-            prologue, pushes = True, 0
-            continue
-        cur = state["cur"]
-        if cur is None:
-            continue
-        m = RELOC_RE.match(line)
-        if m:
-            if state["pending"] is not None:
-                cs, _ = state["pending"]
-                sym = m.group(2).split("@")[0]
-                sym = re.sub(r"[+-]0x[0-9a-f]+$", "", sym)
-                if sym != cur:
-                    graph.add_edge(cur, sym, cs)
-                state["pending"] = None
-            continue
-        m = SRC_LINE_RE.match(line)
-        if m and not line.startswith(" "):
-            cur_loc = "%s:%s" % (m.group(1), m.group(2))
-            continue
-        if "\t" not in line:
-            continue  # symbol name annotations from -l, blank lines
-        flush()
-        insn = line.split("\t", 1)[1]
-        if prologue:
-            if PUSH_RE.search(insn):
-                pushes += 1
-            sm = SUB_RSP_RE.search(insn)
-            if sm:
-                n = graph.node(cur)
-                frame = int(sm.group(1), 16) + 8 * pushes
-                n.stack = max(n.stack or 0, frame)
-                prologue = False
-        m = CALL_RE.search(insn)
-        if m:
-            rest = m.group(2).strip()
-            if rest.startswith("*"):
-                # Indirect calls are violations; indirect jumps are
-                # switch tables and are ignored.
-                if m.group(1).startswith("call"):
-                    graph.add_edge(cur, INDIRECT_NODE, cur_loc)
-                continue
-            tm = TARGET_SYM_RE.search(rest)
-            # Tentative target; a relocation line overrides it.
-            state["pending"] = (cur_loc, tm.group(1) if tm else None)
-    flush()
-    # Functions with pushes but no sub still consumed push bytes.
-    return True
-
-
-def load_objdump_graph(build_dir):
-    objdump = shutil.which("objdump")
-    if not objdump:
-        return None, []
-    objects = find_objects(build_dir)
-    if not objects:
-        return None, []
-    graph = Graph()
-    parsed = []
-    for path in objects:
-        if parse_objdump(graph, path, objdump):
-            parsed.append(path)
-    if not graph.nodes:
-        return None, []
-    nd = graph.node(INDIRECT_NODE)
-    nd.demangled = "(indirect call site)"
-    dem = Demangler()
-    dem.demangle_all(list(graph.nodes))
-    for n in graph.nodes.values():
-        if n.sym != INDIRECT_NODE:
-            n.demangled = dem.get(n.sym)
-    return graph, parsed
 
 
 # --------------------------------------------------------------------
@@ -1090,12 +911,12 @@ def registry_policies(root_dir):
     return keys
 
 
-def to_json(mode, build_dir, inputs, graph, results, roots_report,
-            stale, root_dir):
+def to_json(build_dir, inputs, graph, results, roots_report, stale,
+            root_dir):
     ok = all(r.status != "violated" for r in results)
     return {
         "schema": PROVE_SCHEMA,
-        "mode": mode,
+        "mode": "callgraph",
         "build_dir": os.path.abspath(build_dir),
         "inputs": len(inputs),
         "nodes": len(graph.nodes),
@@ -1299,37 +1120,6 @@ def self_test(root_dir, keep=False):
                                     [v["path"]
                                      for v in r.violations]))
 
-        # objdump fallback over the same TU (no callgraph flags).
-        if shutil.which("objdump"):
-            obj2 = os.path.join(tmp, "fallback.o")
-            r2 = subprocess.run(
-                [cxx, "-std=c++17", "-O2", "-g", "-c", fixture,
-                 "-o", obj2],
-                capture_output=True, text=True)
-            if r2.returncode == 0:
-                g2 = Graph()
-                parse_objdump(g2, obj2, shutil.which("objdump"))
-                dem = Demangler()
-                dem.demangle_all(list(g2.nodes))
-                for n in g2.nodes.values():
-                    if n.sym != INDIRECT_NODE:
-                        n.demangled = dem.get(n.sym)
-                out3 = run_analysis(
-                    g2, root_dir, root_specs=FIXTURE_ROOTS,
-                    prune_guards=FIXTURE_PRUNE, stack_limit=4096,
-                    allows=[a for a in scan_allows(root_dir)
-                            if a.file == "tests/prove_fixture.cc"])
-                results3 = out3[0]
-                check(results3 is not None,
-                      "objdump fallback: fixture roots not found")
-                if results3 is not None:
-                    by3 = {r.id: r for r in results3}
-                    check(by3["P1"].status == "violated",
-                          "objdump fallback missed the P1 alloc")
-                    check(by3["P3"].status == "violated",
-                          "objdump fallback missed the P3 indirect "
-                          "call")
-
     # Parser unit check on an embedded VCG snippet.
     g = Graph()
     import tempfile as _tf
@@ -1362,7 +1152,7 @@ def self_test(root_dir, keep=False):
         for msg in failures:
             print("SELF-TEST FAIL: %s" % msg)
         return 1
-    print("self-test OK (callgraph + objdump fallback + parser)")
+    print("self-test OK (callgraph + parser)")
     return 0
 
 
@@ -1385,11 +1175,6 @@ def main(argv=None):
                     help="repository root (for hpa-prove-allow "
                          "scanning; default: the tree containing "
                          "this script)")
-    ap.add_argument("--mode",
-                    choices=("auto", "callgraph", "objdump"),
-                    default="auto",
-                    help="auto prefers .ci files, falling back to "
-                         "objdump over the linked hpa libraries")
     ap.add_argument("--stack-limit", type=int,
                     default=DEFAULT_STACK_LIMIT,
                     help="P4 worst-case stack bound in bytes "
@@ -1405,24 +1190,12 @@ def main(argv=None):
     if args.self_test:
         return self_test(args.root_dir)
 
-    graph, inputs, mode = None, [], None
-    if args.mode in ("auto", "callgraph"):
-        if os.path.isdir(args.build_dir):
-            graph, inputs = load_ci_graph(args.build_dir)
-        if graph is not None:
-            mode = "callgraph"
-        elif args.mode == "callgraph":
-            print("SKIP: no .ci files under %s (build with a GCC "
-                  "that supports -fcallgraph-info)" % args.build_dir,
-                  file=sys.stderr)
-            return 77
-    if graph is None and args.mode in ("auto", "objdump"):
-        graph, inputs = load_objdump_graph(args.build_dir)
-        if graph is not None:
-            mode = "objdump"
+    graph, inputs = None, []
+    if os.path.isdir(args.build_dir):
+        graph, inputs = load_ci_graph(args.build_dir)
     if graph is None:
-        print("SKIP: no analyzable artifacts under %s (no .ci files "
-              "and no libhpa*.a/objdump)" % args.build_dir,
+        print("SKIP: no .ci files under %s (build with a GCC "
+              "that supports -fcallgraph-info)" % args.build_dir,
               file=sys.stderr)
         return 77
 
@@ -1436,8 +1209,8 @@ def main(argv=None):
               file=sys.stderr)
         return 77
 
-    doc = to_json(mode, args.build_dir, inputs, graph, results,
-                  roots_report, stale, args.root_dir)
+    doc = to_json(args.build_dir, inputs, graph, results, roots_report,
+                  stale, args.root_dir)
 
     if args.json:
         text = json.dumps(doc, indent=2) + "\n"

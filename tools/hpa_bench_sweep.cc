@@ -11,8 +11,7 @@
  * of one grid write byte-identical files. Host speed is measured by
  * perfbench (perfbench/README.md), not here.
  *
- *   hpa_bench_sweep [--insts N] [--jobs N] [--trace-cache on|off]
- *                   [--out FILE]
+ *   hpa_bench_sweep [--insts N] [--jobs N] [--out FILE]
  *                   [--zoo | --sched-policy P | --rf-policy P]
  *                   [--check GOLDEN] [--write-golden FILE]
  *                   [--inject KIND@INDEX]
@@ -279,7 +278,6 @@ main(int argc, char **argv)
 {
     uint64_t insts = 50000;
     unsigned jobs = 0;
-    bool trace_cache = true;
     std::string out = "BENCH_sweep.json";
     std::string check;
     std::string write_golden;
@@ -297,22 +295,22 @@ main(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a == "--insts")
+        if (a == "--insts") {
             insts = parseU64(a, need(i));
-        else if (a == "--jobs")
-            jobs = unsigned(parseU64(a, need(i)));
-        else if (a == "--batch" || a == "--sched-engine") {
-            std::cerr << a << " was removed: results never depended "
-                         "on it (every cell runs alone on the one "
-                         "scheduler)\n";
-            return 2;
-        } else if (a == "--trace-cache") {
-            std::string v = need(i);
-            if (v != "on" && v != "off") {
-                std::cerr << "--trace-cache expects on | off\n";
+            if (insts == 0) {
+                std::cerr << "--insts must be at least 1 (every cell "
+                             "holds its trace in memory, 56 B per "
+                             "instruction)\n";
                 return 2;
             }
-            trace_cache = (v == "on");
+        } else if (a == "--jobs")
+            jobs = unsigned(parseU64(a, need(i)));
+        else if (a == "--batch" || a == "--sched-engine"
+                 || a == "--trace-cache") {
+            std::cerr << a << " was removed: results never depended "
+                         "on it (every cell replays one captured "
+                         "trace, alone, on the one scheduler)\n";
+            return 2;
         } else if (a == "--out")
             out = need(i);
         else if (a == "--check")
@@ -353,7 +351,6 @@ main(int argc, char **argv)
             std::cerr << "unknown option: " << a << "\n"
                       << "usage: hpa_bench_sweep [--insts N] "
                          "[--jobs N] "
-                         "[--trace-cache on|off] "
                          "[--zoo | --sched-policy P | "
                          "--rf-policy P] "
                          "[--out FILE] [--check GOLDEN] "
@@ -398,7 +395,6 @@ main(int argc, char **argv)
             j.workload = n;
             j.machine = m;
             j.max_insts = insts;
-            j.trace_cache = trace_cache;
             j.validate();
             sweep.push_back(j);
         }
@@ -416,10 +412,9 @@ main(int argc, char **argv)
     }
 
     std::printf("%zu runs (%zu machines x %zu benchmarks), "
-                "%llu insts per run, trace cache %s\n",
+                "%llu insts per run\n",
                 sweep.size(), machines.size(), names.size(),
-                static_cast<unsigned long long>(insts),
-                trace_cache ? "on" : "off");
+                static_cast<unsigned long long>(insts));
 
     std::printf("serial pass (1 worker)...\n");
     std::vector<sim::SweepResult> serial =

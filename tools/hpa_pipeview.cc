@@ -75,6 +75,10 @@ main(int argc, char **argv)
             asm_file = need(i);
         } else if (a == "--insts") {
             insts = std::stoull(need(i));
+            if (insts == 0) {
+                std::cerr << "--insts must be at least 1\n";
+                return 2;
+            }
         } else if (a == "--width") {
             width = unsigned(std::stoul(need(i)));
         } else if (a == "--wakeup") {

@@ -46,9 +46,6 @@ workload (choose one):
                       benchmark x every paper machine) on a thread
                       pool and print an IPC matrix
   --jobs N            sweep worker threads (0 = hardware threads)
-  --trace-cache V     on (default) | off: sweep cells replay one
-                      shared committed trace per workload instead of
-                      re-emulating per cell; IPC is bit-identical
 
 machine:
   --width N           4 (default) or 8: Table 1 base machines
@@ -67,8 +64,11 @@ machine:
   --bypass N          bypass window in cycles (default 1)
 
 run control:
-  --insts N           committed-instruction budget (default: to
-                      HALT; in --sweep mode: 200000 per run)
+  --insts N           committed-instruction budget per run, at
+                      least 1 (default 200000). A run captures its
+                      committed trace first and holds it in memory:
+                      56 B per instruction. A budget past the
+                      program's end runs it to HALT.
   --cycles N          cycle budget (default: unbounded)
   --no-fastforward    do not skip to the workload's steady: label
   --report            dump the full statistics report
@@ -105,7 +105,6 @@ cells — partial results are still printed); 2 usage/config errors.
 int
 runSweepMode(const tools::SimOptions &opt)
 {
-    uint64_t insts = opt.insts ? opt.insts : 200000;
     auto machines = sim::reproductionMachines();
     auto names = workloads::benchmarkNames();
 
@@ -116,9 +115,8 @@ runSweepMode(const tools::SimOptions &opt)
             sim::SweepJob j;
             j.workload = n;
             j.machine = m;
-            j.max_insts = insts;
+            j.max_insts = opt.insts;
             j.max_cycles = opt.cycles;
-            j.trace_cache = opt.trace_cache;
             sweep.push_back(j);
         }
     }
@@ -126,7 +124,7 @@ runSweepMode(const tools::SimOptions &opt)
     sim::SweepRunner runner(opt.jobs);
     std::cout << sweep.size() << " runs (" << machines.size()
               << " machines x " << names.size() << " benchmarks), "
-              << runner.jobs() << " worker thread(s), " << insts
+              << runner.jobs() << " worker thread(s), " << opt.insts
               << " insts per run\n\n";
     auto res = runner.run(std::move(sweep));
 

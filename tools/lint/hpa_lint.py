@@ -105,8 +105,9 @@ THROW_SCOPE = ("src", "tools", "bench", "examples")
 
 # --- HPA002 -----------------------------------------------------------
 # The Core::tick call graph: everything reachable from a tick,
-# per-cycle. A file added to the core/mem/bpred layers that tick
-# touches belongs in this list.
+# per-cycle. A file added to the core/mem/bpred/func layers that tick
+# touches belongs in this list, and an entry naming no file is itself
+# a finding, so the list follows the code.
 HOT_PATH_FILES = {
     "src/core/core.cc",
     "src/core/core.hh",
@@ -118,8 +119,6 @@ HOT_PATH_FILES = {
     "src/core/containers.hh",
     "src/core/fu_pool.cc",
     "src/core/fu_pool.hh",
-    "src/core/inst_source.cc",
-    "src/core/inst_source.hh",
     "src/core/last_arrival.cc",
     "src/core/last_arrival.hh",
     "src/mem/cache.cc",
@@ -128,7 +127,9 @@ HOT_PATH_FILES = {
     "src/mem/hierarchy.hh",
     "src/bpred/bpred.cc",
     "src/bpred/bpred.hh",
+    "src/func/trace.hh",
 }
+HOT_PATH_MISSING = "listed in HOT_PATH_FILES but does not exist"
 NODE_CONTAINER_RE = re.compile(
     r"std::(?:multi)?(?:map|set)\s*<"
     r"|std::unordered_(?:map|set|multimap|multiset)\s*<"
@@ -398,6 +399,13 @@ class LintRun:
                     f.relpath, idx, "HPA002",
                     "naked new in the Core::tick call graph")
 
+    def check_hot_path_list(self):
+        for rel in sorted(HOT_PATH_FILES):
+            if not os.path.isfile(os.path.join(self.root, rel)):
+                self.report(rel, 0, "HPA002",
+                            HOT_PATH_MISSING + "; update the list in "
+                            "tools/lint/hpa_lint.py")
+
     def check_schemas(self):
         validator = ""
         vpath = os.path.join(self.root, VALIDATOR_SOURCE)
@@ -605,6 +613,7 @@ class LintRun:
             self.check_includes(f)
             self.check_determinism(f)
             self.check_prove_allows(f)
+        self.check_hot_path_list()
         self.check_schemas()
         self.check_stats_registry()
         self.check_policy_docs()
@@ -759,13 +768,28 @@ def self_test():
                     fh.write(text)
             run = LintRun(tmp)
             got = sorted(f.rule for f in run.run()
-                         if f.rule != "HPA003" or "nosuch" in f.message)
+                         if (f.rule != "HPA003" or "nosuch" in f.message)
+                         and not f.message.startswith(HOT_PATH_MISSING))
             want = sorted(e for e in expected if not e.endswith("-absent"))
             if got != want:
                 failures.append("%s: expected %s, got %s [%s]"
                                 % (desc, want, got,
                                    "; ".join(f.message
                                              for f in run.findings)))
+    # The hot-path list follows the code: a tree holding every listed
+    # file but one reports exactly that one.
+    with tempfile.TemporaryDirectory() as tmp:
+        gone = "src/core/core.cc"
+        for rel in HOT_PATH_FILES - {gone}:
+            path = os.path.join(tmp, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            open(path, "w", encoding="utf-8").close()
+        got = [(f.path, f.rule) for f in LintRun(tmp).run()
+               if f.message.startswith(HOT_PATH_MISSING)]
+        if got != [(gone, "HPA002")]:
+            failures.append("hot-path list: expected one HPA002 "
+                            "finding for the missing %s, got %r"
+                            % (gone, got))
     # --changed-only equivalence: a filtered run reports exactly the
     # full scan's findings on the changed files (the scan itself is
     # never narrowed, so cross-file rules keep their context).

@@ -38,7 +38,9 @@ struct SimOptions
     unsigned lap = 1024;
     bool lap_set = false;
     unsigned bypass = 1;
-    uint64_t insts = 0;
+    /** Committed-instruction budget per run (never 0: every run
+     *  holds its trace in memory, 56 B per instruction). */
+    uint64_t insts = 200000;
     uint64_t cycles = 0;
     bool fastforward = true;
     bool report = false;
@@ -53,10 +55,6 @@ struct SimOptions
     /** --check-interval N: scheduler cross-validation every N cycles
      *  (0 = off, the default). */
     uint64_t check_interval = 0;
-    /** --trace-cache on|off: sweep cells replay a shared committed
-     *  trace (default) or re-emulate per cell. IPC is bit-identical
-     *  either way; off trades speed for exercising the emulator. */
-    bool trace_cache = true;
     /** Output files; "-" means stdout. Empty means not requested. */
     std::string json_out;
     std::string stats_json_out;
@@ -279,6 +277,10 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
         } else if (a == "--insts") {
             if (!needNumber(&opt.insts))
                 return 2;
+            if (opt.insts == 0)
+                return fail("--insts must be at least 1 (a run holds "
+                            "its trace in memory, 56 B per "
+                            "instruction)");
         } else if (a == "--cycles") {
             if (!needNumber(&opt.cycles))
                 return 2;
@@ -293,9 +295,9 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
             return fail("--sched-engine was removed: results never "
                         "depended on it (one scheduler remains)");
         } else if (a == "--trace-cache") {
-            if (!need(&v) || (v != "on" && v != "off"))
-                return fail("--trace-cache expects on | off");
-            opt.trace_cache = (v == "on");
+            return fail("--trace-cache was removed: results never "
+                        "depended on it (every run replays one "
+                        "captured trace)");
         } else if (a == "--no-fastforward") {
             opt.fastforward = false;
         } else if (a == "--report") {

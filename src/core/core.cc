@@ -123,8 +123,7 @@ eventCapacity(const CoreConfig &cfg)
 
 Core::Core(const CoreConfig &cfg, const func::CommittedTrace &trace)
     : cfg_(cfg), trace_(trace), hier_(cfg.mem), bp_(cfg.bpred),
-      fu_(cfg), lap_(cfg.lap_entries), sched_(makeSchedPolicy(cfg)),
-      rf_(makeRFPolicy(cfg)), window_(cfg.ruu_size),
+      fu_(cfg), lap_(cfg.lap_entries), window_(cfg.ruu_size),
       events_(eventHorizon(cfg), eventCapacity(cfg))
 {
     // Every hot-path container is sized to its configuration bound
@@ -137,9 +136,11 @@ Core::Core(const CoreConfig &cfg, const func::CommittedTrace &trace)
     storeSlots_.reset(cfg.ruu_size);
     fetchQueue_.reset(size_t(cfg.front_end_depth) * cfg.width);
     masks_.reset(cfg.ruu_size);
-    slowBus_ = schedSlowBus();
-    readyAllSrc_ = core::visitPolicy(
-        [](const auto &p) { return p.mask_ready_all_src; }, sched_);
+    slowBus_ = cfg.sequentialWakeup();
+    tagElim_ = cfg.wakeup == WakeupModel::TagElimination;
+    if (cfg.regfile == RegfileModel::HalfPortCrossbar
+        || cfg.regfile == RegfileModel::PrefetchBuffer)
+        portBudget_ = cfg.width;
     squashCandidates_.reserve(cfg.ruu_size);
     squashList_.reserve(cfg.ruu_size);
     squashTainted_.reserve(size_t(cfg.ruu_size) + 1);
@@ -151,16 +152,13 @@ Core::Core(const CoreConfig &cfg, const func::CommittedTrace &trace)
 // --------------------------------------------------------------------
 
 /** Reconcile one slot's ready-plane bit with its state. Call after
- *  any transition that can change schedReady()/issued. For
- *  mask_ready_all_src policies the model predicate folds to
- *  allSrcReady() without a policy dispatch; tag elimination keeps
- *  its per-entry rule. */
+ *  any transition that can change schedReady()/issued. */
 void
 Core::updateReadySlot(unsigned slot)
 {
     DynInst &di = window_[slot];
     bool want = di.inWindow && !di.issued && !di.completed
-        && (readyAllSrc_ ? di.allSrcReady() : schedReady(di));
+        && schedReady(di);
     if (want == di.inReadyList)
         return;
     if (want)
@@ -525,6 +523,20 @@ Core::processEvents()
     });
 }
 
+bool
+Core::slowSideCarriedLast(const DynInst &ci, bool simultaneous)
+{
+    // A simultaneous wakeup always pays the slow-bus cycle: one side
+    // is always slow.
+    for (unsigned i = 0; i < ci.numSrc; ++i) {
+        const OperandState &op = ci.src[i];
+        if (op.slowSide
+            && (simultaneous || op.leftField != ci.firstWakeWasLeft))
+            return true;
+    }
+    return false;
+}
+
 // hpa-prove-allow(P1,P2): the wakeup-order history is an
 // unordered_map keyed by static PC — bounded by the benchmark's
 // static footprint, so inserts and rehashes die out after warm-up
@@ -567,7 +579,7 @@ Core::noteSecondWake(DynInst &ci, uint64_t now)
 
     // Sequential wakeup: the tag of the last-arriving operand is
     // visible one cycle late when it landed on the slow side.
-    if (schedLastOnSlowBus(ci, simultaneous))
+    if (slowBus_ && slowSideCarriedLast(ci, simultaneous))
         ++stats_.seqWakeupDelayed;
 }
 
@@ -612,8 +624,10 @@ Core::wakeOperand(DynInst &ci, OperandState &op, uint64_t now,
         }
     }
 
-    // Tag visibility depends on the wakeup-logic organization.
-    if (schedSeesTag(op) && !op.ready) {
+    // The fast bus reaches every operand with a comparator
+    // (unwatched only under tag elimination) that is not wired to
+    // the slow bus (sequential wakeup).
+    if (op.watched && !op.slowSide && !op.ready) {
         op.ready = true;
         op.wakeCycle = now;
         op.wakeProducerSeq = producer_seq;
@@ -647,8 +661,7 @@ Core::handleFastWake(const Event &ev)
                     updateReadySlot(s);
                 // File the slow-plane residue: consumers whose tag
                 // match arrives only on the +1 re-broadcast.
-                if (slowBus_ && !op.ready && op.dataReady
-                    && schedMaskSlowPlane(op)) {
+                if (op.slowSide && !op.ready && op.dataReady) {
                     masks_.slowPend.set(p, s);
                     need_slow = true;
                 }
@@ -834,14 +847,11 @@ Core::handleLoadMiss(const Event &ev)
                  cfg_.recovery == RecoveryModel::Selective);
 
     // Cancel the speculative wakeups of the load's own dependents and
-    // re-broadcast at the true arrival time. A delay-tracking policy
-    // whose counter cannot represent the remaining latency defers
-    // the re-broadcast to the load's completion instead.
+    // re-broadcast at the true arrival time.
     repairConsumersOf(ev.slot, load.seq);
-    uint64_t true_wake = load.issueCycle + 1 + load.memLatency;
-    uint64_t load_complete =
-        load.issueCycle + cfg_.schedToExec() + load.latency - 1;
-    true_wake = schedAdjustWake(cycle_, true_wake, load_complete);
+    uint64_t true_wake = wakeBroadcastCycle(
+        load.issueCycle + 1 + load.memLatency,
+        load.issueCycle + cfg_.schedToExec() + load.latency - 1);
     load.wakeBroadcastCycle = true_wake;
     isa::RegIndex dest = load.rec->inst.destReg();
     if (dest != isa::NO_REG && !isa::isZeroReg(dest)
@@ -862,18 +872,23 @@ Core::handleTagElim(const Event &ev)
     squashWindow(first, last, NO_SEQ, false);
 }
 
+uint64_t
+Core::wakeBroadcastCycle(uint64_t wake, uint64_t complete)
+{
+    if (cfg_.wakeup != WakeupModel::LoadDelayTracking
+        || wake - cycle_ <= cfg_.dlt_max_delay)
+        return wake;
+    ++stats_.dltSaturated;
+    // The completion broadcast cycle, not a cycle later: commit
+    // follows completion by at least one cycle, so this is the
+    // latest wake the producer is guaranteed to still be in the
+    // window to deliver.
+    return complete;
+}
+
 // --------------------------------------------------------------------
 // Select / issue
 // --------------------------------------------------------------------
-
-bool
-Core::eligible(const DynInst &di) const
-{
-    if (!di.inWindow || di.issued || di.completed
-        || di.dispatchCycle >= cycle_)
-        return false;
-    return schedReady(di);
-}
 
 bool
 Core::lsqAllowsLoad(const DynInst &load) const
@@ -949,7 +964,10 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
 
     di.rfPorts = ports;
 
-    di.seqRegAccess = rfSeqAccess(ports);
+    // Sequential register access (Section 4.3): one read port per
+    // slot, so two register-file operands read one after the other.
+    di.seqRegAccess =
+        cfg_.regfile == RegfileModel::SequentialAccess && ports == 2;
     if (di.seqRegAccess) {
         ++stats_.seqRegAccesses;
         ++blockedSlotsNext_;
@@ -1019,10 +1037,7 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
     }
 
     if (broadcasts) {
-        // A delay-tracking policy defers the wake to the completion
-        // scoreboard when the latency saturates its counters.
-        wake_cycle = schedAdjustWake(cycle_, wake_cycle,
-                                     complete_cycle);
+        wake_cycle = wakeBroadcastCycle(wake_cycle, complete_cycle);
         di.wakeBroadcastCycle = wake_cycle;
         scheduleEvent(wake_cycle,
                       Event{di.seq, di.issueToken, int16_t(slot),
@@ -1036,7 +1051,7 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
 
     // Tag elimination: the scoreboard detects issues whose unwatched
     // operands were not actually data-ready.
-    if (schedWatchesPremature()) {
+    if (tagElim_) {
         bool premature = false;
         for (unsigned i = 0; i < di.numSrc; ++i) {
             const OperandState &op = di.src[i];
@@ -1066,22 +1081,15 @@ Core::selectTry(unsigned slot, int pass, unsigned &avail,
         return true;
     if (di.isLoad() && !lsqAllowsLoad(di))
         return true;
-    unsigned ports = ~0u;
-    if (arbitrated) {
-        ports = computeRfPorts(di);
-        if (ports > ports_left) {
-            ++stats_.rfPortStalls;
-            return true;
-        }
-        ports_left -= ports;
-    }
-    if (!fu_.acquire(di.rec->inst.opClass(), cycle_)) {
-        if (arbitrated)
-            ports_left += ports;
+    unsigned ports = computeRfPorts(di);
+    if (arbitrated && ports > ports_left) {
+        ++stats_.rfPortStalls;
         return true;
     }
-    if (!arbitrated)
-        ports = computeRfPorts(di);
+    if (!fu_.acquire(di.rec->inst.opClass(), cycle_))
+        return true;
+    if (arbitrated)
+        ports_left -= ports;
     issueInst(di, int(slot), ports);
     return --avail > 0;
 }
@@ -1096,7 +1104,7 @@ Core::select()
         ? cfg_.width - blockedSlots_ : 0;
     if (avail == 0)
         return;
-    unsigned ports_left = rfPortBudget();
+    unsigned ports_left = portBudget_;
     const bool arbitrated = ports_left != ~0u;
 
     // Oldest-first, loads and branches prioritized (Section 2.1).
@@ -1209,9 +1217,60 @@ Core::setupOperands(DynInst &di, int slot)
 }
 
 void
+Core::placeOperands(DynInst &di) const
+{
+    switch (cfg_.wakeup) {
+      case WakeupModel::Sequential:
+      case WakeupModel::SequentialNoPred: {
+        if (!di.twoPending)
+            return; // a single pending operand sits on the fast side
+        // The operand predicted to arrive last gets the fast bus;
+        // without a predictor, the right-hand one.
+        bool right_fast = cfg_.wakeup == WakeupModel::Sequential
+            ? di.predRightLast : true;
+        for (unsigned i = 0; i < di.numSrc; ++i)
+            di.src[i].slowSide = di.src[i].leftField == right_fast;
+        return;
+      }
+      case WakeupModel::TagElimination:
+        // Watch the predicted-last operand, or the pending one.
+        for (unsigned i = 0; i < di.numSrc; ++i) {
+            OperandState &op = di.src[i];
+            op.watched = di.twoPending
+                ? op.leftField != di.predRightLast
+                : !op.readyAtInsert;
+        }
+        return;
+      default:
+        return;
+    }
+}
+
+void
+Core::prefetchOperands(DynInst &di, unsigned &ports_left)
+{
+    // Only operands with no in-flight producer qualify, so replay
+    // repair can never invalidate a prefetched value.
+    for (unsigned i = 0; i < di.numSrc; ++i) {
+        OperandState &op = di.src[i];
+        if (!op.readyAtInsert || op.wakeProducerSeq != NO_SEQ)
+            continue;
+        if (ports_left > 0) {
+            --ports_left;
+            op.prefetched = true;
+            ++stats_.prefetchHits;
+        } else {
+            ++stats_.prefetchMisses;
+        }
+    }
+}
+
+void
 Core::dispatch()
 {
     unsigned budget = cfg_.width;
+    // Operand prefetch buffer fill ports, width/2 per cycle.
+    unsigned prefetch_ports = std::max(1u, cfg_.width / 2);
     // Rename-stage map-table lookup ports: two per slot on the base
     // machine, one per slot in the half-price rename extension.
     unsigned rename_ports = cfg_.rename == RenameModel::HalfPort
@@ -1264,8 +1323,9 @@ Core::dispatch()
             masks_.highPrio.clear(slot);
 
         setupOperands(di, int(slot));
-        schedPlace(di);
-        rfOnDispatch(di);
+        placeOperands(di);
+        if (cfg_.regfile == RegfileModel::PrefetchBuffer)
+            prefetchOperands(di, prefetch_ports);
         updateReadySlot(slot);
         if (di.isStore())
             storeSlots_.push_back(slot);

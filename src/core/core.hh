@@ -6,12 +6,11 @@
  * sequential wakeup (Section 3.3), sequential register access
  * (Section 4.3), tag elimination (Section 3.1 reference scheme), the
  * extra-RF-stage and half-ports+crossbar register files (Section 5.2),
- * and selective recovery (Figure 5). The wakeup and register-read
- * organizations are pluggable strategy structs (sched_policy.hh /
- * rf_policy.hh, variant-dispatched — see DESIGN.md "Policy API"); two
- * follow-on designs, load-delay-tracking wakeup and an
- * operand-prefetch-buffer register file, plug in through the same
- * surface.
+ * and selective recovery (Figure 5), plus two follow-on designs:
+ * load-delay-tracking wakeup and an operand-prefetch-buffer register
+ * file. Each is selected by a CoreConfig enum, and the core makes
+ * each scheme's decision where it is taken (see DESIGN.md "Policy
+ * API").
  *
  * Timing conventions (cycle numbers are select-eligibility times):
  *  - Wakeup and select are atomic: an instruction woken at cycle t can
@@ -44,8 +43,6 @@
 #include "core/fu_pool.hh"
 #include "core/issue_window.hh"
 #include "core/last_arrival.hh"
-#include "core/rf_policy.hh"
-#include "core/sched_policy.hh"
 #include "func/trace.hh"
 #include "mem/hierarchy.hh"
 #include "sim/error.hh"
@@ -339,7 +336,12 @@ class Core
 
     void setupOperands(DynInst &di, int slot);
     void updateReadySlot(unsigned slot);
-    bool eligible(const DynInst &di) const;
+    bool
+    eligible(const DynInst &di) const
+    {
+        return di.inWindow && !di.issued && !di.completed
+            && di.dispatchCycle < cycle_ && schedReady(di);
+    }
     bool lsqAllowsLoad(const DynInst &load) const;
     unsigned computeRfPorts(const DynInst &di) const;
     /** One select-candidate attempt; issues on success.
@@ -347,7 +349,7 @@ class Core
     bool selectTry(unsigned slot, int pass, unsigned &avail,
                    unsigned &ports_left, bool arbitrated);
     /** @p ports is the candidate's computeRfPorts() value, computed
-     *  once by selectTry (the arbitrated path already needs it). */
+     *  once by selectTry (port arbitration needs it first). */
     void issueInst(DynInst &di, int slot, unsigned ports);
     void scheduleEvent(uint64_t cycle, Event ev);
     void handleFastWake(const Event &ev);
@@ -359,10 +361,6 @@ class Core
                      uint64_t producer_seq, bool slow_bus);
     void noteSecondWake(DynInst &ci, uint64_t now);
 
-    // --- Policy dispatch (hot path: visitPolicy switches on the
-    //     variant index — no virtual calls, every policy hook body
-    //     header-inlined from {sched,rf}_policy.hh). ---
-
     /** Model readiness predicate: every tag match the wakeup scheme
      *  requires for issue has been observed. Excludes per-cycle
      *  issue conditions (dispatch delay, FUs, LSQ, ports) checked
@@ -371,106 +369,32 @@ class Core
     bool
     schedReady(const DynInst &di) const
     {
-        return core::visitPolicy([&](const auto &p) { return p.ready(di); },
-                          sched_);
+        if (!tagElim_)
+            return di.allSrcReady();
+        // Tag elimination: only watched operands have a comparator,
+        // and after a detected mis-issue the scoreboard holds the
+        // entry until every value is truly available.
+        for (unsigned i = 0; i < di.numSrc; ++i)
+            if (di.src[i].watched && !di.src[i].ready)
+                return false;
+        return !di.requireDataReady || di.allSrcDataReady();
     }
 
-    /** Does this operand observe a tag on the fast wakeup bus? */
-    bool
-    schedSeesTag(const OperandState &op) const
-    {
-        return core::visitPolicy(
-            [&](const auto &p) { return p.seesTag(op); }, sched_);
-    }
-
-    /** Does every fast broadcast re-run on the slow bus +1 cycle? */
-    bool
-    schedSlowBus() const
-    {
-        return core::visitPolicy([](const auto &p) { return p.slow_bus; },
-                          sched_);
-    }
-
-    /** Does a scoreboard audit issues for premature operands? */
-    bool
-    schedWatchesPremature() const
-    {
-        return core::visitPolicy(
-            [](const auto &p) { return p.watches_premature; },
-            sched_);
-    }
-
-    /** Operand placement at dispatch (slow-side/watched bits). */
-    void
-    schedPlace(DynInst &di)
-    {
-        core::visitPolicy([&](const auto &p) { p.place(di); }, sched_);
-    }
-
-    /** Does this operand's tag match ride the slow-bus
-     *  re-broadcast (slowPend plane membership)? */
-    bool
-    schedMaskSlowPlane(const OperandState &op) const
-    {
-        return core::visitPolicy(
-            [&](const auto &p) { return p.maskSlowPlane(op); },
-            sched_);
-    }
-
-    /** Accounting: did the last-arriving tag land on the slow bus? */
-    bool
-    schedLastOnSlowBus(const DynInst &ci, bool simultaneous) const
-    {
-        return core::visitPolicy(
-            [&](const auto &p) {
-                return p.lastOnSlowBus(ci, simultaneous);
-            },
-            sched_);
-    }
-
-    /** Producer wake-broadcast timing override (delay-counter
-     *  saturation defers the wake to the completion scoreboard). */
-    uint64_t
-    schedAdjustWake(uint64_t now, uint64_t wake, uint64_t complete)
-    {
-        return core::visitPolicy(
-            [&](const auto &p) {
-                return p.adjustWake(now, wake, complete,
-                                    stats_.dltSaturated);
-            },
-            sched_);
-    }
-
-    /** Must this issue take the sequential register-access penalty? */
-    bool
-    rfSeqAccess(unsigned ports) const
-    {
-        return core::visitPolicy(
-            [&](const auto &p) { return p.seqAccess(ports); }, rf_);
-    }
-
-    /** Issue-time read ports arbitrated across the select group
-     *  (~0u = unconstrained). */
-    unsigned
-    rfPortBudget() const
-    {
-        return core::visitPolicy(
-            [&](const auto &p) { return p.portBudget(cfg_.width); },
-            rf_);
-    }
-
-    /** Dispatch-time hook: the operand prefetch buffer claims its
-     *  per-cycle port bandwidth. */
-    void
-    rfOnDispatch(DynInst &di)
-    {
-        core::visitPolicy(
-            [&](auto &p) {
-                p.onDispatch(di, cycle_, stats_.prefetchHits,
-                             stats_.prefetchMisses);
-            },
-            rf_);
-    }
+    /** Dispatch-time operand wiring: which operand listens to the
+     *  slow bus (sequential wakeup) or has a comparator at all (tag
+     *  elimination). */
+    void placeOperands(DynInst &di) const;
+    /** Accounting for core.seq_wakeup_delayed: was the last-arriving
+     *  tag only visible on the slow bus? */
+    static bool slowSideCarriedLast(const DynInst &ci, bool simultaneous);
+    /** The cycle a producer broadcasts its tag, given its scheduled
+     *  @p wake and its @p complete cycle: a load-delay-tracking
+     *  counter that cannot represent the delay defers it to
+     *  completion. */
+    uint64_t wakeBroadcastCycle(uint64_t wake, uint64_t complete);
+    /** Operand prefetch buffer: dispatch-time reads of values already
+     *  in the register file, up to @p ports_left this cycle. */
+    void prefetchOperands(DynInst &di, unsigned &ports_left);
     void squashWindow(uint64_t first_cycle, uint64_t last_cycle,
                       uint64_t trigger_seq, bool selective);
     void repairConsumersOf(int slot, uint64_t producer_seq);
@@ -486,12 +410,6 @@ class Core
     LastArrivalPredictor lap_;
     LastArrivalMonitor lapMon_;
     CoreStats stats_;
-
-    /** Pluggable wakeup/select and register-file port strategies,
-     *  selected from the config at construction (see
-     *  sched_policy.hh / rf_policy.hh). */
-    SchedPolicy sched_;
-    RFPortPolicy rf_;
 
     uint64_t cycle_ = 0;
     uint64_t nextSeq_ = 0;
@@ -517,11 +435,13 @@ class Core
      *  dependency matrix, scanned in age order from head_. See
      *  issue_window.hh. */
     IssueWindowMasks masks_;
-    /** Cached policy traits (construction-time visitPolicy): does
-     *  every fast broadcast re-run on the slow bus, and does the
-     *  ready predicate reduce to allSrcReady() (mask_ready_all_src)? */
+    /** Construction-time reads of the configuration: does every
+     *  fast broadcast re-run on the slow bus (sequential wakeup),
+     *  does tag elimination gate readiness, and how many read ports
+     *  select arbitrates per cycle (~0u = unconstrained). */
     bool slowBus_ = false;
-    bool readyAllSrc_ = true;
+    bool tagElim_ = false;
+    unsigned portBudget_ = ~0u;
 
     // squashWindow() scratch, members so recovery (a steady-state
     // occurrence under speculative scheduling) stops allocating

@@ -41,9 +41,13 @@ struct OperandState
     /** Producer whose broadcast set `ready` (for replay repair). */
     uint64_t wakeProducerSeq = NO_SEQ;
 
-    /** Sequential wakeup: operand listens to the slow bus. */
+    /** Sequential wakeup: operand listens to the slow bus. Only
+     *  sequential wakeup sets it; every other scheme keeps false, so
+     *  the core's fast-bus and slow-plane rules need no scheme
+     *  check. */
     bool slowSide = false;
-    /** Tag elimination: operand has a comparator on the bus. */
+    /** Tag elimination: operand has a comparator on the bus. Only
+     *  tag elimination clears it; every other scheme keeps true. */
     bool watched = true;
     /** Value was already available when inserted into the window. */
     bool readyAtInsert = false;

@@ -25,7 +25,7 @@
  *
  *  - slowPend: the sequential-wakeup slow plane. The fast broadcast
  *    records here which consumers still owe their tag match to the
- *    slow bus (policy hook maskSlowPlane); the SlowWake event one
+ *    slow bus (the slowSide operands); the SlowWake event one
  *    cycle later ORs exactly those bits back through the ready-plane
  *    update instead of re-walking every consumer.
  *

@@ -260,23 +260,6 @@ TEST(SimOptionsParse, PolicyFlagsAliasModelFlags)
     EXPECT_EQ(b.regfile, a.regfile);
 }
 
-TEST(SimOptionsParse, PolicyListFormSetsBothModels)
-{
-    SimOptions o;
-    std::string err;
-    ASSERT_EQ(parse({"--policy", "sched=tag-elim,rf=half-xbar"}, o,
-                    err),
-              0)
-        << err;
-    EXPECT_EQ(o.wakeup, core::WakeupModel::TagElimination);
-    EXPECT_EQ(o.regfile, core::RegfileModel::HalfPortCrossbar);
-    // Single-item form works too.
-    SimOptions o2;
-    ASSERT_EQ(parse({"--policy", "rf=prefetch"}, o2, err), 0) << err;
-    EXPECT_EQ(o2.regfile, core::RegfileModel::PrefetchBuffer);
-    EXPECT_EQ(o2.wakeup, core::WakeupModel::Conventional);
-}
-
 TEST(SimOptionsParse, UnknownPolicyNamesListTheRegistry)
 {
     SimOptions o;
@@ -291,19 +274,19 @@ TEST(SimOptionsParse, UnknownPolicyNamesListTheRegistry)
          {"2port", "extra-stage", "half-xbar", "prefetch"})
         EXPECT_NE(err.find(name), std::string::npos)
             << "rf error does not list " << name << ": " << err;
-    EXPECT_EQ(parse({"--policy", "sched=psychic"}, o, err), 2);
-    EXPECT_NE(err.find("dlt"), std::string::npos) << err;
-    EXPECT_EQ(parse({"--policy", "fetch=wide"}, o, err), 2);
-    EXPECT_NE(err.find("sched or rf"), std::string::npos) << err;
-    EXPECT_EQ(parse({"--policy", "just-a-name"}, o, err), 2);
-    EXPECT_NE(err.find("k=v"), std::string::npos) << err;
+    // The k=v list spelling is gone: --policy is an unknown option.
+    EXPECT_EQ(parse({"--policy", "sched=dlt,rf=prefetch"}, o, err), 2);
+    EXPECT_NE(err.find("unknown option: --policy"), std::string::npos)
+        << err;
 }
 
 TEST(SimOptionsMachine, NewPolicySuffixesComposeTheMachineName)
 {
     SimOptions o;
     std::string err;
-    ASSERT_EQ(parse({"--policy", "sched=dlt,rf=prefetch"}, o, err),
+    ASSERT_EQ(parse({"--sched-policy", "dlt", "--rf-policy",
+                     "prefetch"},
+                    o, err),
               0)
         << err;
     sim::Machine m = tools::machineFor(o);

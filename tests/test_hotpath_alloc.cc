@@ -170,8 +170,7 @@ TEST(HotPathAlloc, HalfPriceMachineGzip)
     expectSteadyStateAllocFree("gzip", m.cfg);
 }
 
-/** The new registry policies dispatch through std::visit on the
- *  policy variants; their hooks (DLT wake adjustment, prefetch
+/** The post-paper policies' decisions (DLT wake deferral, prefetch
  *  bandwidth accounting) must stay allocation-free like the paper
  *  designs. */
 TEST(HotPathAlloc, PolicyZooMachineGzip)

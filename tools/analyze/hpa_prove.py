@@ -3,14 +3,14 @@
 
 The repo's central performance claims — zero steady-state allocation
 in Core::tick, no unwind paths or indirect calls inside the bitmask
-scheduler, the policy zoo's "header-inlined dispatch, no virtual
-calls" contract — are enforced in two other places: the HPA002 regex
-lint (tools/lint/hpa_lint.py) and the runtime operator-new counter
-(tests/test_hotpath_alloc.cc). Both can miss transitive callees and
-neither sees what the optimizer actually emitted. This tool closes
-the gap: it ingests compiler-emitted ground truth, builds the
-whole-program call graph transitively reachable from the hot-path
-roots, and proves four properties with named violation paths.
+scheduler or any wakeup/register-file scheme — are enforced in two
+other places: the HPA002 regex lint (tools/lint/hpa_lint.py) and the
+runtime operator-new counter (tests/test_hotpath_alloc.cc). Both can
+miss transitive callees and neither sees what the optimizer actually
+emitted. This tool closes the gap: it ingests compiler-emitted ground
+truth, builds the whole-program call graph transitively reachable
+from the hot-path roots, and proves four properties with named
+violation paths.
 
 Ground truth: per-TU VCG call graphs from GCC `-fcallgraph-info=su,da`
 (.ci files) plus `-fstack-usage` (.su files), which every CMake build
@@ -22,8 +22,8 @@ tool exits 77 and says why.
 
 Roots: Core::tick (the per-cycle pipeline) and Core::tickGuards
 (the rare-but-every-cycle guard hooks). Because every
-scheduler/register-file policy is compiled into one Core (runtime
-variant switch), a single static reachability pass covers every
+scheduler/register-file policy is compiled into one Core (it branches
+on its CoreConfig), a single static reachability pass covers every
 registered policy combination: any code any combination could run on
 the hot path is reachable from these roots.
 
@@ -48,9 +48,8 @@ Properties (each reports named root->...->symbol violation paths):
                    already flagged at its source — so they are
                    counted (cleanup_landing_pads), not violated.
   P3 no-indirect   no indirect or virtual call site in the hot
-                   graph — the compiled proof of the policy zoo's
-                   "no virtual calls" contract and the bit-plane
-                   scheduler's inlining claims.
+                   graph — the compiled proof of the bit-plane
+                   scheduler's inlining claims, for every policy.
   P4 stack-bound   the worst-case static stack depth along any hot
                    path stays under --stack-limit bytes, and the hot
                    graph is recursion-free (a cycle makes the static
@@ -925,8 +924,8 @@ def to_json(build_dir, inputs, graph, results, roots_report, stale,
         "policy_keys": registry_policies(root_dir),
         "coverage_note":
             "all registered sched/rf policies are compiled into Core "
-            "(runtime dispatch), so static reachability from the "
-            "roots covers every combination",
+            "(selected by its CoreConfig), so static reachability "
+            "from the roots covers every combination",
         "properties": [
             {
                 "id": r.id,
@@ -1186,6 +1185,10 @@ def main(argv=None):
                     help="compile tests/prove_fixture.cc and verify "
                          "every property catches its violation")
     args = ap.parse_args(argv)
+    # The fixture is compiled through this path and the compiler's
+    # callsites are joined onto it: a relative root would be applied
+    # twice.
+    args.root_dir = os.path.abspath(args.root_dir)
 
     if args.self_test:
         return self_test(args.root_dir)

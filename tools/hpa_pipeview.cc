@@ -21,6 +21,8 @@
 #include "sim/simulation.hh"
 #include "workloads/workloads.hh"
 
+#include "sim_options.hh"
+
 namespace
 {
 
@@ -41,9 +43,9 @@ void
 usage(std::ostream &os)
 {
     os << "usage: hpa_pipeview (--asm FILE | --bench NAME) "
-          "[--insts N] [--width N]\n"
-          "       [--wakeup conv|seq|seq-nopred|tag-elim] "
-          "[--regfile 2port|seq|extra-stage|half-xbar]\n";
+          "[--insts N] [--width 4|8]\n"
+          "       [--wakeup " << core::schedPolicyNames()
+       << "] [--regfile " << core::rfPolicyNames() << "]\n";
 }
 
 } // namespace
@@ -53,8 +55,9 @@ main(int argc, char **argv)
 {
     std::string bench, asm_file;
     uint64_t insts = 32;
-    unsigned width = 4;
-    core::CoreConfig cfg = core::fourWideConfig();
+    uint64_t width = 4;
+    core::WakeupModel wakeup = core::WakeupModel::Conventional;
+    core::RegfileModel regfile = core::RegfileModel::TwoPort;
 
     auto need = [&](int &i) -> std::string {
         if (i + 1 >= argc) {
@@ -62,6 +65,11 @@ main(int argc, char **argv)
             std::exit(2);
         }
         return argv[++i];
+    };
+
+    auto bad = [&](const std::string &msg) {
+        std::cerr << msg << "\n";
+        std::exit(2);
     };
 
     for (int i = 1; i < argc; ++i) {
@@ -74,27 +82,24 @@ main(int argc, char **argv)
         } else if (a == "--asm") {
             asm_file = need(i);
         } else if (a == "--insts") {
-            insts = std::stoull(need(i));
-            if (insts == 0) {
-                std::cerr << "--insts must be at least 1\n";
-                return 2;
-            }
+            std::string v = need(i);
+            if (!tools::parseNumber(v, insts) || insts == 0)
+                bad("--insts expects an integer of at least 1, got '"
+                    + v + "'");
         } else if (a == "--width") {
-            width = unsigned(std::stoul(need(i)));
+            std::string v = need(i);
+            if (!tools::parseNumber(v, width) || (width != 4 && width != 8))
+                bad("--width expects 4 or 8 (Table 1), got '" + v + "'");
         } else if (a == "--wakeup") {
             std::string v = need(i);
-            cfg.wakeup = v == "seq" ? core::WakeupModel::Sequential
-                : v == "seq-nopred" ? core::WakeupModel::SequentialNoPred
-                : v == "tag-elim" ? core::WakeupModel::TagElimination
-                : core::WakeupModel::Conventional;
+            if (!tools::parseWakeupModel(v, wakeup))
+                bad("--wakeup: unknown policy '" + v + "' (registered: "
+                    + core::schedPolicyNames() + ")");
         } else if (a == "--regfile") {
             std::string v = need(i);
-            cfg.regfile = v == "seq"
-                ? core::RegfileModel::SequentialAccess
-                : v == "extra-stage" ? core::RegfileModel::ExtraStage
-                : v == "half-xbar"
-                    ? core::RegfileModel::HalfPortCrossbar
-                    : core::RegfileModel::TwoPort;
+            if (!tools::parseRegfileModel(v, regfile))
+                bad("--regfile: unknown policy '" + v + "' (registered: "
+                    + core::rfPolicyNames() + ")");
         } else {
             std::cerr << "unknown option: " << a << "\n";
             usage(std::cerr);
@@ -107,12 +112,11 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (width == 8) {
-        auto w8 = core::eightWideConfig();
-        w8.wakeup = cfg.wakeup;
-        w8.regfile = cfg.regfile;
-        cfg = w8;
-    }
+    const core::CoreConfig cfg = sim::Machine::base(unsigned(width))
+                                     .wakeup(wakeup)
+                                     .regfile(regfile)
+                                     .build()
+                                     .cfg;
 
     try {
         assembler::Program image;

@@ -55,8 +55,6 @@ machine:
   --rf-policy P       register-file read-port policy: 2port
                       (default) | seq | extra-stage | half-xbar |
                       prefetch (--regfile is an alias)
-  --policy K=V,...    list form of the two above, e.g.
-                      --policy sched=dlt,rf=prefetch
   --recovery MODEL    nonsel (default) | sel
   --rename MODEL      2port (default) | half
   --lap N             last-arrival predictor entries (default 1024;

@@ -113,8 +113,6 @@ HOT_PATH_FILES = {
     "src/core/core.hh",
     "src/core/dyn_inst.hh",
     "src/core/issue_window.hh",
-    "src/core/sched_policy.hh",
-    "src/core/rf_policy.hh",
     "src/core/event_queue.hh",
     "src/core/containers.hh",
     "src/core/fu_pool.cc",

@@ -226,41 +226,6 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
                 return fail(a + " expects a registered register-file "
                                 "policy ("
                             + core::rfPolicyNames() + ")");
-        } else if (a == "--policy") {
-            // k=v list form: --policy sched=dlt,rf=prefetch
-            if (!need(&v))
-                return fail("--policy needs a k=v list "
-                            "(sched=NAME,rf=NAME)");
-            std::string list = v;
-            while (!list.empty()) {
-                size_t comma = list.find(',');
-                std::string item = list.substr(0, comma);
-                list = comma == std::string::npos
-                    ? std::string() : list.substr(comma + 1);
-                size_t eq = item.find('=');
-                if (eq == std::string::npos)
-                    return fail("--policy item '" + item
-                                + "' is not k=v (sched=NAME or "
-                                  "rf=NAME)");
-                std::string key = item.substr(0, eq);
-                std::string val = item.substr(eq + 1);
-                if (key == "sched") {
-                    if (!parseWakeupModel(val, opt.wakeup))
-                        return fail(
-                            "--policy sched: unknown policy '" + val
-                            + "' (registered: "
-                            + core::schedPolicyNames() + ")");
-                } else if (key == "rf") {
-                    if (!parseRegfileModel(val, opt.regfile))
-                        return fail(
-                            "--policy rf: unknown policy '" + val
-                            + "' (registered: "
-                            + core::rfPolicyNames() + ")");
-                } else {
-                    return fail("--policy key must be sched or rf, "
-                                "got '" + key + "'");
-                }
-            }
         } else if (a == "--recovery") {
             if (!need(&v) || !parseRecoveryModel(v, opt.recovery))
                 return fail("--recovery expects nonsel | sel");

@@ -341,9 +341,9 @@ Core::tick()
 }
 
 /** Everything rare-but-checked-every-cycle: the deadlock watchdog,
- *  the periodic scheduler cross-validation, the cooperative
- *  wall-clock deadline and the test-only fault injections. At
- *  default settings this is four predictable compares per cycle. */
+ *  the periodic scheduler cross-validation and the test-only fault
+ *  injections. At default settings this is one predictable compare
+ *  per cycle. */
 void
 Core::tickGuards()
 {
@@ -372,12 +372,6 @@ Core::tickGuards()
                 + " cycles with a non-empty window",
             invariantContext());
 
-    if (hasDeadline_ && (cycle_ & 0xFFF) == 0
-        // hpa-nolint(HPA007): watchdog wall-budget check; throws Timeout, never feeds simulated state
-        && std::chrono::steady_clock::now() > deadline_)
-        throw hpa::Timeout("wall-clock budget exceeded",
-                           invariantContext());
-
     // Re-arm: the earliest cycle any guard can fire next. The
     // watchdog term uses the current lastCommitCycle_; commits in
     // the meantime only push the real deadline later, so the visit
@@ -392,8 +386,6 @@ Core::tickGuards()
     if (cfg_.watchdog_cycles)
         next = std::min(next,
                         lastCommitCycle_ + cfg_.watchdog_cycles + 1);
-    if (hasDeadline_)
-        next = std::min(next, (cycle_ | 0xFFF) + 1);
     nextGuardCycle_ = next;
 }
 

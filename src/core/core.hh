@@ -27,8 +27,6 @@
 #ifndef HPA_CORE_CORE_HH
 #define HPA_CORE_CORE_HH
 
-// hpa-nolint(HPA007): wall-clock watchdog support (setWallDeadline); guard-only
-#include <chrono>
 #include <functional>
 #include <ostream>
 // hpa-nolint(HPA002): wakeup-order history, bounded by static PCs
@@ -229,23 +227,6 @@ class Core
      */
     std::string dumpPipelineState() const;
 
-    /**
-     * Cooperative wall-clock budget: once set, the run loop checks
-     * the deadline every few thousand cycles and throws hpa::Timeout
-     * when it has passed. @p seconds is measured from now.
-     */
-    void
-    setWallDeadline(double seconds)
-    {
-        // hpa-nolint(HPA007): converts the caller's wall budget to a watchdog deadline; guard-only
-        deadline_ = std::chrono::steady_clock::now()
-            + std::chrono::duration_cast<
-                  std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(seconds));
-        hasDeadline_ = true;
-        nextGuardCycle_ = 0; // re-arm the guard gate
-    }
-
     // --- Test-only fault injection (sim/sweep fault hooks). ---
 
     /** At @p cycle, corrupt the incremental ready set (flip the
@@ -329,7 +310,7 @@ class Core
     /** Re-derive the ready/issued/store lists from the window and
      *  describe the first divergence (empty string = consistent). */
     std::string sideListDivergence() const;
-    /** Watchdog / deadline / cross-check / fault-injection hooks;
+    /** Watchdog / cross-check / fault-injection hooks;
      *  everything rare-but-per-cycle, kept out of tick()'s hot
      *  path body. */
     void tickGuards();
@@ -490,12 +471,6 @@ class Core
     /** Earliest cycle any tickGuards() condition can fire next; 0
      *  forces a (re)evaluation on the next tick. */
     uint64_t nextGuardCycle_ = 0;
-
-    /** Wall-clock deadline (setWallDeadline); checked every 4096
-     *  cycles when armed. */
-    // hpa-nolint(HPA007): watchdog deadline storage; guard-only
-    std::chrono::steady_clock::time_point deadline_{};
-    bool hasDeadline_ = false;
 
     /** Test-only fault injection (NO_CYCLE = disarmed). */
     uint64_t corruptAt_ = NO_CYCLE;

@@ -11,7 +11,6 @@ kindName(ErrorKind kind)
       case ErrorKind::Workload: return "workload";
       case ErrorKind::Invariant: return "invariant";
       case ErrorKind::Deadlock: return "deadlock";
-      case ErrorKind::Timeout: return "timeout";
     }
     return "unknown";
 }

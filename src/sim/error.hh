@@ -41,7 +41,6 @@ enum class ErrorKind
     Workload,  ///< workload construction/execution failure (asm, emu)
     Invariant, ///< internal consistency check failed (HPA_CHECK)
     Deadlock,  ///< watchdog: no forward progress for N cycles
-    Timeout,   ///< per-run wall-clock budget exceeded
 };
 
 /** Stable lower-case tag for JSON/CLI output ("config", ...). */
@@ -132,7 +131,7 @@ class ConfigError : public std::invalid_argument, public SimError
 };
 
 /** Workload construction or functional-execution failure (assembler
- *  errors, emulator faults, poisoned test workloads). */
+ *  errors, emulator faults, requireAllOk's failed-cell list). */
 class WorkloadError : public std::runtime_error, public SimError
 {
   public:
@@ -175,23 +174,6 @@ class Deadlock : public std::runtime_error, public SimError
         : std::runtime_error(
               detail::compose(ErrorKind::Deadlock, msg, ctx)),
           SimError(ErrorKind::Deadlock, msg, std::move(ctx))
-    {}
-    const char *
-    what() const noexcept override
-    {
-        return std::runtime_error::what();
-    }
-};
-
-/** Per-run wall-clock budget exceeded (cooperative check in the
- *  core's run loop). */
-class Timeout : public std::runtime_error, public SimError
-{
-  public:
-    explicit Timeout(const std::string &msg, SimContext ctx = {})
-        : std::runtime_error(
-              detail::compose(ErrorKind::Timeout, msg, ctx)),
-          SimError(ErrorKind::Timeout, msg, std::move(ctx))
     {}
     const char *
     what() const noexcept override

@@ -16,8 +16,6 @@ statusName(RunStatus status)
         return "ok";
       case RunStatus::Failed:
         return "failed";
-      case RunStatus::TimedOut:
-        return "timed_out";
     }
     return "?";
 }
@@ -210,7 +208,6 @@ RunResult::toJson(stats::json::JsonWriter &jw, bool with_stats) const
         .kv("status", statusName(outcome.status))
         .kv("valid", valid())
         .kv("steady_missing", outcome.steadyMissing)
-        .kv("attempts", outcome.attempts)
         .kv("ipc", ipc)
         .kv("committed", committed)
         .kv("cycles", cycles)

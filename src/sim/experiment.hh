@@ -31,9 +31,8 @@ namespace hpa::sim
 /** How one experiment (sweep cell) finished. */
 enum class RunStatus
 {
-    Ok,       ///< ran to its budget/HALT, metrics are meaningful
-    Failed,   ///< raised an error (config/workload/invariant/deadlock)
-    TimedOut, ///< exceeded its wall-clock budget
+    Ok,     ///< ran to its budget/HALT, metrics are meaningful
+    Failed, ///< raised an error (config/workload/invariant/deadlock)
 };
 
 /** Stable lower-case tag for JSON/CLI output ("ok", ...). */
@@ -42,31 +41,26 @@ const char *statusName(RunStatus status);
 /**
  * Test-only fault injection, threaded through ExperimentSpec so the
  * robustness tests can exercise the whole in-process isolation
- * pipeline — core guard, sweep catch and retry, CLI/JSON reporting —
- * end to end. Every kind fails inside one cell's attempt; none in
- * any production spec.
+ * pipeline — core guard, sweep catch, CLI/JSON reporting — end to
+ * end. Each kind trips one of the core's guards inside one cell;
+ * none in any production spec.
  */
 enum class FaultKind
 {
     None,
-    /** Request a workload name the registry rejects at run time. */
-    PoisonWorkload,
     /** Corrupt the scheduler ready list at fault_cycle; the periodic
      *  cross-validation pass must trip an InvariantViolation. */
     InvariantTrip,
     /** Stop commit after fault_cycle; the watchdog must trip a
      *  Deadlock. */
     BlockCommit,
-    /** Fail (WorkloadError) on the first attempt only — exercises
-     *  max_retries recovery. */
-    FlakyOnce,
 };
 
 /**
  * How one run actually ended: status, the error (kind + one-line
- * text + context) when it did not end well, how many attempts it
- * took, and data-quality caveats that are not errors (a requested
- * fast-forward with no `steady:` symbol).
+ * text + context) when it did not end well, and data-quality caveats
+ * that are not errors (a requested fast-forward with no `steady:`
+ * symbol).
  */
 struct RunOutcome
 {
@@ -78,13 +72,6 @@ struct RunOutcome
     std::string error;
     /** Failure context (cycle, committed, machine, workload, dump). */
     SimContext context;
-    /** Attempts consumed (1 = first try; > 1 means retries). */
-    unsigned attempts = 1;
-    /** Total milliseconds slept in retry backoff before the final
-     *  attempt (0 when the first attempt succeeded). Recorded so the
-     *  sweep artifact can attribute wall time lost to recovery, not
-     *  simulation. */
-    uint64_t backoffMs = 0;
     /** fast_forward was requested but the kernel has no `steady:`
      *  symbol — the run timed the initialization code too. */
     bool steadyMissing = false;
@@ -181,18 +168,6 @@ struct ExperimentSpec
     bool fast_forward = true;
     workloads::Scale scale = workloads::Scale::Full;
 
-    /** Per-run wall-clock budget in seconds (0 = unbounded). The
-     *  core checks it cooperatively and raises hpa::Timeout. */
-    double wall_budget_seconds = 0.0;
-    /** Extra attempts after a failed/timed-out run before the cell
-     *  is reported failed (0 = no retries). */
-    unsigned max_retries = 0;
-    /** Base of the exponential retry backoff in milliseconds: the
-     *  sleep before attempt N+1 is base * 2^(N-1) plus a
-     *  deterministic jitter, capped (SweepRunner::backoffDelayMs).
-     *  0 disables sleeping between retries (tests). */
-    unsigned retry_backoff_ms = 25;
-
     /** Test-only fault injection (FaultKind::None in production). */
     FaultKind fault = FaultKind::None;
     /** Cycle at which InvariantTrip/BlockCommit faults arm. */
@@ -246,12 +221,13 @@ struct RunResult
     stats::Registry statsRegistry() const;
 
     /**
-     * Serialize onto @p jw as one "hpa.run.v2" object: the spec,
+     * Serialize onto @p jw as one "hpa.run.v3" object: the spec,
      * the status/error outcome, the metrics and (optionally) the
-     * full stats snapshot. v2 adds status, valid, steady_missing,
-     * attempts and — on failed cells — error_kind/error over v1.
-     * No wall-clock field is emitted, so the document is
-     * reproducible byte-for-byte.
+     * full stats snapshot. v3 is v2 without attempts (every run
+     * makes one attempt); v2 added status, valid, steady_missing
+     * and — on failed cells — error_kind/error over v1. No
+     * wall-clock field is emitted, so the document is reproducible
+     * byte-for-byte.
      */
     void toJson(stats::json::JsonWriter &jw,
                 bool with_stats = true) const;
@@ -260,7 +236,7 @@ struct RunResult
     void toJson(std::ostream &os, bool with_stats = true) const;
 
     /** Schema tag of toJson() documents. */
-    static constexpr const char *JSON_SCHEMA = "hpa.run.v2";
+    static constexpr const char *JSON_SCHEMA = "hpa.run.v3";
 };
 
 } // namespace hpa::sim

@@ -30,28 +30,15 @@ namespace
 {
 
 /**
- * One attempt of one job: build (or fetch) the workload, construct a
- * fresh Simulation, arm any injected fault, run, and record metrics
- * into @p r. Throws on any failure; the caller owns isolation.
+ * Run one job: build (or fetch) the workload, construct a fresh
+ * Simulation, arm any injected fault, run, and record metrics into
+ * @p r. Throws on any failure; runOne owns isolation.
  */
 void
-runAttempt(const SweepJob &job, unsigned attempt,
-           workloads::WorkloadCache &cache, SweepResult &r)
+runCell(const SweepJob &job, workloads::WorkloadCache &cache,
+        SweepResult &r)
 {
-    if (job.fault == FaultKind::FlakyOnce && attempt == 1) {
-        SimContext ctx;
-        ctx.machine = job.machine.name;
-        ctx.workload = job.workload;
-        throw WorkloadError(
-            "injected transient workload fault (FlakyOnce)", ctx);
-    }
-
-    // PoisonWorkload goes through the real registry path so the
-    // whole lookup-failure plumbing is exercised, not a shortcut.
-    const std::string name = job.fault == FaultKind::PoisonWorkload
-        ? job.workload + "!poisoned"
-        : job.workload;
-    const workloads::Workload &w = cache.get(name, job.scale);
+    const workloads::Workload &w = cache.get(job.workload, job.scale);
 
     uint64_t ff = 0;
     if (job.fast_forward) {
@@ -71,10 +58,8 @@ runAttempt(const SweepJob &job, unsigned attempt,
     // cell — across machines, threads and repeat sweeps — replays
     // the shared immutable buffer.
     const func::CommittedTrace &trace =
-        cache.trace(name, job.scale, job.max_insts, ff);
+        cache.trace(job.workload, job.scale, job.max_insts, ff);
     r.sim = std::make_unique<Simulation>(trace, cfg);
-    if (job.wall_budget_seconds > 0)
-        r.sim->core().setWallDeadline(job.wall_budget_seconds);
     if (job.fault == FaultKind::InvariantTrip)
         r.sim->core().testCorruptSchedulerAt(job.fault_cycle);
     if (job.fault == FaultKind::BlockCommit)
@@ -95,88 +80,37 @@ runAttempt(const SweepJob &job, unsigned attempt,
 
 } // namespace
 
-unsigned
-SweepRunner::backoffDelayMs(unsigned attempt, uint64_t seed,
-                            unsigned base_ms)
-{
-    if (base_ms == 0)
-        return 0;
-    const unsigned shift = std::min(attempt > 0 ? attempt - 1 : 0u,
-                                    16u);
-    uint64_t delay =
-        std::min<uint64_t>(uint64_t(base_ms) << shift, 2000);
-    // Deterministic jitter (splitmix-style finalizer): reproducible
-    // for a given (seed, attempt), decorrelated across cells.
-    uint64_t h = seed ^ (uint64_t(attempt) * 1099511628211ull);
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdull;
-    h ^= h >> 33;
-    delay += h % (delay / 4 + 1);
-    return unsigned(delay);
-}
-
 SweepResult
 SweepRunner::runOne(const SweepJob &job,
                     workloads::WorkloadCache &cache)
 {
     SweepResult r;
     r.spec = job;
-    // Jitter seed: stable per cell, so retries of the same cell back
-    // off identically run to run while distinct cells decorrelate.
-    uint64_t seed = 1469598103934665603ull;
-    for (unsigned char c : job.workload + "|" + job.machine.name) {
-        seed ^= c;
-        seed *= 1099511628211ull;
-    }
-    // Survives the per-attempt outcome reset below.
-    uint64_t backoff_total = 0;
-    for (unsigned attempt = 1;; ++attempt) {
-        r.outcome = RunOutcome{};
-        r.outcome.attempts = attempt;
-        r.outcome.backoffMs = backoff_total;
-        try {
-            runAttempt(job, attempt, cache, r);
-            return r;
-        } catch (const std::exception &e) {
-            // Discard the partial attempt so a failed cell carries
-            // no half-simulated state, only its spec and outcome.
-            r.sim.reset();
-            r.ipc = 0.0;
-            r.committed = r.cycles = r.fastForwarded = 0;
-            r.wallSeconds = 0.0;
+    try {
+        runCell(job, cache, r);
+    } catch (const std::exception &e) {
+        // Discard the partial run so a failed cell carries no
+        // half-simulated state, only its spec and outcome.
+        r.sim.reset();
+        r.ipc = 0.0;
+        r.committed = r.cycles = r.fastForwarded = 0;
+        r.wallSeconds = 0.0;
 
-            RunOutcome &o = r.outcome;
-            const auto *se = dynamic_cast<const SimError *>(&e);
-            if (se) {
-                o.status = se->kind() == ErrorKind::Timeout
-                    ? RunStatus::TimedOut
-                    : RunStatus::Failed;
-                o.errorKind = se->kind();
-                o.error = se->oneLine();
-                o.context = se->context();
-            } else {
-                o.status = RunStatus::Failed;
-                o.errorKind = ErrorKind::Workload;
-                o.error = e.what();
-            }
-            // The core knows cycles, not names; file them in here.
-            o.context.machine = job.machine.name;
-            o.context.workload = job.workload;
-            if (attempt > job.max_retries)
-                return r;
-            // Exponential backoff + jitter before the next attempt —
-            // a transient failure (flaky workload build, host
-            // pressure) is given room instead of a hot retry loop.
-            const unsigned delay = backoffDelayMs(
-                attempt, seed, job.retry_backoff_ms);
-            backoff_total += delay;
-            o.backoffMs = backoff_total;
-            if (delay)
-                std::this_thread::sleep_for(
-                    // hpa-nolint(HPA007): retry backoff between sweep attempts
-                    std::chrono::milliseconds(delay));
+        RunOutcome &o = r.outcome;
+        o.status = RunStatus::Failed;
+        if (const auto *se = dynamic_cast<const SimError *>(&e)) {
+            o.errorKind = se->kind();
+            o.error = se->oneLine();
+            o.context = se->context();
+        } else {
+            o.errorKind = ErrorKind::Workload;
+            o.error = e.what();
         }
+        // The core knows cycles, not names; file them in here.
+        o.context.machine = job.machine.name;
+        o.context.workload = job.workload;
     }
+    return r;
 }
 
 void

@@ -57,19 +57,20 @@ class SweepRunner
     /**
      * Run all jobs; result[i] corresponds to jobs[i]. Jobs are fault
      * isolated: a job that throws (invariant violation, deadlock,
-     * timeout, bad workload) or exhausts its retries is returned as a
-     * Failed/TimedOut cell — with the error kind, one-line text and
-     * failure context in its RunOutcome — and never disturbs the
-     * other cells, whose results stay bit-identical to a fault-free
-     * run. Callers that still want all-or-nothing semantics wrap the
-     * result in requireAllOk().
+     * bad workload or machine) is returned as a Failed cell — with
+     * the error kind, one-line text and failure context in its
+     * RunOutcome — and never disturbs the other cells, whose results
+     * stay bit-identical to a fault-free run. A cell runs once: it
+     * replays a captured trace deterministically, so a failure would
+     * repeat on every attempt. Callers that still want all-or-nothing
+     * semantics wrap the result in requireAllOk().
      */
     std::vector<SweepResult> run(std::vector<SweepJob> jobs);
 
     /**
      * Run one job synchronously on the calling thread, including its
-     * retry loop and fault injection. Never throws for per-run
-     * failures — they are filed into the returned RunOutcome.
+     * fault injection. Never throws for per-run failures — they are
+     * filed into the returned RunOutcome.
      */
     static SweepResult runOne(const SweepJob &job,
                               workloads::WorkloadCache &cache);
@@ -85,18 +86,6 @@ class SweepRunner
 
     /** Resolve a --jobs style request: 0 means hardware threads. */
     static unsigned resolveJobs(unsigned requested);
-
-    /**
-     * Exponential retry backoff with deterministic jitter: the sleep
-     * before attempt @p attempt + 1, in milliseconds —
-     * base * 2^(attempt-1), capped at 2 s, plus a hash-derived jitter
-     * of up to 25% so cells retrying at the same time spread out
-     * without any global randomness (same seed + attempt → same
-     * delay, so runs stay reproducible). @p base_ms 0 disables
-     * sleeping (tests).
-     */
-    static unsigned backoffDelayMs(unsigned attempt, uint64_t seed,
-                                   unsigned base_ms = 25);
 
     /** Multi-cell replay batches formed by run(): always 0, every
      *  cell runs alone. Kept so existing reporting code compiles. */

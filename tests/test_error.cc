@@ -4,10 +4,9 @@
  * mixin stays catchable as the matching std exception, HPA_CHECK
  * throws InvariantViolation with file/line/condition context and
  * evaluates its message lazily, and the core's runtime guards — the
- * no-forward-progress watchdog, the periodic scheduler
- * cross-validation and the cooperative wall-clock deadline — each
- * turn the corresponding injected fault into the right typed error
- * with a usable pipeline-state dump.
+ * no-forward-progress watchdog and the periodic scheduler
+ * cross-validation — each turn the corresponding injected fault into
+ * the right typed error with a usable pipeline-state dump.
  */
 
 #include <stdexcept>
@@ -28,16 +27,13 @@ using namespace hpa;
 
 TEST(ErrorTaxonomy, KindAndStatusNamesAreStable)
 {
-    // These tags appear in v2 JSON artifacts; they are frozen.
+    // These tags appear in JSON artifacts; they are frozen.
     EXPECT_STREQ(kindName(ErrorKind::Config), "config");
     EXPECT_STREQ(kindName(ErrorKind::Workload), "workload");
     EXPECT_STREQ(kindName(ErrorKind::Invariant), "invariant");
     EXPECT_STREQ(kindName(ErrorKind::Deadlock), "deadlock");
-    EXPECT_STREQ(kindName(ErrorKind::Timeout), "timeout");
     EXPECT_STREQ(sim::statusName(sim::RunStatus::Ok), "ok");
     EXPECT_STREQ(sim::statusName(sim::RunStatus::Failed), "failed");
-    EXPECT_STREQ(sim::statusName(sim::RunStatus::TimedOut),
-                 "timed_out");
 }
 
 TEST(ErrorTaxonomy, ConcreteErrorsMatchTheirStdBase)
@@ -48,7 +44,6 @@ TEST(ErrorTaxonomy, ConcreteErrorsMatchTheirStdBase)
     EXPECT_THROW(throw WorkloadError("x"), std::runtime_error);
     EXPECT_THROW(throw InvariantViolation("x"), std::logic_error);
     EXPECT_THROW(throw Deadlock("x"), std::runtime_error);
-    EXPECT_THROW(throw Timeout("x"), std::runtime_error);
 }
 
 TEST(ErrorTaxonomy, CatchAsSimErrorYieldsKindMessageAndContext)
@@ -187,16 +182,6 @@ TEST_F(CoreGuards, CleanRunsPassPeriodicCrossValidation)
     auto s = makeSim(cfg, 20000);
     EXPECT_NO_THROW(s.run());
     EXPECT_GT(s.core().cycle(), 0u);
-}
-
-TEST_F(CoreGuards, ExpiredWallDeadlineRaisesTimeout)
-{
-    core::CoreConfig cfg = core::fourWideConfig();
-    auto s = makeSim(cfg, 200000);
-    s.core().setWallDeadline(0.0);
-    // The deadline is polled every 4096 cycles; a 200k-inst gzip run
-    // lasts well past the first poll.
-    EXPECT_THROW(s.run(), Timeout);
 }
 
 } // namespace

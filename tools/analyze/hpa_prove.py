@@ -139,7 +139,7 @@ PRUNE_GUARDS = [
 # stack-bounded.
 PRUNE_STEADY = [
     ("hpa::core::Core::tickGuards(",
-     "guard hook: watchdog/deadline/cross-validation/fault checks, "
+     "guard hook: watchdog/cross-validation/fault checks, "
      "gated to a handful of compares per cycle; its failure arms "
      "throw by design (P1/P2 whitelist; still analyzed for P3/P4)"),
 ]

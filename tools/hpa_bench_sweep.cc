@@ -4,7 +4,7 @@
  * every (paper machine x benchmark) pair once serially and once on
  * the thread pool, verify the two produce identical results (the
  * sweep engine's determinism contract), and emit BENCH_sweep.json
- * ("hpa.bench-sweep.v5") with per-run status, IPC, committed and
+ * ("hpa.bench-sweep.v6") with per-run status, IPC, committed and
  * simulated-cycle counts and the run's registry policy names
  * (sched_policy / rf_policy). The artifact holds no host timing:
  * every field depends only on the grid and the budget, so two runs
@@ -28,25 +28,27 @@
  *
  * --check compares the sweep's IPC values against a golden JSON map
  * ("hpa.sweep-golden.v1", tools/golden_sweep_ipc.json in the repo)
- * and fails with a per-cell diff on any drift — the regression gate
- * the `golden` ctest label runs.
+ * and fails with a per-cell list on any drift, on any golden cell
+ * that is not an ok cell of this sweep, and on any ok cell the
+ * golden does not pin — the regression gate the `golden` ctest
+ * label runs.
  *
  * Failed cells are fault-isolated: they appear in the JSON with
- * status/error_kind/error, are excluded from the determinism and
- * golden comparisons, and turn the exit status non-zero — the
- * artifact with every surviving cell is still written. --inject
- * (test only; KIND = poison | invariant | hang | flaky) plants a
- * fault in one job so these paths can be exercised end to end.
+ * status/error_kind/error, are excluded from the determinism
+ * comparison, and turn the exit status non-zero — the artifact with
+ * every surviving cell is still written. --inject (test only;
+ * KIND = invariant | hang) plants a fault in one job so these paths
+ * can be exercised end to end.
  */
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,6 +57,8 @@
 #include "sim/sweep.hh"
 #include "stats/json.hh"
 #include "workloads/workloads.hh"
+
+#include "sim_options.hh"
 
 namespace
 {
@@ -68,14 +72,13 @@ runKey(const sim::SweepJob &job)
     return job.machine.name + "|" + job.workload;
 }
 
-/** Strict decimal parse; exits with a clear message on garbage. */
+/** Strict decimal parse (tools::parseNumber); exits 2 naming @p opt
+ *  on anything but base-10 digits that fit 64 bits. */
 uint64_t
 parseU64(const std::string &opt, const std::string &text)
 {
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0') {
+    uint64_t v = 0;
+    if (!tools::parseNumber(text, v)) {
         std::cerr << opt << " needs a non-negative integer, got '"
                   << text << "'\n";
         std::exit(2);
@@ -85,8 +88,9 @@ parseU64(const std::string &opt, const std::string &text)
 
 /**
  * Minimal parser for the golden file: extracts every `"key": number`
- * pair (string-valued fields like "schema" are skipped naturally).
- * The golden format is flat, so no general JSON machinery is needed.
+ * pair. Only a string followed by ':' is a key, so a string value
+ * such as the "schema" tag is never read as one. The golden format
+ * is flat, so no general JSON machinery is needed.
  */
 std::map<std::string, double>
 parseGolden(const std::string &text)
@@ -98,9 +102,10 @@ parseGolden(const std::string &text)
         if (end == std::string::npos)
             break;
         std::string key = text.substr(pos + 1, end - pos - 1);
-        size_t colon = text.find(':', end);
-        if (colon == std::string::npos)
-            break;
+        pos = end + 1;
+        size_t colon = text.find_first_not_of(" \t\n", pos);
+        if (colon == std::string::npos || text[colon] != ':')
+            continue;
         size_t vstart = text.find_first_not_of(" \t\n", colon + 1);
         if (vstart == std::string::npos)
             break;
@@ -108,7 +113,6 @@ parseGolden(const std::string &text)
         double v = std::strtod(text.c_str() + vstart, &vend);
         if (vend != text.c_str() + vstart)
             kv[key] = v;
-        pos = end + 1;
     }
     return kv;
 }
@@ -133,7 +137,7 @@ emitArtifact(const std::string &out,
 
     stats::json::JsonWriter jw(os);
     jw.beginObject()
-        .kv("schema", "hpa.bench-sweep.v5")
+        .kv("schema", "hpa.bench-sweep.v6")
         .kv("insts_per_run", insts)
         .kv("total_simulated_cycles", total_cycles)
         .kv("ok_runs", uint64_t(results.size() - failed))
@@ -149,8 +153,6 @@ emitArtifact(const std::string &out,
             .kv("status", sim::statusName(r.outcome.status))
             .kv("valid", r.valid())
             .kv("steady_missing", r.outcome.steadyMissing)
-            .kv("attempts", r.outcome.attempts)
-            .kv("backoff_ms", r.outcome.backoffMs)
             .kv("ipc", r.ipc, 6)
             .kv("committed", r.committed)
             .kv("cycles", r.cycles);
@@ -212,15 +214,26 @@ goldenCheck(const std::string &check,
         return 1;
     }
 
-    size_t drift = 0, checked = 0;
+    // The gate covers the whole file: every ok cell must be pinned,
+    // and every pinned cell must have run ok, so a shrunken grid
+    // cannot pass on the cells it still has.
+    size_t drift = 0, checked = 0, unpinned = 0, missing = 0;
+    std::set<std::string> ran;
     for (const sim::SweepResult &r : results) {
-        // Failed cells carry no IPC to compare; they are reported
-        // (and fail the gate) via the failure list.
+        // Failed cells carry no IPC to compare; a golden entry for
+        // one is reported below as a cell that did not run ok.
         if (!r.outcome.ok())
             continue;
+        ran.insert(runKey(r.spec));
         auto it = golden.find(runKey(r.spec));
-        if (it == golden.end())
+        if (it == golden.end()) {
+            std::fprintf(stderr,
+                         "NOT IN GOLDEN machine=%s workload=%s\n",
+                         r.spec.machine.name.c_str(),
+                         r.spec.workload.c_str());
+            ++unpinned;
             continue;
+        }
         ++checked;
         // Golden stores 6 decimals; allow the rounding slack.
         if (std::fabs(r.ipc - it->second) > 5e-7) {
@@ -232,14 +245,21 @@ goldenCheck(const std::string &check,
             ++drift;
         }
     }
-    if (checked == 0) {
-        std::fprintf(stderr, "golden %s matched no runs\n",
-                     check.c_str());
-        return 1;
+    for (const auto &[key, ipc] : golden) {
+        if (key == "insts_per_run" || ran.count(key))
+            continue;
+        const size_t bar = key.find('|');
+        std::fprintf(stderr, "NOT RUN OK machine=%s workload=%s\n",
+                     key.substr(0, bar).c_str(),
+                     key.substr(bar + 1).c_str());
+        ++missing;
     }
-    if (drift) {
-        std::fprintf(stderr, "%zu of %zu runs drifted from golden\n",
-                     drift, checked);
+    if (checked == 0 || drift || unpinned || missing) {
+        std::fprintf(stderr,
+                     "golden %s: %zu of %zu runs drifted, %zu golden "
+                     "cells did not run ok, %zu ok runs are not in "
+                     "the golden\n",
+                     check.c_str(), drift, checked, missing, unpinned);
         return 1;
     }
     std::printf("golden check: %zu runs match %s\n", checked,
@@ -305,13 +325,7 @@ main(int argc, char **argv)
             }
         } else if (a == "--jobs")
             jobs = unsigned(parseU64(a, need(i)));
-        else if (a == "--batch" || a == "--sched-engine"
-                 || a == "--trace-cache") {
-            std::cerr << a << " was removed: results never depended "
-                         "on it (every cell replays one captured "
-                         "trace, alone, on the one scheduler)\n";
-            return 2;
-        } else if (a == "--out")
+        else if (a == "--out")
             out = need(i);
         else if (a == "--check")
             check = need(i);
@@ -328,17 +342,12 @@ main(int argc, char **argv)
             size_t at = v.find('@');
             std::string kind = v.substr(0, at);
             sim::FaultKind f;
-            if (kind == "poison")
-                f = sim::FaultKind::PoisonWorkload;
-            else if (kind == "invariant")
+            if (kind == "invariant")
                 f = sim::FaultKind::InvariantTrip;
             else if (kind == "hang")
                 f = sim::FaultKind::BlockCommit;
-            else if (kind == "flaky")
-                f = sim::FaultKind::FlakyOnce;
             else {
-                std::cerr << "--inject expects poison|invariant|hang"
-                             "|flaky@INDEX\n";
+                std::cerr << "--inject expects invariant|hang@INDEX\n";
                 return 2;
             }
             if (at == std::string::npos) {

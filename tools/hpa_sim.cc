@@ -17,13 +17,11 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 
 #include "sim/experiment.hh"
 #include "sim/simulation.hh"
-#include "sim/sweep.hh"
 #include "workloads/workloads.hh"
 
 #include "sim_options.hh"
@@ -42,10 +40,6 @@ workload (choose one):
   --bench NAME        SPEC CINT2000 substitute (see --list)
   --asm FILE          assemble and run an HPA-ISA source file
   --list              list available benchmarks and exit
-  --sweep             run the full reproduction sweep (every
-                      benchmark x every paper machine) on a thread
-                      pool and print an IPC matrix
-  --jobs N            sweep worker threads (0 = hardware threads)
 
 machine:
   --width N           4 (default) or 8: Table 1 base machines
@@ -83,90 +77,12 @@ robustness:
 structured output (FILE may be '-' for stdout; writing any document
 to stdout suppresses the human-readable summary):
   --json FILE         the whole run — spec, metrics, status, full
-                      stats — as one "hpa.run.v2" JSON document
+                      stats — as one "hpa.run.v3" JSON document
   --stats-json FILE   just the statistics registry, "hpa.stats.v1"
   --stats-csv FILE    the statistics as a CSV header/data row pair
 
-exit status: 0 success; 1 runtime failure (including failed sweep
-cells — partial results are still printed); 2 usage/config errors.
+exit status: 0 success; 1 runtime failure; 2 usage/config errors.
 )";
-}
-
-/**
- * The full reproduction sweep: every benchmark on every machine of
- * the paper's main figures, run on the SweepRunner thread pool.
- * Deterministic — the IPC matrix is identical at any --jobs value.
- * Failed cells print as FAIL, are listed with their error kind and
- * context after the matrix, and turn the exit status non-zero; the
- * surviving cells are unaffected.
- */
-int
-runSweepMode(const tools::SimOptions &opt)
-{
-    auto machines = sim::reproductionMachines();
-    auto names = workloads::benchmarkNames();
-
-    std::vector<sim::SweepJob> sweep;
-    for (auto &m : machines) {
-        tools::applyRobustnessKnobs(opt, m.cfg);
-        for (const auto &n : names) {
-            sim::SweepJob j;
-            j.workload = n;
-            j.machine = m;
-            j.max_insts = opt.insts;
-            j.max_cycles = opt.cycles;
-            sweep.push_back(j);
-        }
-    }
-
-    sim::SweepRunner runner(opt.jobs);
-    std::cout << sweep.size() << " runs (" << machines.size()
-              << " machines x " << names.size() << " benchmarks), "
-              << runner.jobs() << " worker thread(s), " << opt.insts
-              << " insts per run\n\n";
-    auto res = runner.run(std::move(sweep));
-
-    // IPC matrix: machines down, benchmarks across.
-    std::cout << std::left << std::setw(26) << "machine (IPC)";
-    for (const auto &n : names)
-        std::cout << std::right << std::setw(8) << n;
-    std::cout << "\n";
-    size_t k = 0;
-    uint64_t total_cycles = 0;
-    std::vector<const sim::SweepResult *> failed;
-    bool steady_missing = false;
-    for (const auto &m : machines) {
-        std::cout << std::left << std::setw(26) << m.name;
-        for (size_t i = 0; i < names.size(); ++i, ++k) {
-            if (!res[k].outcome.ok()) {
-                failed.push_back(&res[k]);
-                std::cout << std::right << std::setw(8) << "FAIL";
-            } else {
-                std::cout << std::right << std::setw(8) << std::fixed
-                          << std::setprecision(2) << res[k].ipc;
-            }
-            steady_missing |= res[k].outcome.steadyMissing;
-            total_cycles += res[k].cycles;
-        }
-        std::cout << "\n";
-    }
-    std::cout << "\n"
-              << std::setprecision(1) << double(total_cycles) / 1e6
-              << " Mcycles simulated\n";
-    if (steady_missing)
-        std::cerr << "warning: some kernels have no steady: symbol; "
-                     "their timing includes initialization\n";
-    if (!failed.empty()) {
-        std::cerr << "\n" << failed.size() << " of " << res.size()
-                  << " runs failed (remaining cells are complete and "
-                     "deterministic):\n";
-        for (const auto *r : failed)
-            std::cerr << "  " << r->spec.workload << " @ "
-                      << r->spec.machine.name << ": "
-                      << r->outcome.error << "\n";
-        return 1;
-    }
-    return 0;
 }
 
 /** Run @p emit against @p path ('-' = stdout). */
@@ -211,20 +127,6 @@ main(int argc, char **argv)
             std::cout << n << " — " << w.description << "\n";
         }
         return 0;
-    }
-
-    if (opt.sweep) {
-        if (!opt.bench.empty() || !opt.asm_file.empty()) {
-            std::cerr << "--sweep runs every benchmark; drop "
-                         "--bench/--asm\n";
-            return 2;
-        }
-        try {
-            return runSweepMode(opt);
-        } catch (const std::exception &e) {
-            std::cerr << "error: " << e.what() << "\n";
-            return 1;
-        }
     }
 
     if (opt.bench.empty() == opt.asm_file.empty()) {

@@ -42,8 +42,9 @@ now enforced only by convention and review:
                            deterministic sim core (src/core,
                            src/func) — hash-order iteration makes
                            output depend on pointer values. The
-                           sweep engine's timing/backoff uses are
-                           suppressed with reasons.
+                           sweep engine's wall-time reporting is the
+                           one audited exception, suppressed with
+                           reasons.
   HPA000 suppression       hpa-nolint hygiene: a suppression must
                            name known rules, carry a reason, and
                            actually suppress something. Also checks
@@ -95,7 +96,6 @@ SIM_ERROR_TYPES = {
     "WorkloadError",
     "InvariantViolation",
     "Deadlock",
-    "Timeout",
     "AsmError",
     "EmulationError",
 }
@@ -189,9 +189,10 @@ POLICY_DOC = "EXPERIMENTS.md"
 # --- HPA007 -----------------------------------------------------------
 # The deterministic sim core: simulated state may depend only on
 # config + workload. Wall-clock and randomness are banned across
-# src/ (the sweep engine's timing and backoff uses carry
-# hpa-nolint(HPA007) suppressions with reasons); hash-order
-# iteration is banned in the layers that produce simulated output.
+# src/ (the sweep engine's wall-time reporting, the one audited
+# exception, carries hpa-nolint(HPA007) suppressions with reasons);
+# hash-order iteration is banned in the layers that produce
+# simulated output.
 DETERMINISM_SCOPE = ("src/",)
 DETERMINISM_ITER_SCOPE = ("src/core/", "src/func/")
 WALLCLOCK_RE = re.compile(
@@ -840,7 +841,7 @@ def self_test():
         with open(err_hh, encoding="utf-8") as fh:
             text = fh.read()
         for cls in ("ConfigError", "WorkloadError", "InvariantViolation",
-                    "Deadlock", "Timeout"):
+                    "Deadlock"):
             if ("class %s" % cls) not in text:
                 failures.append(
                     "taxonomy drift: %s not found in src/sim/error.hh"

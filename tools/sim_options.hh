@@ -44,10 +44,8 @@ struct SimOptions
     uint64_t cycles = 0;
     bool fastforward = true;
     bool report = false;
-    bool sweep = false;
     bool list = false;
     bool help = false;
-    unsigned jobs = 0;
     /** --watchdog N: deadlock watchdog threshold in cycles
      *  (0 disables). Unset keeps the CoreConfig default. */
     uint64_t watchdog = 0;
@@ -70,18 +68,17 @@ struct SimOptions
     }
 };
 
-/** Strict unsigned parse: the whole token must be a base-10 number
- *  that fits @p out. */
+/** Strict unsigned parse: the whole token must be base-10 digits
+ *  (no sign, no whitespace) whose value fits @p out. */
 inline bool
 parseNumber(const std::string &text, uint64_t &out)
 {
-    if (text.empty())
+    if (text.empty()
+        || text.find_first_not_of("0123456789") != std::string::npos)
         return false;
     errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size()
-        || text[0] == '-')
+    unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
+    if (errno != 0)
         return false;
     out = v;
     return true;
@@ -202,11 +199,6 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
             opt.help = true;
         } else if (a == "--list") {
             opt.list = true;
-        } else if (a == "--sweep") {
-            opt.sweep = true;
-        } else if (a == "--jobs") {
-            if (!needUnsigned(&opt.jobs))
-                return 2;
         } else if (a == "--bench") {
             if (!need(&opt.bench))
                 return fail("--bench needs a value");
@@ -256,13 +248,6 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
         } else if (a == "--check-interval") {
             if (!needNumber(&opt.check_interval))
                 return 2;
-        } else if (a == "--sched-engine") {
-            return fail("--sched-engine was removed: results never "
-                        "depended on it (one scheduler remains)");
-        } else if (a == "--trace-cache") {
-            return fail("--trace-cache was removed: results never "
-                        "depended on it (every run replays one "
-                        "captured trace)");
         } else if (a == "--no-fastforward") {
             opt.fastforward = false;
         } else if (a == "--report") {
@@ -283,17 +268,6 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
             return fail(a + " does not take a value");
     }
     return 0;
-}
-
-/** Apply --watchdog / --check-interval onto a core configuration
- *  (sweep mode applies them to every reproduction machine). */
-inline void
-applyRobustnessKnobs(const SimOptions &opt, core::CoreConfig &cfg)
-{
-    if (opt.watchdog_set)
-        cfg.watchdog_cycles = opt.watchdog;
-    if (opt.check_interval)
-        cfg.check_interval = opt.check_interval;
 }
 
 /**
@@ -319,7 +293,10 @@ machineFor(const SimOptions &opt)
     if (opt.lap_set)
         b.lap(opt.lap);
     sim::Machine m = b.build();
-    applyRobustnessKnobs(opt, m.cfg);
+    if (opt.watchdog_set)
+        m.cfg.watchdog_cycles = opt.watchdog;
+    if (opt.check_interval)
+        m.cfg.check_interval = opt.check_interval;
     return m;
 }
 

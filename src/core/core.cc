@@ -839,16 +839,18 @@ Core::handleLoadMiss(const Event &ev)
                  cfg_.recovery == RecoveryModel::Selective);
 
     // Cancel the speculative wakeups of the load's own dependents and
-    // re-broadcast at the true arrival time.
+    // re-broadcast at the true arrival time. A short miss can arrive
+    // by the cycle it is detected; its re-broadcast then goes out on
+    // the next cycle, the earliest a handler may schedule, or the
+    // cancelled consumers would never wake.
     repairConsumersOf(ev.slot, load.seq);
     uint64_t true_wake = wakeBroadcastCycle(
         load.issueCycle + 1 + load.memLatency,
         load.issueCycle + cfg_.schedToExec() + load.latency - 1);
     load.wakeBroadcastCycle = true_wake;
     isa::RegIndex dest = load.rec->inst.destReg();
-    if (dest != isa::NO_REG && !isa::isZeroReg(dest)
-        && true_wake > cycle_)
-        scheduleEvent(true_wake,
+    if (dest != isa::NO_REG && !isa::isZeroReg(dest))
+        scheduleEvent(std::max(true_wake, cycle_ + 1),
                       Event{ev.seq, ev.token, ev.slot,
                             EventKind::FastWake});
 }

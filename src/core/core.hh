@@ -29,7 +29,6 @@
 
 #include <functional>
 #include <ostream>
-// hpa-nolint(HPA002): wakeup-order history, bounded by static PCs
 #include <unordered_map>
 #include <vector>
 
@@ -463,7 +462,6 @@ class Core
      *  so the map stops growing after the first iteration of a
      *  kernel's loop; the warm steady state performs lookups only
      *  (test_hotpath_alloc proves it). */
-    // hpa-nolint(HPA002): bounded by static PCs, lookup-only when warm
     std::unordered_map<uint64_t, uint8_t> orderHistory_;
 
     uint64_t lastCommitCycle_ = 0;

@@ -6,10 +6,10 @@
  * carries the achieved IPC, the budgets actually consumed, the
  * fast-forward count and the full statistics snapshot — emittable as
  * schema-versioned JSON. This is the stable programmatic surface the
- * tools, bench harnesses and sweep engine all drive the simulator
- * through; the builder is the single machine-construction path, and
- * policies can be selected by registry name (schedPolicy()/
- * rfPolicy(), see core/policy_registry.hh) or by enum.
+ * tools and the sweep engine drive the simulator through; the builder
+ * is the single machine-construction path, and policies can be
+ * selected by registry name (schedPolicy()/rfPolicy(), see
+ * core/policy_registry.hh) or by enum.
  */
 
 #ifndef HPA_SIM_EXPERIMENT_HH

@@ -1,8 +1,9 @@
 /**
  * @file
- * Parallel sweep engine. Every figure/table harness replays the same
- * pattern — a loop over (workload, machine, budget) tuples, each an
- * independent Simulation — so the engine runs them as jobs on a
+ * Parallel sweep engine. Every table of tools/hpa_figures and every
+ * golden gate of tools/hpa_bench_sweep is the same pattern — a loop
+ * over (workload, machine, budget) tuples, each an independent
+ * Simulation — so the engine runs them as jobs on a
  * fixed thread pool: one isolated Simulation per job, workload
  * programs built once process-wide (thread-safe cache), and results
  * returned in submission order so table printing — and the stats
@@ -101,9 +102,9 @@ class SweepRunner
 /**
  * All-or-nothing view of a sweep: throws hpa::WorkloadError listing
  * every failed cell (workload, machine, one-line error) when any
- * result is not ok. Harnesses that cannot use partial results — the
- * figure generators, the golden gate's serial path — call this right
- * after SweepRunner::run().
+ * result is not ok. Callers that cannot use partial results — such as
+ * hpa_figures, which cannot print a table with a hole in it — call
+ * this right after SweepRunner::run().
  */
 void requireAllOk(const std::vector<SweepResult> &results);
 
@@ -112,7 +113,8 @@ void requireAllOk(const std::vector<SweepResult> &results);
  * (Table 2 base, Figure 14 wakeup schemes, Figure 15 register
  * files, Figure 16 combined), for both Table 1 widths. Crossed with
  * the twelve workloads this is the canonical "full reproduction
- * sweep" run by tools/hpa_bench_sweep and the determinism tests.
+ * sweep" run by tools/hpa_bench_sweep and the determinism tests, and
+ * the first 16 machines of tools/hpa_figures' machine union.
  */
 std::vector<Machine> reproductionMachines();
 

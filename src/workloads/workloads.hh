@@ -119,8 +119,8 @@ class WorkloadCache
     std::map<TraceKey, TraceEntry> traces_;
 };
 
-/** Process-wide shared cache used by the sweep engine and the bench
- *  harnesses (one build of each program per process). */
+/** Process-wide shared cache used by the sweep engine and the tools
+ *  (one build of each program per process). */
 WorkloadCache &globalCache();
 
 // Individual builders.

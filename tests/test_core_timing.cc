@@ -1,8 +1,9 @@
 /** @file Exact-timing litmus tests driven by the commit listener:
  *  per-instruction pipeline timestamps must follow the documented
  *  conventions (back-to-back issue, load-to-use latency, slow-bus
- *  delay, sequential-RF stretch, replay re-issue) and the structural
- *  occupancy invariants (window, LSQ, commit width). */
+ *  delay, sequential-RF stretch, replay re-issue, short load misses)
+ *  and the structural occupancy invariants (window, LSQ, commit
+ *  width). */
 
 #include <algorithm>
 #include <map>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/synthetic.hh"
+#include "sim/experiment.hh"
 #include "sim/simulation.hh"
 
 namespace
@@ -200,6 +202,26 @@ far:    .word 9)", core::fourWideConfig());
     // Its final issue waits for the true memory latency (cold DL1 +
     // L2 + memory = 60, plus agen).
     EXPECT_GE(dep[0].issue, ld[0].issue + 61);
+}
+
+TEST(ExactTiming, ShortLoadMissStillWakesItsConsumers)
+{
+    // With an L2 latency of 1 or 2 a DL1 miss delivers its data by
+    // the cycle the miss is detected. Its consumers' speculative
+    // wakeups are cancelled at detection, so the re-broadcast must
+    // still go out (on the next cycle) or they never wake and the
+    // watchdog fires.
+    core::SyntheticParams sp;
+    func::CommittedTrace stream = core::syntheticTrace(sp);
+    for (unsigned l2 : {1u, 2u}) {
+        CoreConfig cfg = sim::Machine::base(4).build().cfg;
+        cfg.mem.l2.latency = l2;
+        core::Core c(cfg, stream);
+        ASSERT_NO_THROW(c.run(2000000)) << "L2 latency " << l2;
+        EXPECT_TRUE(c.done()) << "L2 latency " << l2;
+        EXPECT_EQ(c.stats().committed.value(), stream.size())
+            << "L2 latency " << l2;
+    }
 }
 
 TEST(Occupancy, IssueGroupsRespectWidthAndAluCount)

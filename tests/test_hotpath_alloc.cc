@@ -1,12 +1,12 @@
-/** @file Dynamic half of the PR 4 zero-steady-state-allocation claim,
- *  cross-validating hpa-lint's static HPA002 rule: this binary
+/** @file Dynamic half of the zero-steady-state-allocation claim,
+ *  cross-validating hpa_prove's static P1 proof: this binary
  *  replaces the global operator new with a counting wrapper, warms a
  *  trace-backed core past every ring/map high-water mark, then
  *  counts allocations across thousands more Core::tick() calls. Any
- *  count above zero fails — the static rule catches per-operation
- *  container types at review time, this test catches everything the
- *  regexes cannot see (amortised std::vector growth, allocations in
- *  callees, regressions in the window-sized containers themselves). */
+ *  count above zero fails — P1 proves from the call graph that no
+ *  allocator is reachable except the std::vector growth helpers it
+ *  excuses, and this test shows that growth is quiescent once warm
+ *  (plus regressions in the window-sized containers themselves). */
 
 #include <atomic>
 #include <cstdlib>

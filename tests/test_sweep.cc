@@ -2,19 +2,16 @@
  *  serial run for every (machine x workload) pair of the full
  *  reproduction sweep, the policy zoo and every registered
  *  scheduler x register-file pair, thread-safe build-once workload
- *  cache, deterministic parallelFor, per-cell fault isolation, and
- *  the strict environment parsing of the harness helpers. */
+ *  cache, deterministic parallelFor and per-cell fault isolation. */
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "bench_util.hh"
 #include "core/policy_registry.hh"
 #include "sim/sweep.hh"
 #include "workloads/workloads.hh"
@@ -334,42 +331,6 @@ TEST(RequireAllOk, ThrowsListingEveryFailedCell)
     // A clean sweep sails through.
     auto clean = sim::SweepRunner(2, &cache).run(smallGrid(2000));
     EXPECT_NO_THROW(sim::requireAllOk(clean));
-}
-
-TEST(InstBudgetEnv, AcceptsOnlyPositiveIntegers)
-{
-    setenv("HPA_INSTS", "12345", 1);
-    EXPECT_EQ(benchutil::instBudget(), 12345u);
-    setenv("HPA_INSTS", "garbage", 1);
-    EXPECT_EQ(benchutil::instBudget(500), 500u);
-    setenv("HPA_INSTS", "123abc", 1);
-    EXPECT_EQ(benchutil::instBudget(500), 500u);
-    setenv("HPA_INSTS", "-5", 1);
-    EXPECT_EQ(benchutil::instBudget(500), 500u);
-    setenv("HPA_INSTS", "0", 1);
-    EXPECT_EQ(benchutil::instBudget(500), 500u);
-    setenv("HPA_INSTS", "", 1);
-    EXPECT_EQ(benchutil::instBudget(500), 500u);
-    setenv("HPA_INSTS", "99999999999999999999999999", 1);
-    EXPECT_EQ(benchutil::instBudget(500), 500u);
-    unsetenv("HPA_INSTS");
-    EXPECT_EQ(benchutil::instBudget(500), 500u);
-}
-
-TEST(SweepJobsEnv, AcceptsSmallUnsignedIntegers)
-{
-    setenv("HPA_JOBS", "4", 1);
-    EXPECT_EQ(benchutil::sweepJobs(), 4u);
-    setenv("HPA_JOBS", "0", 1);
-    EXPECT_EQ(benchutil::sweepJobs(), 0u);
-    setenv("HPA_JOBS", "2000", 1); // over the sanity cap
-    EXPECT_EQ(benchutil::sweepJobs(), 0u);
-    setenv("HPA_JOBS", "four", 1);
-    EXPECT_EQ(benchutil::sweepJobs(), 0u);
-    setenv("HPA_JOBS", "-1", 1);
-    EXPECT_EQ(benchutil::sweepJobs(), 0u);
-    unsetenv("HPA_JOBS");
-    EXPECT_EQ(benchutil::sweepJobs(), 0u);
 }
 
 } // namespace

@@ -3,11 +3,10 @@
 
 The repo's central performance claims — zero steady-state allocation
 in Core::tick, no unwind paths or indirect calls inside the bitmask
-scheduler or any wakeup/register-file scheme — are enforced in two
-other places: the HPA002 regex lint (tools/lint/hpa_lint.py) and the
-runtime operator-new counter (tests/test_hotpath_alloc.cc). Both can
-miss transitive callees and neither sees what the optimizer actually
-emitted. This tool closes the gap: it ingests compiler-emitted ground
+scheduler or any wakeup/register-file scheme — are also checked at
+run time by the operator-new counter (tests/test_hotpath_alloc.cc),
+which sees only what the workloads happened to execute and nothing
+of what the optimizer actually emitted. This tool closes the gap: it ingests compiler-emitted ground
 truth, builds the whole-program call graph transitively reachable
 from the hot-path roots, and proves four properties with named
 violation paths.
@@ -212,7 +211,7 @@ ALLOW_RE = re.compile(
     r"//\s*hpa-prove-allow\(([^)]*)\)\s*(?::\s*(.*\S))?\s*$")
 
 SOURCE_EXTENSIONS = (".cc", ".hh", ".cpp", ".hpp")
-SOURCE_DIRS = ("src", "tools", "bench", "tests", "examples")
+SOURCE_DIRS = ("src", "tools", "tests", "examples")
 FIXTURE_FILE = "tests/prove_fixture.cc"
 
 

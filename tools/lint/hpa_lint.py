@@ -8,12 +8,6 @@ now enforced only by convention and review:
                            construct a class from the SimError
                            taxonomy (src/sim/error.hh), so the sweep
                            engine and CLI always get a typed kind.
-  HPA002 hot-path-alloc    no per-operation heap-allocating container
-                           types (std::map and friends) and no naked
-                           `new` in the Core::tick call-graph files.
-                           Amortised std::vector growth is checked
-                           dynamically by tests/test_hotpath_alloc.cc;
-                           the two checks cross-validate each other.
   HPA003 schema-registry   every "hpa.*.vN" schema literal in the
                            source must be registered in
                            tools/hpa_json_validate.cc and documented
@@ -57,7 +51,11 @@ now enforced only by convention and review:
 
 Suppressions: append `// hpa-nolint(RULE): reason` to the offending
 line, or put it alone on the line directly above. Multiple rules:
-`hpa-nolint(HPA002,HPA004): reason`. The reason is mandatory.
+`hpa-nolint(HPA001,HPA004): reason`. The reason is mandatory.
+
+Allocation on the Core::tick path has no lint rule: hpa_prove's P1
+proves it from the compiler's call graph (tools/analyze/hpa_prove.py)
+and tests/test_hotpath_alloc.cc counts it at run time.
 
 Output: human-readable findings (default) or a machine-readable
 hpa.lint.v1 JSON document (--json FILE, '-' = stdout), validated in
@@ -84,7 +82,7 @@ LINT_SCHEMA = "hpa.lint.v1"
 # Directories scanned relative to --root, and the extensions lint
 # cares about. build trees and third-party checkouts are never
 # walked.
-SCAN_DIRS = ("src", "tools", "bench", "examples", "tests")
+SCAN_DIRS = ("src", "tools", "examples", "tests")
 EXTENSIONS = (".cc", ".hh", ".cpp", ".hpp")
 
 # --- HPA001 -----------------------------------------------------------
@@ -101,44 +99,7 @@ SIM_ERROR_TYPES = {
 }
 # Tests may throw anything: they exercise catch paths and std-base
 # compatibility on purpose.
-THROW_SCOPE = ("src", "tools", "bench", "examples")
-
-# --- HPA002 -----------------------------------------------------------
-# The Core::tick call graph: everything reachable from a tick,
-# per-cycle. A file added to the core/mem/bpred/func layers that tick
-# touches belongs in this list, and an entry naming no file is itself
-# a finding, so the list follows the code.
-HOT_PATH_FILES = {
-    "src/core/core.cc",
-    "src/core/core.hh",
-    "src/core/dyn_inst.hh",
-    "src/core/issue_window.hh",
-    "src/core/event_queue.hh",
-    "src/core/containers.hh",
-    "src/core/fu_pool.cc",
-    "src/core/fu_pool.hh",
-    "src/core/last_arrival.cc",
-    "src/core/last_arrival.hh",
-    "src/mem/cache.cc",
-    "src/mem/cache.hh",
-    "src/mem/hierarchy.cc",
-    "src/mem/hierarchy.hh",
-    "src/bpred/bpred.cc",
-    "src/bpred/bpred.hh",
-    "src/func/trace.hh",
-}
-HOT_PATH_MISSING = "listed in HOT_PATH_FILES but does not exist"
-NODE_CONTAINER_RE = re.compile(
-    r"std::(?:multi)?(?:map|set)\s*<"
-    r"|std::unordered_(?:map|set|multimap|multiset)\s*<"
-    r"|std::list\s*<"
-    r"|std::deque\s*<"
-)
-NODE_CONTAINER_INCLUDE_RE = re.compile(
-    r"#\s*include\s*<(?:map|set|list|deque|unordered_map|"
-    r"unordered_set)>"
-)
-NAKED_NEW_RE = re.compile(r"\bnew\b(?!\s*\()")
+THROW_SCOPE = ("src", "tools", "examples")
 
 # --- HPA003 -----------------------------------------------------------
 SCHEMA_LITERAL_RE = re.compile(r'"(hpa\.[a-z0-9_-]+(?:\.[a-z0-9_-]+)*\.v[0-9]+)"')
@@ -166,7 +127,7 @@ INCLUDE_BANS = [
     ),
     (
         re.compile(r"#\s*include\s*<regex>"),
-        ("src/", "tools/", "bench/", "examples/", "tests/"),
+        ("src/", "tools/", "examples/", "tests/"),
         (),
         "<regex> is a compile-time and runtime heavyweight; use "
         "hand-rolled parsing",
@@ -218,8 +179,6 @@ RULES = {
               "known rules/properties, carry a reason, and (for "
               "hpa-nolint) suppress at least one finding",
     "HPA001": "throw must construct a SimError-taxonomy class",
-    "HPA002": "no node-based heap containers or naked new in the "
-              "Core::tick call graph",
     "HPA003": "hpa.*.vN schema literals must be registered in "
               "hpa_json_validate.cc and documented in markdown",
     "HPA004": "per-directory banned includes",
@@ -378,32 +337,6 @@ class LintRun:
                     "throw constructs '%s', which is not part of the "
                     "SimError taxonomy (src/sim/error.hh)"
                     % (target or "<expression>"))
-
-    def check_hot_path(self, f):
-        if f.relpath not in HOT_PATH_FILES:
-            return
-        for idx, line in enumerate(f.lines, start=1):
-            if NODE_CONTAINER_RE.search(line):
-                self.report(
-                    f.relpath, idx, "HPA002",
-                    "node-based container in the Core::tick call "
-                    "graph allocates per insert")
-            elif NODE_CONTAINER_INCLUDE_RE.search(line):
-                self.report(
-                    f.relpath, idx, "HPA002",
-                    "node-based container header included in a "
-                    "Core::tick call-graph file")
-            if NAKED_NEW_RE.search(line):
-                self.report(
-                    f.relpath, idx, "HPA002",
-                    "naked new in the Core::tick call graph")
-
-    def check_hot_path_list(self):
-        for rel in sorted(HOT_PATH_FILES):
-            if not os.path.isfile(os.path.join(self.root, rel)):
-                self.report(rel, 0, "HPA002",
-                            HOT_PATH_MISSING + "; update the list in "
-                            "tools/lint/hpa_lint.py")
 
     def check_schemas(self):
         validator = ""
@@ -608,11 +541,9 @@ class LintRun:
         self.scan()
         for f in self.files:
             self.check_throws(f)
-            self.check_hot_path(f)
             self.check_includes(f)
             self.check_determinism(f)
             self.check_prove_allows(f)
-        self.check_hot_path_list()
         self.check_schemas()
         self.check_stats_registry()
         self.check_policy_docs()
@@ -675,19 +606,14 @@ SELF_TEST_CASES = [
      "// don't throw std::logic_error here\n", []),
     ("throw in a test file is ignored", "tests/t.cc",
      'void f() { throw std::runtime_error("x"); }\n', ["HPA001-absent"]),
-    ("map in hot path is flagged", "src/core/fu_pool.hh",
-     "#include <map>\nstd::map<int, int> m;\n",
-     ["HPA002", "HPA002"]),
-    ("suppressed map with reason is clean", "src/core/fu_pool.hh",
-     "std::map<int, int> m; // hpa-nolint(HPA002): init-only table\n",
+    ("suppressed include with reason is clean", "src/x/a.cc",
+     "#include <iostream> // hpa-nolint(HPA004): debug-only tool\n",
      []),
-    ("suppression without reason is flagged", "src/core/fu_pool.hh",
-     "std::map<int, int> m; // hpa-nolint(HPA002)\n",
-     ["HPA000", "HPA002"]),
-    ("stale suppression is flagged", "src/core/fu_pool.hh",
-     "int m; // hpa-nolint(HPA002): nothing here\n", ["HPA000"]),
-    ("naked new in hot path is flagged", "src/core/core.cc",
-     "int *p = new int[4];\n", ["HPA002"]),
+    ("suppression without reason is flagged", "src/x/a.cc",
+     "#include <iostream> // hpa-nolint(HPA004)\n",
+     ["HPA000", "HPA004"]),
+    ("stale suppression is flagged", "src/x/a.cc",
+     "int m; // hpa-nolint(HPA004): nothing here\n", ["HPA000"]),
     ("unregistered schema literal is flagged", "src/x/a.cc",
      'const char *S = "hpa.nosuch.v9";\n', ["HPA003", "HPA003"]),
     ("iostream in src is flagged", "src/x/a.cc",
@@ -767,28 +693,13 @@ def self_test():
                     fh.write(text)
             run = LintRun(tmp)
             got = sorted(f.rule for f in run.run()
-                         if (f.rule != "HPA003" or "nosuch" in f.message)
-                         and not f.message.startswith(HOT_PATH_MISSING))
+                         if f.rule != "HPA003" or "nosuch" in f.message)
             want = sorted(e for e in expected if not e.endswith("-absent"))
             if got != want:
                 failures.append("%s: expected %s, got %s [%s]"
                                 % (desc, want, got,
                                    "; ".join(f.message
                                              for f in run.findings)))
-    # The hot-path list follows the code: a tree holding every listed
-    # file but one reports exactly that one.
-    with tempfile.TemporaryDirectory() as tmp:
-        gone = "src/core/core.cc"
-        for rel in HOT_PATH_FILES - {gone}:
-            path = os.path.join(tmp, rel)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            open(path, "w", encoding="utf-8").close()
-        got = [(f.path, f.rule) for f in LintRun(tmp).run()
-               if f.message.startswith(HOT_PATH_MISSING)]
-        if got != [(gone, "HPA002")]:
-            failures.append("hot-path list: expected one HPA002 "
-                            "finding for the missing %s, got %r"
-                            % (gone, got))
     # --changed-only equivalence: a filtered run reports exactly the
     # full scan's findings on the changed files (the scan itself is
     # never narrowed, so cross-file rules keep their context).

@@ -8,7 +8,7 @@
 #                 (default: ./build; configure with
 #                 -DCMAKE_EXPORT_COMPILE_COMMANDS=ON)
 #   FILE...       restrict the run to these sources (default: every
-#                 src/tools/bench/examples/tests TU in the database)
+#                 src/tools/examples/tests TU in the database)
 #
 # Exit codes: 0 clean, 1 findings, 2 usage/setup error, 77 skipped
 # because no clang-tidy binary is installed (ctest's SKIP_RETURN_CODE,

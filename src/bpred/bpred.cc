@@ -158,4 +158,12 @@ BranchPredictor::regStats(stats::Registry &reg)
     reg.add(&targetMispredicts);
 }
 
+void
+BranchPredictor::release()
+{
+    bimodal_ = gshare_ = selector_ = TwoBitTable(0);
+    btb_ = Btb(0, 1);
+    ras_ = Ras(0);
+}
+
 } // namespace hpa::bpred

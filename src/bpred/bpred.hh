@@ -128,6 +128,10 @@ class BranchPredictor
 
     void regStats(stats::Registry &reg);
 
+    /** Free the tables of a predictor that is done: the counters
+     *  stay, predict() and resolve() must not follow. */
+    void release();
+
     stats::Counter lookups;
     stats::Counter dirMispredicts;
     stats::Counter targetMispredicts;

@@ -297,7 +297,7 @@ Core::dumpPipelineState() const
         state += di.inReadyList ? 'R' : '.';
         state += di.loadMissReplay ? 'M' : '.';
         os << "  " << state << "   "
-           << di.rec->inst.disassemble() << "\n";
+           << di.si->disassemble() << "\n";
         idx = (idx + 1) % cfg_.ruu_size;
     }
     if (windowCount_ > MAX_ROWS)
@@ -322,7 +322,34 @@ Core::run(uint64_t max_cycles)
         if (max_cycles && cycle_ >= max_cycles)
             break;
     }
+    if (done())
+        releaseTimingState();
     return stats_.committed.value();
+}
+
+void
+Core::releaseTimingState()
+{
+    // Each member is replaced by an empty one, so its heap memory
+    // goes back (a clear() keeps the capacity). A zero-capacity
+    // calendar holds no event pool. The window is empty, so the ring
+    // restarts at slot 0: the testing hooks' age-ordered scans over
+    // the zero-slot planes then read no word.
+    head_ = tail_ = 0;
+    window_ = std::vector<DynInst>();
+    masks_ = IssueWindowMasks();
+    events_ = CalendarQueue<Event, 3>(0, 0);
+    fetchQueue_ = BoundedRing<FetchedInst>();
+    storeSlots_ = BoundedRing<unsigned>();
+    squashCandidates_ = std::vector<int>();
+    squashList_ = std::vector<int>();
+    squashTainted_ = std::vector<uint64_t>();
+    squashIn_ = std::vector<char>();
+    orderHistory_ = std::unordered_map<uint64_t, uint8_t>();
+    lap_.release();
+    lapMon_.release();
+    bp_.release();
+    hier_.release();
 }
 
 void
@@ -396,7 +423,7 @@ Core::tickGuards()
 void
 Core::commitFormatStats(const DynInst &di)
 {
-    const isa::StaticInst &si = di.rec->inst;
+    const isa::StaticInst &si = *di.si;
     if (si.isStore()) {
         ++stats_.fmtStores;
         return;
@@ -426,13 +453,16 @@ Core::commit()
     unsigned budget = cfg_.width;
     while (budget > 0 && windowCount_ > 0) {
         DynInst &di = window_[head_];
-        if (!di.completed || di.completeCycle >= cycle_)
+        // A replayed load's re-broadcast can trail its completion
+        // (handleLoadMiss); retiring first would drop it.
+        if (!di.completed || di.completeCycle >= cycle_
+            || di.wakeBroadcastCycle >= cycle_)
             break;
 
         if (di.isStore())
-            hier_.dataAccess(di.rec->effAddr, true);
+            hier_.dataAccess(di.rec->addr, true);
 
-        isa::RegIndex dest = di.rec->inst.destReg();
+        isa::RegIndex dest = di.si->destReg();
         if (dest != isa::NO_REG && !isa::isZeroReg(dest)
             && lastProducer_[dest].seq == di.seq)
             lastProducer_[dest] = ProducerRef{};
@@ -455,7 +485,7 @@ Core::commit()
                           invariantContext());
             storeSlots_.pop_front();
         }
-        if (di.rec->inst.isMemRef())
+        if (di.si->isMemRef())
             --lsqCount_;
         ++stats_.committed;
         lastCommitCycle_ = cycle_;
@@ -842,15 +872,17 @@ Core::handleLoadMiss(const Event &ev)
     // re-broadcast at the true arrival time. A short miss can arrive
     // by the cycle it is detected; its re-broadcast then goes out on
     // the next cycle, the earliest a handler may schedule, or the
-    // cancelled consumers would never wake.
+    // cancelled consumers would never wake. The load can also have
+    // completed by then: commit() waits for the recorded broadcast
+    // cycle, so the load is still in the window to deliver it.
     repairConsumersOf(ev.slot, load.seq);
     uint64_t true_wake = wakeBroadcastCycle(
         load.issueCycle + 1 + load.memLatency,
         load.issueCycle + cfg_.schedToExec() + load.latency - 1);
-    load.wakeBroadcastCycle = true_wake;
-    isa::RegIndex dest = load.rec->inst.destReg();
+    load.wakeBroadcastCycle = std::max(true_wake, cycle_ + 1);
+    isa::RegIndex dest = load.si->destReg();
     if (dest != isa::NO_REG && !isa::isZeroReg(dest))
-        scheduleEvent(std::max(true_wake, cycle_ + 1),
+        scheduleEvent(load.wakeBroadcastCycle,
                       Event{ev.seq, ev.token, ev.slot,
                             EventKind::FastWake});
 }
@@ -887,8 +919,8 @@ Core::wakeBroadcastCycle(uint64_t wake, uint64_t complete)
 bool
 Core::lsqAllowsLoad(const DynInst &load) const
 {
-    uint64_t lo = load.rec->effAddr;
-    uint64_t hi = lo + load.rec->inst.memSize();
+    uint64_t lo = load.rec->addr;
+    uint64_t hi = lo + load.si->memSize();
     // storeSlots_ holds the in-window stores in program order, so
     // the overlap search touches only older stores instead of the
     // whole window.
@@ -896,8 +928,8 @@ Core::lsqAllowsLoad(const DynInst &load) const
         const DynInst &di = window_[storeSlots_[k]];
         if (di.seq >= load.seq)
             break;
-        uint64_t slo = di.rec->effAddr;
-        uint64_t shi = slo + di.rec->inst.memSize();
+        uint64_t slo = di.rec->addr;
+        uint64_t shi = slo + di.si->memSize();
         if (slo < hi && lo < shi) {
             // Overlapping older store: its address must be known
             // (agen issued) and its data produced before the load
@@ -979,7 +1011,7 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
         }
     }
 
-    isa::RegIndex dest = di.rec->inst.destReg();
+    isa::RegIndex dest = di.si->destReg();
     bool broadcasts = dest != isa::NO_REG && !isa::isZeroReg(dest);
     uint64_t wake_cycle;
     uint64_t complete_cycle;
@@ -988,14 +1020,14 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
         // Determine the actual memory latency: forwarded from an
         // older overlapping store, or from the cache hierarchy.
         bool forwarded = false;
-        uint64_t lo = di.rec->effAddr;
-        uint64_t hi = lo + di.rec->inst.memSize();
+        uint64_t lo = di.rec->addr;
+        uint64_t hi = lo + di.si->memSize();
         for (size_t k = 0; k < storeSlots_.size(); ++k) {
             const DynInst &st = window_[storeSlots_[k]];
             if (st.seq >= di.seq)
                 break;
-            uint64_t slo = st.rec->effAddr;
-            uint64_t shi = slo + st.rec->inst.memSize();
+            uint64_t slo = st.rec->addr;
+            uint64_t shi = slo + st.si->memSize();
             if (slo < hi && lo < shi) {
                 forwarded = true;
                 break;
@@ -1003,7 +1035,7 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
         }
         unsigned mem_lat = forwarded
             ? hier_.assumedLoadLatency()
-            : hier_.dataAccess(di.rec->effAddr, false);
+            : hier_.dataAccess(di.rec->addr, false);
         di.memLatency = mem_lat;
 
         unsigned assumed_total = 1 + hier_.assumedLoadLatency();
@@ -1024,7 +1056,7 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
         }
     } else {
         unsigned lat =
-            isa::opClassLatency(di.rec->inst.opClass()) + extra;
+            isa::opClassLatency(di.si->opClass()) + extra;
         di.latency = lat;
         wake_cycle = cycle_ + lat;
         complete_cycle = cycle_ + cfg_.schedToExec() + lat - 1;
@@ -1080,7 +1112,7 @@ Core::selectTry(unsigned slot, int pass, unsigned &avail,
         ++stats_.rfPortStalls;
         return true;
     }
-    if (!fu_.acquire(di.rec->inst.opClass(), cycle_))
+    if (!fu_.acquire(di.si->opClass(), cycle_))
         return true;
     if (arbitrated)
         ports_left -= ports;
@@ -1128,7 +1160,7 @@ Core::select()
 void
 Core::setupOperands(DynInst &di, int slot)
 {
-    const isa::StaticInst &si = di.rec->inst;
+    const isa::StaticInst &si = *di.si;
 
     isa::SrcList raw = si.srcRegs();
     isa::SrcList sched;
@@ -1273,9 +1305,9 @@ Core::dispatch()
         FetchedInst &fi = fetchQueue_.front();
         if (fi.earliestDispatch > cycle_)
             break;
-        if (fi.rec->inst.isMemRef() && lsqCount_ >= cfg_.lsq_size)
+        if (fi.si->isMemRef() && lsqCount_ >= cfg_.lsq_size)
             break;
-        unsigned lookups = fi.rec->inst.uniqueSrcRegs().count;
+        unsigned lookups = fi.si->uniqueSrcRegs().count;
         if (lookups > rename_ports) {
             ++stats_.renameStalls;
             // The group splits here — unless nothing has dispatched
@@ -1292,7 +1324,7 @@ Core::dispatch()
         unsigned slot = tail_;
         DynInst &di = window_[slot];
         // Re-construct in place: assigning a DynInst{} temporary
-        // copies 264 B twice.
+        // copies 272 B twice.
         static_assert(std::is_trivially_destructible_v<DynInst>);
         std::construct_at(&di);
         // Slot reuse: retire the previous tenant's planes (its
@@ -1304,6 +1336,7 @@ Core::dispatch()
         masks_.occupancy.set(slot);
 
         di.rec = fi.rec;
+        di.si = fi.si;
         di.seq = nextSeq_++;
         di.inWindow = true;
         di.fetchCycle = fi.fetchCycle;
@@ -1324,11 +1357,11 @@ Core::dispatch()
         if (di.isStore())
             storeSlots_.push_back(slot);
 
-        isa::RegIndex dest = di.rec->inst.destReg();
+        isa::RegIndex dest = di.si->destReg();
         if (dest != isa::NO_REG && !isa::isZeroReg(dest))
             lastProducer_[dest] = ProducerRef{di.seq, int(slot)};
 
-        if (di.rec->inst.isMemRef())
+        if (di.si->isMemRef())
             ++lsqCount_;
 
         tail_ = (tail_ + 1) % cfg_.ruu_size;
@@ -1358,7 +1391,8 @@ Core::fetch()
 
     while (budget > 0 && fetchQueue_.size() < fq_cap
            && nextRec_ < trace_.size()) {
-        const func::ExecRecord &rec = trace_.record(nextRec_);
+        const func::TraceRecord &rec = trace_.record(nextRec_);
+        const isa::StaticInst &si = trace_.inst(rec);
 
         uint64_t line = rec.pc & line_mask;
         if (line != fetched_line) {
@@ -1374,22 +1408,24 @@ Core::fetch()
 
         FetchedInst fi;
         fi.rec = &rec;
+        fi.si = &si;
         fi.fetchCycle = cycle_;
         fi.earliestDispatch = cycle_ + cfg_.front_end_depth;
         fi.mispredicted = false;
 
         bool stop_group = false;
-        if (rec.inst.isControl()) {
+        if (si.isControl()) {
+            // A control record's address is its next pc.
             ++stats_.fetchedControl;
-            bpred::Prediction pred = bp_.predict(rec.pc, rec.inst);
+            bpred::Prediction pred = bp_.predict(rec.pc, si);
             bool mispred = pred.taken != rec.taken
                 || (rec.taken
                     && (!pred.targetKnown
-                        || pred.target != rec.nextPc));
-            bp_.resolve(rec.pc, rec.inst, rec.taken, rec.nextPc);
+                        || pred.target != rec.addr));
+            bp_.resolve(rec.pc, si, rec.taken, rec.addr);
             if (mispred) {
                 ++stats_.branchMispredicts;
-                if (rec.inst.isCondBranch()
+                if (si.isCondBranch()
                     && pred.taken != rec.taken)
                     ++bp_.dirMispredicts;
                 else

@@ -137,7 +137,13 @@ class Core
     void tick();
 
     /**
-     * Run to completion (trace fetched and window empty).
+     * Run to completion (trace fetched and window empty). A run that
+     * completes frees the timing state only a running core needs —
+     * window, bit planes, calendar, fetch queue, store list, squash
+     * scratch, wake-order history, predictor tables and cache lines
+     * — and keeps every counter, cycle(), config(), done() and the
+     * LAP monitor's counts, so a finished core costs a few KiB.
+     * tick() must not be called on a core that run() finished.
      * @param max_cycles optional safety bound (0 = unbounded)
      * @return committed instruction count
      */
@@ -269,7 +275,8 @@ class Core
 
     struct FetchedInst
     {
-        const func::ExecRecord *rec;
+        const func::TraceRecord *rec;
+        const isa::StaticInst *si;
         uint64_t earliestDispatch;
         bool mispredicted;
         uint64_t fetchCycle;
@@ -379,6 +386,8 @@ class Core
                       uint64_t trigger_seq, bool selective);
     void repairConsumersOf(int slot, uint64_t producer_seq);
     void commitFormatStats(const DynInst &di);
+    /** run()'s last step once done(): free the timing state. */
+    void releaseTimingState();
 
     CoreConfig cfg_;
     const func::CommittedTrace &trace_;

@@ -9,7 +9,7 @@
 
 #include <cstdint>
 
-#include "func/emulator.hh"
+#include "func/trace.hh"
 #include "isa/static_inst.hh"
 
 namespace hpa::core
@@ -61,11 +61,12 @@ struct OperandState
 /** A dynamic instruction occupying a window (RUU) slot. */
 struct DynInst
 {
-    /** Committed-path record; points into the replayed
-     *  CommittedTrace, which never moves while the core runs, so
-     *  slot setup and recovery never copy the record. Null only in
-     *  an empty slot. */
-    const func::ExecRecord *rec = nullptr;
+    /** Committed-path record and its decoded instruction; both
+     *  point into the replayed CommittedTrace, which never moves
+     *  while the core runs, so slot setup and recovery never copy
+     *  them. Null only in an empty slot. */
+    const func::TraceRecord *rec = nullptr;
+    const isa::StaticInst *si = nullptr;
     uint64_t seq = NO_SEQ;
 
     // --- Dependences (unique, non-zero source registers). ---
@@ -132,9 +133,9 @@ struct DynInst
     /** Shadow predictor predictions per monitored table size. */
     uint8_t shadowPredBits = 0;
 
-    bool isLoad() const { return rec->inst.isLoad(); }
-    bool isStore() const { return rec->inst.isStore(); }
-    bool isControl() const { return rec->inst.isControl(); }
+    bool isLoad() const { return si->isLoad(); }
+    bool isStore() const { return si->isStore(); }
+    bool isControl() const { return si->isControl(); }
 
     /** Pass-0 select class (Section 2.1: loads and branches first).
      *  Fixed at dispatch; the core caches it in the highPrio bit

@@ -52,6 +52,10 @@ class LastArrivalPredictor
 
     unsigned entries() const { return unsigned(table_.size()); }
 
+    /** Free the table of a predictor that is done; no prediction or
+     *  update may follow. */
+    void release() { table_ = std::vector<uint8_t>(); }
+
   private:
     std::vector<uint8_t> table_;
 
@@ -97,6 +101,10 @@ class LastArrivalMonitor
 
     /** Prediction accuracy excluding simultaneous wakeups. */
     double accuracy(unsigned size_idx) const;
+
+    /** Free the shadow predictors of a monitor that is done: the
+     *  counts stay, snapshot() and resolve() must not follow. */
+    void release() { shadows_ = std::vector<LastArrivalPredictor>(); }
 
   private:
     std::vector<LastArrivalPredictor> shadows_;

@@ -1,7 +1,6 @@
 #include "core/synthetic.hh"
 
 #include <random>
-#include <utility>
 #include <vector>
 
 namespace hpa::core
@@ -124,7 +123,7 @@ syntheticTrace(const SyntheticParams &params)
     records.reserve(params.num_insts);
     for (uint64_t i = 1; i <= params.num_insts; ++i)
         records.push_back(gen.next(i == params.num_insts));
-    return func::CommittedTrace(std::move(records));
+    return func::CommittedTrace(records);
 }
 
 } // namespace hpa::core

@@ -1,7 +1,7 @@
 /**
  * @file
  * The committed instruction stream the timing core replays. A
- * CommittedTrace records the exact ExecRecord stream of a program —
+ * CommittedTrace records the committed stream of a program —
  * fast-forward skip, per-instruction dynamic record, console output,
  * whether it reached HALT — once, into one flat immutable record
  * array. The core fetches from it by index; every machine cell of a
@@ -24,17 +24,38 @@ namespace hpa::func
 {
 
 /**
+ * One committed instruction as a trace stores it. The decoded
+ * instruction is not copied into every record: it lives once per
+ * distinct static instruction in the trace's table, and the record
+ * holds its index (CommittedTrace::inst()).
+ */
+struct TraceRecord
+{
+    uint64_t pc = 0;
+    /** The effective address of a memory reference, the next pc of
+     *  a control instruction, 0 for anything else (which falls
+     *  through to pc + 4). */
+    uint64_t addr = 0;
+    /** Index into the trace's static-instruction table. */
+    uint32_t inst = 0;
+    /** Control instruction actually redirected the PC. */
+    bool taken = false;
+};
+
+/**
  * Immutable recording of a program's committed dynamic stream.
  *
- * Capture contract: record(0..size()) is, byte for byte, what
+ * Capture contract: record(0..size()) carries, field for field, what
  * Emulator::step() returns on a fresh Emulator after the same
- * fast-forward, and size() stops exactly at HALT or the instruction
- * budget, whichever comes first. Records are stored as one
- * contiguous std::vector<ExecRecord> (56 B each), so a replay
- * cursor is a single sequential prefetch stream and record access
- * is a stable reference — no per-instruction gather, no copies, no
- * shared mutable state: one trace can feed any number of concurrent
- * sweep threads.
+ * fast-forward — the pc, the taken bit, the address (effAddr or
+ * nextPc, see TraceRecord::addr) and, through inst(), the decoded
+ * instruction — and size() stops exactly at HALT or the instruction
+ * budget, whichever comes first. Records are one contiguous
+ * std::vector<TraceRecord> (24 B each), so a replay cursor is a
+ * single sequential prefetch stream and record access is a stable
+ * reference — no per-instruction gather, no copies, no shared
+ * mutable state: one trace can feed any number of concurrent sweep
+ * threads.
  */
 class CommittedTrace
 {
@@ -42,7 +63,7 @@ class CommittedTrace
     /** A generated stream (no program behind it): nothing was
      *  fast-forwarded, the console is empty, and halted() is true
      *  when the last record is a HALT. */
-    explicit CommittedTrace(std::vector<ExecRecord> records);
+    explicit CommittedTrace(const std::vector<ExecRecord> &records);
 
     /**
      * Functionally execute @p prog and record its committed stream.
@@ -61,9 +82,17 @@ class CommittedTrace
     /** Recorded instructions. */
     size_t size() const { return records_.size(); }
 
-    /** The @p i-th ExecRecord of the stream. The reference is
-     *  stable for the lifetime of the trace. */
-    const ExecRecord &record(size_t i) const { return records_[i]; }
+    /** The @p i-th record of the stream. The reference is stable for
+     *  the lifetime of the trace. */
+    const TraceRecord &record(size_t i) const { return records_[i]; }
+
+    /** The decoded instruction of @p r, a record of this trace. The
+     *  reference is stable for the lifetime of the trace. */
+    const isa::StaticInst &
+    inst(const TraceRecord &r) const
+    {
+        return statics_[r.inst];
+    }
 
     /** Instructions skipped by the fast-forward loop. */
     uint64_t fastForwarded() const { return fastForwarded_; }
@@ -80,17 +109,30 @@ class CommittedTrace
     size_t
     memoryBytes() const
     {
-        return records_.capacity() * sizeof(ExecRecord);
+        return records_.capacity() * sizeof(TraceRecord)
+            + statics_.capacity() * sizeof(isa::StaticInst);
     }
 
   private:
+    /** No table entry yet. */
+    static constexpr uint32_t NO_INST = ~uint32_t(0);
+
     CommittedTrace() = default;
 
-    std::vector<ExecRecord> records_;
+    /** Record @p rec, reusing table entry @p entry when it holds
+     *  rec.inst and appending a new entry (stored into @p entry)
+     *  when it does not. */
+    void append(const ExecRecord &rec, uint32_t &entry);
+
+    std::vector<TraceRecord> records_;
+    /** The distinct decoded instructions the records index. */
+    std::vector<isa::StaticInst> statics_;
     uint64_t fastForwarded_ = 0;
     std::string console_;
     bool halted_ = false;
 };
+
+static_assert(sizeof(TraceRecord) == 24);
 
 } // namespace hpa::func
 

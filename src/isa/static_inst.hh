@@ -31,6 +31,8 @@ struct SrcList
     {
         regs[count++] = r;
     }
+
+    bool operator==(const SrcList &) const = default;
 };
 
 /**
@@ -348,6 +350,9 @@ struct StaticInst
 
     /** Disassemble to assembly text. */
     std::string disassemble() const;
+
+    /** Field-for-field equality, decode caches included. */
+    bool operator==(const StaticInst &) const = default;
 };
 
 // --- Convenience constructors used by the assembler and tests. ---

@@ -57,6 +57,10 @@ class Cache
     /** Invalidate all lines (does not report writebacks). */
     void flush();
 
+    /** Free the line array of a cache that is done: config() and
+     *  the counters stay, access() and probe() must not follow. */
+    void release() { lines_ = std::vector<Line>(); }
+
     const CacheConfig &config() const { return cfg_; }
     unsigned numSets() const { return num_sets_; }
 

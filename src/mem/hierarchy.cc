@@ -53,4 +53,12 @@ Hierarchy::regStats(stats::Registry &reg)
     l2_->regStats(reg);
 }
 
+void
+Hierarchy::release()
+{
+    il1_->release();
+    dl1_->release();
+    l2_->release();
+}
+
 } // namespace hpa::mem

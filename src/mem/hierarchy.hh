@@ -51,6 +51,9 @@ class Hierarchy
 
     void regStats(stats::Registry &reg);
 
+    /** Free the three caches' line arrays (Cache::release()). */
+    void release();
+
   private:
     HierarchyConfig cfg_;
     std::unique_ptr<Cache> il1_;

@@ -183,10 +183,12 @@ struct ExperimentSpec
 };
 
 /**
- * A completed experiment. The Simulation is kept alive so callers
- * can reach the core, the LAP monitor, the workload console, … —
- * and so the statistics snapshot can be rendered in any format
- * after the fact.
+ * A completed experiment. It keeps its finished Simulation: the
+ * trace reference and console, and a core that freed its timing
+ * state when its run completed (Core::run) but still holds every
+ * counter, cycle(), config() and the LAP monitor's counts — so the
+ * statistics snapshot can be rendered in any format after the fact,
+ * at a few KiB per held result.
  */
 struct RunResult
 {

@@ -50,7 +50,7 @@ class Simulation
   public:
     /**
      * Capture @p prog's committed stream, then replay it. The trace
-     * is held in memory (56 B per instruction), so a budget bounds
+     * is held in memory (24 B per instruction), so a budget bounds
      * the run's footprint.
      *
      * @param prog assembled program
@@ -77,7 +77,8 @@ class Simulation
     /** Instructions skipped by fast-forwarding. */
     uint64_t fastForwarded() const { return trace_->fastForwarded(); }
 
-    /** Run to completion; @return committed instructions. */
+    /** Run to completion; @return committed instructions. A
+     *  completed run frees the core's timing state (Core::run). */
     uint64_t run(uint64_t max_cycles = 0);
 
     core::Core &core() { return *core_; }

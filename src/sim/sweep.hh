@@ -32,9 +32,9 @@ namespace hpa::sim
 using SweepJob = ExperimentSpec;
 
 /** A completed sweep job. Historical name for RunResult
- *  (sim/experiment.hh); the Simulation is kept alive so callers read
- *  IPC, CoreStats, the LAP monitor, … exactly as they would after a
- *  serial run. */
+ *  (sim/experiment.hh); its finished Simulation keeps the counters,
+ *  so callers read IPC, CoreStats, the LAP monitor's counts, …
+ *  exactly as they would after a serial run. */
 using SweepResult = RunResult;
 
 /**

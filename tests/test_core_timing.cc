@@ -43,7 +43,7 @@ trace(const std::string &src, const CoreConfig &cfg)
                                 di.dispatchCycle, di.issueCycle,
                                 di.completeCycle, commit,
                                 di.issueToken, di.seqRegAccess,
-                                di.rec->inst.isMemRef()});
+                                di.si->isMemRef()});
         });
     s.run(2000000);
     EXPECT_TRUE(s.trace().halted());
@@ -210,17 +210,28 @@ TEST(ExactTiming, ShortLoadMissStillWakesItsConsumers)
     // the cycle the miss is detected. Its consumers' speculative
     // wakeups are cancelled at detection, so the re-broadcast must
     // still go out (on the next cycle) or they never wake and the
-    // watchdog fires.
+    // watchdog fires. With a replay shadow of 3 or 4 the load can
+    // also complete by its detection cycle, so it must not commit
+    // before that re-broadcast has gone out, or the staleness filter
+    // drops it.
     core::SyntheticParams sp;
     func::CommittedTrace stream = core::syntheticTrace(sp);
-    for (unsigned l2 : {1u, 2u}) {
-        CoreConfig cfg = sim::Machine::base(4).build().cfg;
-        cfg.mem.l2.latency = l2;
-        core::Core c(cfg, stream);
-        ASSERT_NO_THROW(c.run(2000000)) << "L2 latency " << l2;
-        EXPECT_TRUE(c.done()) << "L2 latency " << l2;
-        EXPECT_EQ(c.stats().committed.value(), stream.size())
-            << "L2 latency " << l2;
+    for (unsigned width : {4u, 8u}) {
+        for (unsigned shadow : {2u, 3u, 4u}) {
+            for (unsigned l2 : {1u, 2u}) {
+                CoreConfig cfg = sim::Machine::base(width).build().cfg;
+                cfg.replay_shadow = shadow;
+                cfg.mem.l2.latency = l2;
+                const std::string what = "width " + std::to_string(width)
+                    + " shadow " + std::to_string(shadow)
+                    + " L2 latency " + std::to_string(l2);
+                core::Core c(cfg, stream);
+                ASSERT_NO_THROW(c.run(2000000)) << what;
+                EXPECT_TRUE(c.done()) << what;
+                EXPECT_EQ(c.stats().committed.value(), stream.size())
+                    << what;
+            }
+        }
     }
 }
 
@@ -280,7 +291,7 @@ TEST(Occupancy, WindowAndLsqNeverExceedConfiguredSize)
     c.setCommitListener([&](const DynInst &di, uint64_t commit) {
         events.push_back({di.dispatchCycle, +1});
         events.push_back({commit, -1});
-        if (di.rec->inst.isMemRef()) {
+        if (di.si->isMemRef()) {
             mem_events.push_back({di.dispatchCycle, +1});
             mem_events.push_back({commit, -1});
         }
@@ -335,7 +346,7 @@ TEST(PolicyTiming, DltSaturatesDividerWakeupToCompletion)
                                di.dispatchCycle, di.issueCycle,
                                di.completeCycle, commit,
                                di.issueToken, di.seqRegAccess,
-                               di.rec->inst.isMemRef()});
+                               di.si->isMemRef()});
         });
     sc.run(100000);
 
@@ -349,7 +360,7 @@ TEST(PolicyTiming, DltSaturatesDividerWakeupToCompletion)
                                di.dispatchCycle, di.issueCycle,
                                di.completeCycle, commit,
                                di.issueToken, di.seqRegAccess,
-                               di.rec->inst.isMemRef()});
+                               di.si->isMemRef()});
         });
     sd.run(100000);
 

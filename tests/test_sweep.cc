@@ -2,15 +2,21 @@
  *  serial run for every (machine x workload) pair of the full
  *  reproduction sweep, the policy zoo and every registered
  *  scheduler x register-file pair, thread-safe build-once workload
- *  cache, deterministic parallelFor and per-cell fault isolation. */
+ *  cache, deterministic parallelFor, finished cells that hold only
+ *  their counters, and per-cell fault isolation. */
 
 #include <algorithm>
 #include <atomic>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "core/policy_registry.hh"
 #include "sim/sweep.hh"
@@ -177,6 +183,63 @@ TEST(SweepTraceCache, ConcurrentCellsShareOneTraceDeterministically)
         EXPECT_EQ(serial[i].cycles, parallel[i].cycles) << what;
         EXPECT_EQ(serial[i].committed, parallel[i].committed) << what;
     }
+}
+
+TEST(SweepMemory, FinishedCellKeepsOnlyItsCounters)
+{
+    // A cell's core frees its timing state when its run completes, so
+    // the results a sweep hands back hold counters, not simulators
+    // (a live 4- or 8-wide core is ~350-420 KiB, mostly cache lines
+    // and the event pool).
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "ASan and TSan replace malloc, so mallinfo2() "
+                    "does not see the heap they allocate";
+#elif !defined(__GLIBC__) || __GLIBC__ < 2 \
+    || (__GLIBC__ == 2 && __GLIBC_MINOR__ < 33)
+    GTEST_SKIP() << "mallinfo2() needs glibc 2.33 or later";
+#else
+    const uint64_t BUDGET = 2000;
+    workloads::WorkloadCache cache;
+    const workloads::Workload &w =
+        cache.get("gzip", workloads::Scale::Full);
+    auto steady = w.program.symbols.find("steady");
+    ASSERT_NE(steady, w.program.symbols.end());
+    // Capture first: the measured growth is the held results alone.
+    cache.trace("gzip", workloads::Scale::Full, BUDGET, steady->second);
+
+    std::vector<sim::SweepJob> jobs;
+    for (const auto &m : sim::reproductionMachines()) {
+        sim::SweepJob j;
+        j.workload = "gzip";
+        j.machine = m;
+        j.max_insts = BUDGET;
+        jobs.push_back(j);
+    }
+    ASSERT_EQ(jobs.size(), 16u);
+
+    // Heap in use: the arena's allocations plus mmapped chunks. Small
+    // chunks parked in glibc's per-thread cache after a free still
+    // count as in use, so the figure is an upper bound.
+    auto heapInUse = [] {
+        struct mallinfo2 mi = mallinfo2();
+        return mi.uordblks + mi.hblkhd;
+    };
+    sim::SweepRunner runner(1, &cache);
+    const size_t before = heapInUse();
+    std::vector<sim::SweepResult> results = runner.run(std::move(jobs));
+    const size_t after = heapInUse();
+
+    ASSERT_EQ(results.size(), 16u);
+    for (const sim::SweepResult &r : results) {
+        ASSERT_TRUE(r.valid()) << r.spec.machine.name;
+        EXPECT_EQ(r.committed, BUDGET) << r.spec.machine.name;
+    }
+    const double kib_per_cell = after > before
+        ? double(after - before) / 1024.0 / double(results.size())
+        : 0.0;
+    std::cout << "held results: " << kib_per_cell << " KiB per cell\n";
+    EXPECT_LE(kib_per_cell, 32.0);
+#endif
 }
 
 /** The small grid the fault-isolation tests run: two machines by

@@ -1,12 +1,12 @@
-/** @file Trace capture/replay tests: the committed trace's record
- *  array must reproduce a bare Emulator::step loop byte for byte for
- *  every registered workload (the determinism contract of
- *  trace-once/replay-many sweeps), the workload cache must hand
- *  every cell of a (workload, budget, fast-forward) group the same
- *  immutable trace instance, a Simulation that captures its own
- *  trace must report exactly what one replaying a shared capture
- *  does, and synthetic traces must be pure functions of their
- *  parameters. */
+/** @file Trace capture/replay tests: the committed trace's records
+ *  must reproduce a bare Emulator::step loop field for field for
+ *  every registered workload and for self-modifying code (the
+ *  determinism contract of trace-once/replay-many sweeps), the
+ *  workload cache must hand every cell of a (workload, budget,
+ *  fast-forward) group the same immutable trace instance, a
+ *  Simulation that captures its own trace must report exactly what
+ *  one replaying a shared capture does, and synthetic traces must be
+ *  pure functions of their parameters. */
 
 #include <sstream>
 #include <thread>
@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/synthetic.hh"
+#include "asm/assembler.hh"
 #include "func/trace.hh"
 #include "sim/experiment.hh"
 #include "sim/simulation.hh"
@@ -33,38 +34,42 @@ steadyPc(const workloads::Workload &w)
     return it != w.program.symbols.end() ? it->second : 0;
 }
 
-/** Every field of two ExecRecords, with a useful failure message. */
+/** Record @p i of @p t against the Emulator::step() record @p e it
+ *  stands for, with a useful failure message: the pc, the taken
+ *  bit, the address (a control instruction's next pc, anyone else's
+ *  effective address) and every field of the decoded instruction. */
 void
-expectSameRecord(const func::ExecRecord &a, const func::ExecRecord &b,
-                 const std::string &what, uint64_t index)
+expectSameRecord(const func::CommittedTrace &t, uint64_t i,
+                 const func::ExecRecord &e, const std::string &what)
 {
-    ASSERT_EQ(a.pc, b.pc) << what << " record " << index;
-    ASSERT_EQ(a.nextPc, b.nextPc) << what << " record " << index;
-    ASSERT_EQ(a.taken, b.taken) << what << " record " << index;
-    ASSERT_EQ(a.effAddr, b.effAddr) << what << " record " << index;
-    ASSERT_EQ(a.inst.op, b.inst.op) << what << " record " << index;
-    ASSERT_EQ(a.inst.ra, b.inst.ra) << what << " record " << index;
-    ASSERT_EQ(a.inst.rb, b.inst.rb) << what << " record " << index;
-    ASSERT_EQ(a.inst.rc, b.inst.rc) << what << " record " << index;
-    ASSERT_EQ(a.inst.useLiteral, b.inst.useLiteral)
-        << what << " record " << index;
-    ASSERT_EQ(a.inst.literal, b.inst.literal)
-        << what << " record " << index;
-    ASSERT_EQ(a.inst.disp, b.inst.disp)
-        << what << " record " << index;
+    const func::TraceRecord &r = t.record(i);
+    const isa::StaticInst &si = t.inst(r);
+    ASSERT_EQ(r.pc, e.pc) << what << " record " << i;
+    ASSERT_EQ(r.taken, e.taken) << what << " record " << i;
+    ASSERT_TRUE(si == e.inst)
+        << what << " record " << i << ": trace has '"
+        << si.disassemble() << "', emulator '" << e.inst.disassemble()
+        << "'";
+    if (e.inst.isControl()) {
+        ASSERT_EQ(r.addr, e.nextPc) << what << " record " << i;
+    } else {
+        // Anything else falls through: the record keeps no next pc.
+        ASSERT_EQ(e.nextPc, e.pc + 4) << what << " record " << i;
+        ASSERT_EQ(r.addr, e.effAddr) << what << " record " << i;
+    }
 }
 
-/** Capture @p w and step a fresh emulator with the same
+/** Capture @p prog and step a fresh emulator with the same
  *  fast-forward/budget by hand; both streams must agree on every
  *  record, end together, and agree on halt and console. */
 void
-expectSameStream(const workloads::Workload &w, uint64_t ff,
+expectSameStream(const assembler::Program &prog, uint64_t ff,
                  uint64_t budget, const std::string &what)
 {
     func::CommittedTrace trace =
-        func::CommittedTrace::capture(w.program, ff, budget);
+        func::CommittedTrace::capture(prog, ff, budget);
 
-    func::Emulator emu(w.program);
+    func::Emulator emu(prog);
     uint64_t skipped = 0;
     if (ff) {
         while (!emu.halted() && emu.pc() != ff) {
@@ -78,7 +83,7 @@ expectSameStream(const workloads::Workload &w, uint64_t ff,
     for (; !emu.halted() && (budget == 0 || n < budget); ++n) {
         ASSERT_LT(n, trace.size())
             << what << ": trace ends early (record " << n << ")";
-        expectSameRecord(trace.record(n), emu.step(), what, n);
+        expectSameRecord(trace, n, emu.step(), what);
     }
     ASSERT_EQ(n, trace.size()) << what << ": trace runs long";
     ASSERT_EQ(emu.halted(), trace.halted()) << what;
@@ -89,19 +94,40 @@ TEST(TraceCapture, ByteIdenticalToEmulatorForEveryWorkload)
 {
     for (const auto &name : workloads::benchmarkNames()) {
         auto w = workloads::make(name, workloads::Scale::Test);
-        expectSameStream(w, steadyPc(w), 3000, name);
+        expectSameStream(w.program, steadyPc(w), 3000, name);
     }
+}
+
+TEST(TraceCapture, SelfModifyingCodeRecordsThePatchedInstruction)
+{
+    // The program of Emulator.SelfModifyingCodeSeesPatchedInstruction:
+    // `target` runs as `li r5, 11`, is overwritten with the donor's
+    // `li r5, 22`, and runs again. The second visit must record the
+    // patched instruction, not the one first seen at that word.
+    auto prog = assembler::assemble(R"(
+        la   r2, target
+        la   r1, donor
+        ldl  r3, 0(r1)
+target: li   r5, 11
+        bne  r7, fin
+        li   r7, 1
+        stl  r3, 0(r2)
+        br   target
+fin:    halt
+donor:  li   r5, 22)");
+    expectSameStream(prog, 0, 0, "self-modifying");
 }
 
 TEST(TraceCapture, BudgetAndFastForwardVariants)
 {
     auto w = workloads::make("gzip", workloads::Scale::Test);
     // No fast-forward, including a budget of a single instruction.
-    expectSameStream(w, 0, 1, "gzip ff=0 budget=1");
-    expectSameStream(w, 0, 500, "gzip ff=0 budget=500");
+    expectSameStream(w.program, 0, 1, "gzip ff=0 budget=1");
+    expectSameStream(w.program, 0, 500, "gzip ff=0 budget=500");
     // Fast-forwarded, tiny and moderate budgets.
-    expectSameStream(w, steadyPc(w), 1, "gzip steady budget=1");
-    expectSameStream(w, steadyPc(w), 2500, "gzip steady budget=2500");
+    expectSameStream(w.program, steadyPc(w), 1, "gzip steady budget=1");
+    expectSameStream(w.program, steadyPc(w), 2500,
+                     "gzip steady budget=2500");
 }
 
 TEST(TraceCapture, UncappedCaptureRunsToHalt)
@@ -110,7 +136,7 @@ TEST(TraceCapture, UncappedCaptureRunsToHalt)
     // last record's stream position must coincide with the halted
     // emulator.
     auto w = workloads::make("mcf", workloads::Scale::Test);
-    expectSameStream(w, 0, 0, "mcf to-halt");
+    expectSameStream(w.program, 0, 0, "mcf to-halt");
     // A budget past the program's end also stops at HALT.
     func::CommittedTrace t =
         func::CommittedTrace::capture(w.program, 0, 0);
@@ -200,9 +226,13 @@ TEST(SyntheticTrace, DeterministicPerSeedAndEndsInHalt)
     func::CommittedTrace b = core::syntheticTrace(sp);
     ASSERT_EQ(a.size(), sp.num_insts);
     ASSERT_EQ(b.size(), sp.num_insts);
-    for (size_t i = 0; i < a.size(); ++i)
-        expectSameRecord(a.record(i), b.record(i), "seed 7", i);
-    EXPECT_EQ(a.record(a.size() - 1).inst.op, isa::Opcode::HALT);
+    for (size_t i = 0; i < a.size(); ++i) {
+        const func::TraceRecord &ra = a.record(i), &rb = b.record(i);
+        ASSERT_TRUE(ra.pc == rb.pc && ra.addr == rb.addr
+                    && ra.taken == rb.taken && a.inst(ra) == b.inst(rb))
+            << "seed 7 record " << i;
+    }
+    EXPECT_EQ(a.inst(a.record(a.size() - 1)).op, isa::Opcode::HALT);
     EXPECT_TRUE(a.halted());
     EXPECT_EQ(a.fastForwarded(), 0u);
     EXPECT_TRUE(a.console().empty());
@@ -213,7 +243,7 @@ TEST(SyntheticTrace, DeterministicPerSeedAndEndsInHalt)
     ASSERT_EQ(c.size(), sp.num_insts);
     bool differs = false;
     for (size_t i = 0; i < c.size() && !differs; ++i)
-        differs = a.record(i).inst.op != c.record(i).inst.op
+        differs = a.inst(a.record(i)).op != c.inst(c.record(i)).op
             || a.record(i).pc != c.record(i).pc;
     EXPECT_TRUE(differs);
 }

@@ -139,7 +139,7 @@ main(int argc, char **argv)
         s.core().setCommitListener(
             [&rows](const core::DynInst &di, uint64_t commit) {
                 rows.push_back(Row{di.seq, di.rec->pc,
-                                   di.rec->inst.disassemble(),
+                                   di.si->disassemble(),
                                    di.fetchCycle, di.dispatchCycle,
                                    di.issueCycle, di.completeCycle,
                                    commit, di.issueToken,

@@ -277,7 +277,7 @@ Core::dumpPipelineState() const
         char buf[64];
         std::snprintf(buf, sizeof buf, "  %4u %8llu %10llx", idx,
                       static_cast<unsigned long long>(di.seq),
-                      static_cast<unsigned long long>(di.rec->pc));
+                      static_cast<unsigned long long>(di.pc));
         os << buf;
         auto cyc = [&](uint64_t c) {
             char b[32];
@@ -584,7 +584,7 @@ Core::noteSecondWake(DynInst &ci, uint64_t now)
         else
             ++stats_.leftLast;
 
-        uint64_t pc = ci.rec->pc;
+        uint64_t pc = ci.pc;
         auto [hist, inserted] =
             orderHistory_.try_emplace(pc, right_last ? 1 : 0);
         if (!inserted) {
@@ -596,7 +596,7 @@ Core::noteSecondWake(DynInst &ci, uint64_t now)
         }
         lap_.update(pc, right_last);
     }
-    lapMon_.resolve(ci.rec->pc, ci.shadowPredBits, simultaneous,
+    lapMon_.resolve(ci.pc, ci.shadowPredBits, simultaneous,
                     right_last);
 
     // Sequential wakeup: the tag of the last-arriving operand is
@@ -901,7 +901,9 @@ Core::handleTagElim(const Event &ev)
 uint64_t
 Core::wakeBroadcastCycle(uint64_t wake, uint64_t complete)
 {
-    if (cfg_.wakeup != WakeupModel::LoadDelayTracking
+    // A wake already past (a short miss detected after its data
+    // arrived) is a delay of zero.
+    if (cfg_.wakeup != WakeupModel::LoadDelayTracking || wake <= cycle_
         || wake - cycle_ <= cfg_.dlt_max_delay)
         return wake;
     ++stats_.dltSaturated;
@@ -1237,8 +1239,8 @@ Core::setupOperands(DynInst &di, int slot)
         stats_.readyAtInsert.sample(2 - pending);
 
     if (di.twoPending) {
-        di.predRightLast = lap_.predictRightLast(di.rec->pc);
-        di.shadowPredBits = lapMon_.snapshot(di.rec->pc);
+        di.predRightLast = lap_.predictRightLast(di.pc);
+        di.shadowPredBits = lapMon_.snapshot(di.pc);
     }
 }
 
@@ -1337,6 +1339,7 @@ Core::dispatch()
 
         di.rec = fi.rec;
         di.si = fi.si;
+        di.pc = fi.pc;
         di.seq = nextSeq_++;
         di.inWindow = true;
         di.fetchCycle = fi.fetchCycle;
@@ -1392,11 +1395,12 @@ Core::fetch()
     while (budget > 0 && fetchQueue_.size() < fq_cap
            && nextRec_ < trace_.size()) {
         const func::TraceRecord &rec = trace_.record(nextRec_);
-        const isa::StaticInst &si = trace_.inst(rec);
+        const func::TraceEntry &entry = trace_.entry(rec);
+        const isa::StaticInst &si = entry.inst;
 
-        uint64_t line = rec.pc & line_mask;
+        uint64_t line = entry.pc & line_mask;
         if (line != fetched_line) {
-            unsigned lat = hier_.fetchAccess(rec.pc);
+            unsigned lat = hier_.fetchAccess(entry.pc);
             unsigned hit_lat = hier_.il1().config().latency;
             if (lat > hit_lat) {
                 // IL1 miss: fetch stalls for the fill.
@@ -1409,6 +1413,7 @@ Core::fetch()
         FetchedInst fi;
         fi.rec = &rec;
         fi.si = &si;
+        fi.pc = entry.pc;
         fi.fetchCycle = cycle_;
         fi.earliestDispatch = cycle_ + cfg_.front_end_depth;
         fi.mispredicted = false;
@@ -1417,12 +1422,12 @@ Core::fetch()
         if (si.isControl()) {
             // A control record's address is its next pc.
             ++stats_.fetchedControl;
-            bpred::Prediction pred = bp_.predict(rec.pc, si);
+            bpred::Prediction pred = bp_.predict(entry.pc, si);
             bool mispred = pred.taken != rec.taken
                 || (rec.taken
                     && (!pred.targetKnown
                         || pred.target != rec.addr));
-            bp_.resolve(rec.pc, si, rec.taken, rec.addr);
+            bp_.resolve(entry.pc, si, rec.taken, rec.addr);
             if (mispred) {
                 ++stats_.branchMispredicts;
                 if (si.isCondBranch()

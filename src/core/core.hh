@@ -277,6 +277,7 @@ class Core
     {
         const func::TraceRecord *rec;
         const isa::StaticInst *si;
+        uint64_t pc;
         uint64_t earliestDispatch;
         bool mispredicted;
         uint64_t fetchCycle;

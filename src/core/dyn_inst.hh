@@ -67,11 +67,13 @@ struct DynInst
      *  them. Null only in an empty slot. */
     const func::TraceRecord *rec = nullptr;
     const isa::StaticInst *si = nullptr;
+    /** The instruction's pc (from its trace table entry). */
+    uint64_t pc = 0;
     uint64_t seq = NO_SEQ;
 
     // --- Dependences (unique, non-zero source registers). ---
-    unsigned numSrc = 0;
     OperandState src[2];
+    unsigned numSrc = 0;
 
     // --- Pipeline state. ---
     bool inWindow = false;

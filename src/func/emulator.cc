@@ -13,8 +13,7 @@ using isa::StaticInst;
 Emulator::Emulator(const assembler::Program &prog)
     : pc_(prog.entry), codeBase_(prog.codeBase), codeEnd_(prog.codeEnd())
 {
-    icache_.resize(prog.code.size());
-    icacheValid_.assign(prog.code.size(), 0);
+    decoded_.resize(prog.code.size());
     mem_.writeBlock(prog.codeBase, prog.code.data(),
                     prog.code.size() * sizeof(isa::MachInst));
     if (!prog.data.empty())
@@ -40,267 +39,224 @@ Emulator::setFpReg(unsigned i, double v)
         freg_[i] = v;
 }
 
-isa::StaticInst
-Emulator::fetchDecode(uint64_t pc) const
+const StaticInst &
+Emulator::fetch(Effects &fx)
 {
-    const bool cacheable = pc >= codeBase_ && pc < codeEnd_
-        && ((pc - codeBase_) & 3) == 0;
-    const size_t idx = cacheable ? size_t((pc - codeBase_) >> 2) : 0;
-    if (cacheable && icacheValid_[idx])
-        return icache_[idx];
-
-    auto word = static_cast<isa::MachInst>(mem_.read(pc, 4));
-    auto si = isa::decode(word);
-    if (!si)
-        throw EmulationError("illegal instruction at pc 0x"
-                             + std::to_string(pc));
-    if (cacheable) {
-        icache_[idx] = *si;
-        icacheValid_[idx] = 1;
+    const uint64_t off = pc_ - codeBase_;
+    const bool onGrid = (off & 3) == 0 && off < codeEnd_ - codeBase_;
+    StaticInst &si = onGrid ? decoded_[off >> 2] : uncached_;
+    fx.decoded = !onGrid || si.meta == 0;
+    if (fx.decoded) {
+        auto word = static_cast<isa::MachInst>(mem_.read(pc_, 4));
+        auto d = isa::decode(word);
+        if (!d)
+            throw EmulationError("illegal instruction at pc 0x"
+                                 + std::to_string(pc_));
+        si = *d;
     }
-    return *si;
+    return si;
 }
 
-void
-Emulator::writeMem(uint64_t ea, uint64_t val, unsigned size)
+const StaticInst &
+Emulator::store(uint64_t ea, uint64_t val, unsigned size,
+                const StaticInst &si)
 {
+    if (ea + size <= codeBase_ || ea >= codeEnd_) {
+        mem_.write(ea, val, size);
+        return si;
+    }
+    // A store into the text segment clears the covered decodes so the
+    // next fetch re-decodes from memory; the executing store keeps a
+    // copy in case it overwrote its own word.
+    uncached_ = si;
     mem_.write(ea, val, size);
-    // A store into the text segment must drop the covered decoded
-    // entries so the next fetch re-decodes from memory.
-    if (ea + size > codeBase_ && ea < codeEnd_) {
-        uint64_t end = std::min<uint64_t>(ea + size, codeEnd_);
-        uint64_t lo = ea > codeBase_ ? (ea - codeBase_) >> 2 : 0;
-        uint64_t hi = (end - codeBase_ + 3) >> 2;
-        for (uint64_t i = lo; i < hi && i < icacheValid_.size(); ++i)
-            icacheValid_[i] = 0;
-    }
+    uint64_t end = std::min<uint64_t>(ea + size, codeEnd_);
+    uint64_t lo = ea > codeBase_ ? (ea - codeBase_) >> 2 : 0;
+    uint64_t hi = (end - codeBase_ + 3) >> 2;
+    for (uint64_t i = lo; i < hi && i < decoded_.size(); ++i)
+        decoded_[i].meta = 0;
+    return uncached_;
 }
 
-void
-Emulator::execOperate(const StaticInst &si)
+const StaticInst &
+Emulator::execute(Effects &fx)
 {
-    auto ival = [this](isa::RegIndex r) -> int64_t {
-        return r == isa::INT_ZERO_REG ? 0 : ireg_[r];
-    };
-    auto fval = [this](isa::RegIndex r) -> double {
-        return r == isa::FP_ZERO_REG ? 0.0 : freg_[r];
+    if (halted_)
+        throw EmulationError("execute() after halt");
+
+    const StaticInst *si = &fetch(fx);
+    const uint64_t pc = pc_;
+    uint64_t next = pc + 4;
+    fx.addr = 0;
+    fx.taken = false;
+
+    // Operands as integers: ra, then rb or the literal. The zero
+    // registers are never written, so no operand needs a zero test.
+    const int64_t a = ireg_[si->ra];
+    const int64_t b = si->useLiteral ? si->literal : ireg_[si->rb];
+    const auto ua = static_cast<uint64_t>(a);
+    const auto ub = static_cast<uint64_t>(b);
+    const double fa = freg_[si->ra];
+    const double fb = freg_[si->rb];
+    // A memory reference's address: base rb plus displacement.
+    const uint64_t ea = ub + static_cast<uint64_t>(int64_t{si->disp});
+    const uint64_t target =
+        pc + 4 + static_cast<uint64_t>(int64_t{si->disp} * 4);
+
+    auto setInt = [this, si](int64_t v) { setIntReg(si->rc, v); };
+    auto setFp = [this, si](double v) { setFpReg(si->rc, v); };
+    // A control instruction's address is its next pc.
+    auto branch = [&fx, &next, target](bool taken) {
+        if (taken)
+            next = target;
+        fx.addr = next;
+        fx.taken = taken;
     };
 
-    switch (si.op) {
-      // Integer ALU.
-      case Opcode::ADD: case Opcode::SUB: case Opcode::MUL:
-      case Opcode::DIV: case Opcode::REM: case Opcode::AND:
-      case Opcode::BIS: case Opcode::XOR: case Opcode::BIC:
-      case Opcode::ORNOT: case Opcode::EQV: case Opcode::SLL:
-      case Opcode::SRL: case Opcode::SRA: case Opcode::CMPEQ:
-      case Opcode::CMPLT: case Opcode::CMPLE: case Opcode::CMPULT:
-      case Opcode::CMPULE: case Opcode::S4ADD: case Opcode::S8ADD: {
-        int64_t a = ival(si.ra);
-        int64_t b = si.useLiteral ? si.literal : ival(si.rb);
-        auto ua = static_cast<uint64_t>(a);
-        auto ub = static_cast<uint64_t>(b);
-        int64_t r = 0;
-        switch (si.op) {
-          case Opcode::ADD: r = static_cast<int64_t>(ua + ub); break;
-          case Opcode::SUB: r = static_cast<int64_t>(ua - ub); break;
-          case Opcode::MUL: r = static_cast<int64_t>(ua * ub); break;
-          case Opcode::DIV: r = b == 0 ? 0 : a / b; break;
-          case Opcode::REM: r = b == 0 ? 0 : a % b; break;
-          case Opcode::AND: r = a & b; break;
-          case Opcode::BIS: r = a | b; break;
-          case Opcode::XOR: r = a ^ b; break;
-          case Opcode::BIC: r = a & ~b; break;
-          case Opcode::ORNOT: r = a | ~b; break;
-          case Opcode::EQV: r = a ^ ~b; break;
-          case Opcode::SLL: r = static_cast<int64_t>(ua << (ub & 63));
-            break;
-          case Opcode::SRL: r = static_cast<int64_t>(ua >> (ub & 63));
-            break;
-          case Opcode::SRA: r = a >> (ub & 63); break;
-          case Opcode::CMPEQ: r = a == b; break;
-          case Opcode::CMPLT: r = a < b; break;
-          case Opcode::CMPLE: r = a <= b; break;
-          case Opcode::CMPULT: r = ua < ub; break;
-          case Opcode::CMPULE: r = ua <= ub; break;
-          case Opcode::S4ADD: r = static_cast<int64_t>(ua * 4 + ub);
-            break;
-          case Opcode::S8ADD: r = static_cast<int64_t>(ua * 8 + ub);
-            break;
-          default: break;
-        }
-        setIntReg(si.rc, r);
+    switch (si->op) {
+      // Integer operate.
+      case Opcode::ADD: setInt(static_cast<int64_t>(ua + ub)); break;
+      case Opcode::SUB: setInt(static_cast<int64_t>(ua - ub)); break;
+      case Opcode::MUL: setInt(static_cast<int64_t>(ua * ub)); break;
+      case Opcode::DIV: setInt(b == 0 ? 0 : a / b); break;
+      case Opcode::REM: setInt(b == 0 ? 0 : a % b); break;
+      case Opcode::AND: setInt(a & b); break;
+      case Opcode::BIS: setInt(a | b); break;
+      case Opcode::XOR: setInt(a ^ b); break;
+      case Opcode::BIC: setInt(a & ~b); break;
+      case Opcode::ORNOT: setInt(a | ~b); break;
+      case Opcode::EQV: setInt(a ^ ~b); break;
+      case Opcode::SLL:
+        setInt(static_cast<int64_t>(ua << (ub & 63)));
+        break;
+      case Opcode::SRL:
+        setInt(static_cast<int64_t>(ua >> (ub & 63)));
+        break;
+      case Opcode::SRA: setInt(a >> (ub & 63)); break;
+      case Opcode::CMPEQ: setInt(a == b); break;
+      case Opcode::CMPLT: setInt(a < b); break;
+      case Opcode::CMPLE: setInt(a <= b); break;
+      case Opcode::CMPULT: setInt(ua < ub); break;
+      case Opcode::CMPULE: setInt(ua <= ub); break;
+      case Opcode::S4ADD: setInt(static_cast<int64_t>(ua * 4 + ub)); break;
+      case Opcode::S8ADD: setInt(static_cast<int64_t>(ua * 8 + ub)); break;
+
+      // Floating-point operate.
+      case Opcode::ADDF: setFp(fa + fb); break;
+      case Opcode::SUBF: setFp(fa - fb); break;
+      case Opcode::MULF: setFp(fa * fb); break;
+      case Opcode::DIVF: setFp(fb == 0.0 ? 0.0 : fa / fb); break;
+      case Opcode::CMPFEQ: setFp(fa == fb ? 1.0 : 0.0); break;
+      case Opcode::CMPFLT: setFp(fa < fb ? 1.0 : 0.0); break;
+      case Opcode::CMPFLE: setFp(fa <= fb ? 1.0 : 0.0); break;
+      case Opcode::SQRTF: setFp(fa < 0.0 ? 0.0 : std::sqrt(fa)); break;
+      case Opcode::ITOF: setFp(static_cast<double>(a)); break;
+      case Opcode::FTOI: setInt(static_cast<int64_t>(fa)); break;
+
+      // Memory: address arithmetic, loads into ra, stores of ra.
+      case Opcode::LDA:
+        setIntReg(si->ra, static_cast<int64_t>(ea));
+        break;
+      case Opcode::LDAH:
+        setIntReg(si->ra, b + (static_cast<int64_t>(si->disp) << 16));
+        break;
+      case Opcode::LDBU:
+        fx.addr = ea;
+        setIntReg(si->ra, static_cast<int64_t>(mem_.read(ea, 1)));
+        break;
+      case Opcode::LDW:
+        fx.addr = ea;
+        setIntReg(si->ra, static_cast<int16_t>(mem_.read(ea, 2)));
+        break;
+      case Opcode::LDL:
+        fx.addr = ea;
+        setIntReg(si->ra, static_cast<int32_t>(mem_.read(ea, 4)));
+        break;
+      case Opcode::LDQ:
+        fx.addr = ea;
+        setIntReg(si->ra, static_cast<int64_t>(mem_.read(ea, 8)));
+        break;
+      case Opcode::LDF: {
+        fx.addr = ea;
+        uint64_t bits = mem_.read(ea, 8);
+        double d = 0;
+        static_assert(sizeof(d) == sizeof(bits));
+        std::memcpy(&d, &bits, sizeof(d));
+        setFpReg(si->ra, d);
         break;
       }
-      // Floating point.
-      case Opcode::ADDF:
-        setFpReg(si.rc, fval(si.ra) + fval(si.rb));
-        break;
-      case Opcode::SUBF:
-        setFpReg(si.rc, fval(si.ra) - fval(si.rb));
-        break;
-      case Opcode::MULF:
-        setFpReg(si.rc, fval(si.ra) * fval(si.rb));
-        break;
-      case Opcode::DIVF: {
-        double b = fval(si.rb);
-        setFpReg(si.rc, b == 0.0 ? 0.0 : fval(si.ra) / b);
+      case Opcode::STB: fx.addr = ea; si = &store(ea, ua, 1, *si); break;
+      case Opcode::STW: fx.addr = ea; si = &store(ea, ua, 2, *si); break;
+      case Opcode::STL: fx.addr = ea; si = &store(ea, ua, 4, *si); break;
+      case Opcode::STQ: fx.addr = ea; si = &store(ea, ua, 8, *si); break;
+      case Opcode::STF: {
+        fx.addr = ea;
+        uint64_t bits = 0;
+        std::memcpy(&bits, &fa, sizeof(bits));
+        si = &store(ea, bits, 8, *si);
         break;
       }
-      case Opcode::CMPFEQ:
-        setFpReg(si.rc, fval(si.ra) == fval(si.rb) ? 1.0 : 0.0);
+
+      // Control: ra is the condition or receives the return address.
+      case Opcode::BR: case Opcode::BSR:
+        setIntReg(si->ra, static_cast<int64_t>(pc + 4));
+        branch(true);
         break;
-      case Opcode::CMPFLT:
-        setFpReg(si.rc, fval(si.ra) < fval(si.rb) ? 1.0 : 0.0);
+      case Opcode::BEQ: branch(a == 0); break;
+      case Opcode::BNE: branch(a != 0); break;
+      case Opcode::BLT: branch(a < 0); break;
+      case Opcode::BLE: branch(a <= 0); break;
+      case Opcode::BGT: branch(a > 0); break;
+      case Opcode::BGE: branch(a >= 0); break;
+      case Opcode::BLBC: branch((a & 1) == 0); break;
+      case Opcode::BLBS: branch((a & 1) == 1); break;
+      case Opcode::JMP: case Opcode::JSR: case Opcode::RET:
+        setIntReg(si->ra, static_cast<int64_t>(pc + 4));
+        next = ub & ~3ull;
+        fx.addr = next;
+        fx.taken = true;
         break;
-      case Opcode::CMPFLE:
-        setFpReg(si.rc, fval(si.ra) <= fval(si.rb) ? 1.0 : 0.0);
+
+      // System.
+      case Opcode::HALT:
+        halted_ = true;
         break;
-      case Opcode::SQRTF: {
-        double a = fval(si.ra);
-        setFpReg(si.rc, a < 0.0 ? 0.0 : std::sqrt(a));
-        break;
-      }
-      case Opcode::ITOF:
-        setFpReg(si.rc, static_cast<double>(ival(si.ra)));
-        break;
-      case Opcode::FTOI:
-        setIntReg(si.rc, static_cast<int64_t>(fval(si.ra)));
+      case Opcode::OUT:
+        console_ += static_cast<char>(a & 0xFF);
         break;
       default:
-        throw EmulationError("execOperate: bad opcode");
+        throw EmulationError("bad opcode");
     }
+
+    pc_ = next;
+    ++icount_;
+    if (!halted_ && (pc_ < codeBase_ || pc_ >= codeEnd_))
+        throw EmulationError("pc left text section: 0x"
+                             + std::to_string(pc_));
+    return *si;
 }
 
 ExecRecord
 Emulator::step()
 {
-    if (halted_)
-        throw EmulationError("step() after halt");
-
     ExecRecord rec;
     rec.pc = pc_;
-    StaticInst si = fetchDecode(pc_);
-    rec.inst = si;
-    uint64_t next = pc_ + 4;
-
-    auto ival = [this](isa::RegIndex r) -> int64_t {
-        return r == isa::INT_ZERO_REG ? 0 : ireg_[r];
-    };
-
-    switch (si.format()) {
-      case isa::Format::Operate:
-        execOperate(si);
-        break;
-      case isa::Format::Memory: {
-        int64_t base = ival(si.rb);
-        if (si.op == Opcode::LDA) {
-            setIntReg(si.ra, base + si.disp);
-        } else if (si.op == Opcode::LDAH) {
-            setIntReg(si.ra,
-                      base + (static_cast<int64_t>(si.disp) << 16));
-        } else {
-            uint64_t ea = static_cast<uint64_t>(base + si.disp);
-            rec.effAddr = ea;
-            unsigned size = si.memSize();
-            switch (si.op) {
-              case Opcode::LDBU:
-                setIntReg(si.ra,
-                          static_cast<int64_t>(mem_.read(ea, 1)));
-                break;
-              case Opcode::LDW:
-                setIntReg(si.ra, static_cast<int16_t>(mem_.read(ea, 2)));
-                break;
-              case Opcode::LDL:
-                setIntReg(si.ra, static_cast<int32_t>(mem_.read(ea, 4)));
-                break;
-              case Opcode::LDQ:
-                setIntReg(si.ra,
-                          static_cast<int64_t>(mem_.read(ea, 8)));
-                break;
-              case Opcode::LDF: {
-                uint64_t bits = mem_.read(ea, 8);
-                double d;
-                static_assert(sizeof(d) == sizeof(bits));
-                std::memcpy(&d, &bits, sizeof(d));
-                setFpReg(si.ra, d);
-                break;
-              }
-              case Opcode::STB: case Opcode::STW: case Opcode::STL:
-              case Opcode::STQ:
-                writeMem(ea, static_cast<uint64_t>(ival(si.ra)),
-                         size);
-                break;
-              case Opcode::STF: {
-                double d = si.ra == isa::FP_ZERO_REG
-                    ? 0.0 : freg_[si.ra];
-                uint64_t bits;
-                std::memcpy(&bits, &d, sizeof(bits));
-                writeMem(ea, bits, 8);
-                break;
-              }
-              default:
-                throw EmulationError("bad memory opcode");
-            }
-        }
-        break;
-      }
-      case isa::Format::Branch: {
-        uint64_t target =
-            pc_ + 4 + (static_cast<int64_t>(si.disp) << 2);
-        bool taken = false;
-        int64_t a = ival(si.ra);
-        switch (si.op) {
-          case Opcode::BR: case Opcode::BSR:
-            setIntReg(si.ra, static_cast<int64_t>(pc_ + 4));
-            taken = true;
-            break;
-          case Opcode::BEQ: taken = a == 0; break;
-          case Opcode::BNE: taken = a != 0; break;
-          case Opcode::BLT: taken = a < 0; break;
-          case Opcode::BLE: taken = a <= 0; break;
-          case Opcode::BGT: taken = a > 0; break;
-          case Opcode::BGE: taken = a >= 0; break;
-          case Opcode::BLBC: taken = (a & 1) == 0; break;
-          case Opcode::BLBS: taken = (a & 1) == 1; break;
-          default:
-            throw EmulationError("bad branch opcode");
-        }
-        if (taken)
-            next = target;
-        rec.taken = taken;
-        break;
-      }
-      case isa::Format::Jump: {
-        uint64_t target = static_cast<uint64_t>(ival(si.rb)) & ~3ull;
-        setIntReg(si.ra, static_cast<int64_t>(pc_ + 4));
-        next = target;
-        rec.taken = true;
-        break;
-      }
-      case isa::Format::System:
-        if (si.op == Opcode::HALT)
-            halted_ = true;
-        else if (si.op == Opcode::OUT)
-            console_ += static_cast<char>(ival(si.ra) & 0xFF);
-        break;
-    }
-
-    pc_ = next;
-    ++icount_;
-    rec.nextPc = next;
-
-    if (!halted_ && (pc_ < codeBase_ || pc_ >= codeEnd_))
-        throw EmulationError("pc left text section: 0x"
-                             + std::to_string(pc_));
+    Effects fx;
+    rec.inst = execute(fx);
+    rec.nextPc = pc_;
+    rec.taken = fx.taken;
+    if (!rec.inst.isControl())
+        rec.effAddr = fx.addr;
     return rec;
 }
 
 uint64_t
 Emulator::run(uint64_t max_insts)
 {
+    Effects fx;
     uint64_t n = 0;
     while (!halted_ && n < max_insts) {
-        step();
+        execute(fx);
         ++n;
     }
     return n;

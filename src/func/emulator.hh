@@ -53,15 +53,42 @@ class EmulationError : public std::runtime_error, public SimError
 };
 
 /**
- * Architectural-state interpreter. One instruction per step();
+ * Architectural-state interpreter. One instruction per execute();
  * halts on HALT or when the PC leaves the text section.
  */
 class Emulator
 {
   public:
+    /** What execute() reports of an instruction besides its decoded
+     *  form. */
+    struct Effects
+    {
+        /** The effective address of a memory reference, the next pc
+         *  of a control instruction, 0 for anything else (which
+         *  falls through to pc + 4). */
+        uint64_t addr = 0;
+        /** Control instruction actually redirected the PC. */
+        bool taken = false;
+        /** This execution decoded the instruction word: its first,
+         *  its first after a store into the text segment, or any
+         *  execution of a pc off the word grid. Otherwise the
+         *  instruction came unchanged from the decode cache. */
+        bool decoded = false;
+    };
+
     explicit Emulator(const assembler::Program &prog);
 
-    /** Execute one instruction. Must not be called after halted(). */
+    /**
+     * Execute the instruction at pc(): the one execute path, behind
+     * step(), run() and CommittedTrace::capture. Must not be called
+     * after halted().
+     * @return the decoded instruction, valid until the next
+     *         execute().
+     */
+    const isa::StaticInst &execute(Effects &fx);
+
+    /** execute(), copied into a record. Must not be called after
+     *  halted(). */
     ExecRecord step();
 
     /**
@@ -87,6 +114,7 @@ class Emulator
 
   private:
     uint64_t pc_;
+    /** The zero registers are never written, so they read 0. */
     std::array<int64_t, isa::NUM_INT_REGS> ireg_{};
     std::array<double, isa::NUM_FP_REGS> freg_{};
     Memory mem_;
@@ -100,15 +128,24 @@ class Emulator
     /** Lazily decoded text segment, one entry per aligned code word:
      *  decode (and the StaticInst::finalize operand-property
      *  precompute) runs once per *static* instruction instead of
-     *  once per executed instruction. Stores that overlap the text
-     *  segment invalidate the covered entries, so self-modifying
-     *  code still re-decodes from memory. */
-    mutable std::vector<isa::StaticInst> icache_;
-    mutable std::vector<uint8_t> icacheValid_;
+     *  once per executed instruction. An entry whose meta is 0 is not
+     *  decoded (decode finalizes every instruction, which sets
+     *  META_VALID). Stores that overlap the text segment clear the
+     *  covered entries' meta, so self-modifying code still
+     *  re-decodes from memory. */
+    std::vector<isa::StaticInst> decoded_;
+    /** The executing instruction when the decode cache cannot hold
+     *  it: a pc off the word grid, or a store that overwrote its own
+     *  word. */
+    isa::StaticInst uncached_;
 
-    isa::StaticInst fetchDecode(uint64_t pc) const;
-    void writeMem(uint64_t ea, uint64_t val, unsigned size);
-    void execOperate(const isa::StaticInst &si);
+    /** The decoded instruction at pc_; sets @p fx.decoded. */
+    const isa::StaticInst &fetch(Effects &fx);
+    /** Store the low @p size bytes of @p val at @p ea for the
+     *  executing store @p si, and return where @p si now lives. */
+    const isa::StaticInst &store(uint64_t ea, uint64_t val,
+                                 unsigned size,
+                                 const isa::StaticInst &si);
 };
 
 } // namespace hpa::func

@@ -1,45 +1,42 @@
 #include "func/memory.hh"
 
+#include <algorithm>
 #include <cstring>
 
 namespace hpa::func
 {
 
-Memory::Page &
-Memory::page(uint64_t addr)
-{
-    uint64_t pn = addr >> PAGE_BITS;
-    if (pn == lastWritePageNum_ && lastWritePage_)
-        return *lastWritePage_;
-    auto [it, inserted] = pages_.try_emplace(pn);
-    if (inserted)
-        it->second.assign(PAGE_SIZE, 0);
-    lastWritePageNum_ = pn;
-    lastWritePage_ = &it->second;
-    // A rehash may have moved other pages; invalidate the read cache.
-    lastReadPageNum_ = ~0ull;
-    lastReadPage_ = nullptr;
-    return it->second;
-}
-
-const Memory::Page *
+uint8_t *
 Memory::pageIfPresent(uint64_t addr) const
 {
-    uint64_t pn = addr >> PAGE_BITS;
-    if (pn == lastReadPageNum_)
-        return lastReadPage_;
+    const uint64_t pn = addr >> PAGE_BITS;
+    CachedPage &slot = cache_[pn & (PAGE_CACHE_SLOTS - 1)];
+    if (slot.pageNum == pn)
+        return slot.bytes;
     auto it = pages_.find(pn);
-    const Page *p = it == pages_.end() ? nullptr : &it->second;
-    lastReadPageNum_ = pn;
-    lastReadPage_ = p;
-    return p;
+    if (it == pages_.end())
+        return nullptr;
+    slot = CachedPage{pn, it->second.get()};
+    return slot.bytes;
+}
+
+uint8_t *
+Memory::page(uint64_t addr)
+{
+    if (uint8_t *p = pageIfPresent(addr))
+        return p;
+    const uint64_t pn = addr >> PAGE_BITS;
+    auto &bytes = pages_[pn];
+    bytes = std::make_unique<uint8_t[]>(PAGE_SIZE);
+    cache_[pn & (PAGE_CACHE_SLOTS - 1)] = CachedPage{pn, bytes.get()};
+    return bytes.get();
 }
 
 uint8_t
 Memory::readByte(uint64_t addr) const
 {
-    const Page *p = pageIfPresent(addr);
-    return p ? (*p)[addr & (PAGE_SIZE - 1)] : 0;
+    const uint8_t *p = pageIfPresent(addr);
+    return p ? p[addr & (PAGE_SIZE - 1)] : 0;
 }
 
 void
@@ -53,11 +50,11 @@ Memory::read(uint64_t addr, unsigned size) const
 {
     uint64_t off = addr & (PAGE_SIZE - 1);
     if (off + size <= PAGE_SIZE) {
-        const Page *p = pageIfPresent(addr);
+        const uint8_t *p = pageIfPresent(addr);
         if (!p)
             return 0;
         uint64_t v = 0;
-        std::memcpy(&v, p->data() + off, size);
+        std::memcpy(&v, p + off, size);
         return v;
     }
     uint64_t v = 0;
@@ -71,8 +68,7 @@ Memory::write(uint64_t addr, uint64_t value, unsigned size)
 {
     uint64_t off = addr & (PAGE_SIZE - 1);
     if (off + size <= PAGE_SIZE) {
-        Page &p = page(addr);
-        std::memcpy(p.data() + off, &value, size);
+        std::memcpy(page(addr) + off, &value, size);
         return;
     }
     for (unsigned i = 0; i < size; ++i)
@@ -83,8 +79,14 @@ void
 Memory::writeBlock(uint64_t addr, const void *src, size_t len)
 {
     const auto *bytes = static_cast<const uint8_t *>(src);
-    for (size_t i = 0; i < len; ++i)
-        writeByte(addr + i, bytes[i]);
+    while (len > 0) {
+        const uint64_t off = addr & (PAGE_SIZE - 1);
+        const size_t n = std::min<uint64_t>(len, PAGE_SIZE - off);
+        std::memcpy(page(addr) + off, bytes, n);
+        addr += n;
+        bytes += n;
+        len -= n;
+    }
 }
 
 } // namespace hpa::func

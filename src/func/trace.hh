@@ -24,38 +24,55 @@ namespace hpa::func
 {
 
 /**
- * One committed instruction as a trace stores it. The decoded
- * instruction is not copied into every record: it lives once per
- * distinct static instruction in the trace's table, and the record
- * holds its index (CommittedTrace::inst()).
+ * One entry of a trace's table: a static instruction, decoded as the
+ * trace saw it, and its pc. Records hold the entry's index instead of
+ * a copy.
+ */
+struct TraceEntry
+{
+    uint64_t pc = 0;
+    isa::StaticInst inst;
+};
+
+#pragma pack(push, 4)
+/**
+ * One committed instruction as a trace stores it: 12 bytes, the
+ * address plus one word that holds the table index and the taken
+ * bit. The pc and the decoded instruction live once per distinct
+ * static instruction in the trace's table (CommittedTrace::entry()).
  */
 struct TraceRecord
 {
-    uint64_t pc = 0;
+    /** The largest table index a record can hold. */
+    static constexpr uint32_t MAX_ENTRY = (1u << 31) - 1;
+
     /** The effective address of a memory reference, the next pc of
      *  a control instruction, 0 for anything else (which falls
      *  through to pc + 4). */
     uint64_t addr = 0;
-    /** Index into the trace's static-instruction table. */
-    uint32_t inst = 0;
+    /** Index into the trace's table. */
+    uint32_t entry : 31 = 0;
     /** Control instruction actually redirected the PC. */
-    bool taken = false;
+    uint32_t taken : 1 = 0;
 };
+#pragma pack(pop)
+
+static_assert(sizeof(TraceRecord) == 12);
 
 /**
  * Immutable recording of a program's committed dynamic stream.
  *
  * Capture contract: record(0..size()) carries, field for field, what
  * Emulator::step() returns on a fresh Emulator after the same
- * fast-forward — the pc, the taken bit, the address (effAddr or
- * nextPc, see TraceRecord::addr) and, through inst(), the decoded
- * instruction — and size() stops exactly at HALT or the instruction
- * budget, whichever comes first. Records are one contiguous
- * std::vector<TraceRecord> (24 B each), so a replay cursor is a
- * single sequential prefetch stream and record access is a stable
- * reference — no per-instruction gather, no copies, no shared
- * mutable state: one trace can feed any number of concurrent sweep
- * threads.
+ * fast-forward — through entry(), the pc and the decoded
+ * instruction; the taken bit; the address (effAddr or nextPc, see
+ * TraceRecord::addr) — and size() stops exactly at HALT or the
+ * instruction budget, whichever comes first. Records are one
+ * contiguous std::vector<TraceRecord> (12 B each), so a replay
+ * cursor is a single sequential prefetch stream and record access is
+ * a stable reference — no per-instruction gather, no copies, no
+ * shared mutable state: one trace can feed any number of concurrent
+ * sweep threads.
  */
 class CommittedTrace
 {
@@ -86,12 +103,13 @@ class CommittedTrace
      *  the lifetime of the trace. */
     const TraceRecord &record(size_t i) const { return records_[i]; }
 
-    /** The decoded instruction of @p r, a record of this trace. The
-     *  reference is stable for the lifetime of the trace. */
-    const isa::StaticInst &
-    inst(const TraceRecord &r) const
+    /** The pc and decoded instruction of @p r, a record of this
+     *  trace. The reference is stable for the lifetime of the
+     *  trace. */
+    const TraceEntry &
+    entry(const TraceRecord &r) const
     {
-        return statics_[r.inst];
+        return entries_[r.entry];
     }
 
     /** Instructions skipped by the fast-forward loop. */
@@ -110,29 +128,25 @@ class CommittedTrace
     memoryBytes() const
     {
         return records_.capacity() * sizeof(TraceRecord)
-            + statics_.capacity() * sizeof(isa::StaticInst);
+            + entries_.capacity() * sizeof(TraceEntry);
     }
 
   private:
-    /** No table entry yet. */
-    static constexpr uint32_t NO_INST = ~uint32_t(0);
-
     CommittedTrace() = default;
 
-    /** Record @p rec, reusing table entry @p entry when it holds
-     *  rec.inst and appending a new entry (stored into @p entry)
-     *  when it does not. */
-    void append(const ExecRecord &rec, uint32_t &entry);
+    /** Append a table entry for @p inst at @p pc; return its index. */
+    uint32_t addEntry(uint64_t pc, const isa::StaticInst &inst);
+    /** Append a record of table entry @p entry. */
+    void append(uint64_t addr, uint32_t entry, bool taken);
 
     std::vector<TraceRecord> records_;
-    /** The distinct decoded instructions the records index. */
-    std::vector<isa::StaticInst> statics_;
+    /** The distinct (pc, decoded instruction) pairs the records
+     *  index. */
+    std::vector<TraceEntry> entries_;
     uint64_t fastForwarded_ = 0;
     std::string console_;
     bool halted_ = false;
 };
-
-static_assert(sizeof(TraceRecord) == 24);
 
 } // namespace hpa::func
 

@@ -50,7 +50,7 @@ class Simulation
   public:
     /**
      * Capture @p prog's committed stream, then replay it. The trace
-     * is held in memory (24 B per instruction), so a budget bounds
+     * is held in memory (12 B per instruction), so a budget bounds
      * the run's footprint.
      *
      * @param prog assembled program

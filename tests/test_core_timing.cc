@@ -39,7 +39,7 @@ trace(const std::string &src, const CoreConfig &cfg)
     std::vector<Stamp> out;
     s.core().setCommitListener(
         [&out](const DynInst &di, uint64_t commit) {
-            out.push_back(Stamp{di.seq, di.rec->pc, di.fetchCycle,
+            out.push_back(Stamp{di.seq, di.pc, di.fetchCycle,
                                 di.dispatchCycle, di.issueCycle,
                                 di.completeCycle, commit,
                                 di.issueToken, di.seqRegAccess,
@@ -213,23 +213,39 @@ TEST(ExactTiming, ShortLoadMissStillWakesItsConsumers)
     // watchdog fires. With a replay shadow of 3 or 4 the load can
     // also complete by its detection cycle, so it must not commit
     // before that re-broadcast has gone out, or the staleness filter
-    // drops it.
+    // drops it. Under load-delay tracking the re-broadcast cycle can
+    // already be past when the miss is detected: that is a delay of
+    // zero, which no counter saturates on (with dlt_max_delay = 1000
+    // nothing in this stream comes close).
     core::SyntheticParams sp;
     func::CommittedTrace stream = core::syntheticTrace(sp);
-    for (unsigned width : {4u, 8u}) {
-        for (unsigned shadow : {2u, 3u, 4u}) {
-            for (unsigned l2 : {1u, 2u}) {
-                CoreConfig cfg = sim::Machine::base(width).build().cfg;
-                cfg.replay_shadow = shadow;
-                cfg.mem.l2.latency = l2;
-                const std::string what = "width " + std::to_string(width)
-                    + " shadow " + std::to_string(shadow)
-                    + " L2 latency " + std::to_string(l2);
-                core::Core c(cfg, stream);
-                ASSERT_NO_THROW(c.run(2000000)) << what;
-                EXPECT_TRUE(c.done()) << what;
-                EXPECT_EQ(c.stats().committed.value(), stream.size())
-                    << what;
+    for (bool dlt : {false, true}) {
+        for (unsigned width : {4u, 8u}) {
+            for (unsigned shadow : {2u, 3u, 4u}) {
+                for (unsigned l2 : {1u, 2u}) {
+                    CoreConfig cfg =
+                        sim::Machine::base(width).build().cfg;
+                    cfg.replay_shadow = shadow;
+                    cfg.mem.l2.latency = l2;
+                    if (dlt) {
+                        cfg.wakeup =
+                            core::WakeupModel::LoadDelayTracking;
+                        cfg.dlt_max_delay = 1000;
+                    }
+                    const std::string what =
+                        std::string(dlt ? "dlt" : "base") + " width "
+                        + std::to_string(width) + " shadow "
+                        + std::to_string(shadow) + " L2 latency "
+                        + std::to_string(l2);
+                    core::Core c(cfg, stream);
+                    ASSERT_NO_THROW(c.run(2000000)) << what;
+                    EXPECT_TRUE(c.done()) << what;
+                    EXPECT_EQ(c.stats().committed.value(),
+                              stream.size())
+                        << what;
+                    EXPECT_EQ(c.stats().dltSaturated.value(), 0u)
+                        << what;
+                }
             }
         }
     }
@@ -342,7 +358,7 @@ TEST(PolicyTiming, DltSaturatesDividerWakeupToCompletion)
     std::vector<Stamp> tc;
     sc.core().setCommitListener(
         [&tc](const DynInst &di, uint64_t commit) {
-            tc.push_back(Stamp{di.seq, di.rec->pc, di.fetchCycle,
+            tc.push_back(Stamp{di.seq, di.pc, di.fetchCycle,
                                di.dispatchCycle, di.issueCycle,
                                di.completeCycle, commit,
                                di.issueToken, di.seqRegAccess,
@@ -356,7 +372,7 @@ TEST(PolicyTiming, DltSaturatesDividerWakeupToCompletion)
     std::vector<Stamp> td;
     sd.core().setCommitListener(
         [&td](const DynInst &di, uint64_t commit) {
-            td.push_back(Stamp{di.seq, di.rec->pc, di.fetchCycle,
+            td.push_back(Stamp{di.seq, di.pc, di.fetchCycle,
                                di.dispatchCycle, di.issueCycle,
                                di.completeCycle, commit,
                                di.issueToken, di.seqRegAccess,

@@ -1,5 +1,7 @@
 /** @file Unit tests for the sparse memory and functional emulator. */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
@@ -55,6 +57,61 @@ TEST(Memory, WriteBlockAndReadBack)
     m.writeBlock(0x2000 - 4, buf, 10);
     for (unsigned i = 0; i < 10; ++i)
         EXPECT_EQ(m.readByte(0x2000 - 4 + i), buf[i]);
+
+    // A block over several whole pages, unaligned at both ends: it
+    // starts 5 bytes before a page and ends 7 bytes into one, and the
+    // bytes just outside it stay unwritten.
+    std::vector<uint8_t> big(3 * Memory::PAGE_SIZE + 12);
+    for (size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<uint8_t>(i * 7 + 3);
+    const uint64_t start = 0x10000 - 5;
+    m.writeBlock(start, big.data(), big.size());
+    for (size_t i = 0; i < big.size(); ++i)
+        ASSERT_EQ(m.readByte(start + i), big[i]) << "byte " << i;
+    EXPECT_EQ(m.readByte(start - 1), 0u);
+    EXPECT_EQ(m.readByte(start + big.size()), 0u);
+    // A word read across the block's first page boundary.
+    uint64_t word = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        word |= uint64_t{big[1 + i]} << (8 * i);
+    EXPECT_EQ(m.read(start + 1, 8), word);
+}
+
+TEST(Memory, PagesSharingACacheSlotKeepTheirOwnBytes)
+{
+    // Page numbers a PAGE_CACHE_SLOTS multiple apart map to the same
+    // slot of the page cache; interleaved accesses must each reach
+    // their own page.
+    Memory m;
+    const uint64_t a = 0x40000;
+    const uint64_t b = a + Memory::PAGE_CACHE_SLOTS * Memory::PAGE_SIZE;
+    const uint64_t c = b + Memory::PAGE_CACHE_SLOTS * Memory::PAGE_SIZE;
+    for (uint64_t i = 0; i < 64; ++i) {
+        m.write(a + 8 * i, 0xA000 + i, 8);
+        m.write(b + 8 * i, 0xB000 + i, 8);
+        EXPECT_EQ(m.read(a + 8 * i, 8), 0xA000 + i);
+        m.writeByte(c + i, static_cast<uint8_t>(i));
+        EXPECT_EQ(m.read(b + 8 * i, 8), 0xB000 + i);
+    }
+    for (uint64_t i = 0; i < 64; ++i) {
+        EXPECT_EQ(m.read(b + 8 * i, 8), 0xB000 + i) << i;
+        EXPECT_EQ(m.read(a + 8 * i, 8), 0xA000 + i) << i;
+        EXPECT_EQ(m.readByte(c + i), i) << i;
+    }
+    EXPECT_EQ(m.numPages(), 3u);
+}
+
+TEST(Memory, WriteCreatingAPageIsSeenByTheNextRead)
+{
+    // A read of an absent page must not leave a stale "absent" answer
+    // behind for the write that then creates the page.
+    Memory m;
+    EXPECT_EQ(m.read(0x5008, 8), 0u);
+    EXPECT_EQ(m.numPages(), 0u);
+    m.write(0x5008, 0x1122334455667788ull, 8);
+    EXPECT_EQ(m.read(0x5008, 8), 0x1122334455667788ull);
+    EXPECT_EQ(m.read(0x5000, 8), 0u);
+    EXPECT_EQ(m.numPages(), 1u);
 }
 
 TEST(Memory, PartialWriteLeavesNeighboursIntact)
@@ -423,6 +480,36 @@ target: li   r5, 11
 fin:    halt
 donor:  li   r5, 22)");
     EXPECT_EQ(e.intReg(5), 22);
+}
+
+TEST(Emulator, StoreOverwritingItselfIsRecordedAsExecuted)
+{
+    // `patch` stores the donor word over itself. Its record is the
+    // store as it executed; the next visit decodes and runs the donor.
+    auto p = assembler::assemble(R"(
+        la   r2, patch
+        la   r1, donor
+        ldl  r3, 0(r1)
+patch:  stl  r3, 0(r2)
+        bne  r7, fin
+        li   r7, 1
+        br   patch
+fin:    halt
+donor:  li   r5, 22)");
+    Emulator emu(p);
+    std::vector<func::ExecRecord> atPatch;
+    while (!emu.halted()) {
+        func::ExecRecord rec = emu.step();
+        if (rec.pc == p.symbol("patch"))
+            atPatch.push_back(rec);
+    }
+    ASSERT_EQ(atPatch.size(), 2u);
+    EXPECT_EQ(atPatch[0].inst.op, isa::Opcode::STL);
+    EXPECT_TRUE(atPatch[0].inst == isa::makeMem(isa::Opcode::STL, 3, 2, 0));
+    EXPECT_EQ(atPatch[0].effAddr, p.symbol("patch"));
+    EXPECT_TRUE(atPatch[1].inst
+                == isa::makeMem(isa::Opcode::LDA, 5, isa::INT_ZERO_REG, 22));
+    EXPECT_EQ(emu.intReg(5), 22);
 }
 
 TEST(EmulatorEdge, ShiftAmountsUseLowSixBits)

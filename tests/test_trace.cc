@@ -2,12 +2,14 @@
  *  must reproduce a bare Emulator::step loop field for field for
  *  every registered workload and for self-modifying code (the
  *  determinism contract of trace-once/replay-many sweeps), the
+ *  Full-scale streams must match recorded digests, the
  *  workload cache must hand every cell of a (workload, budget,
  *  fast-forward) group the same immutable trace instance, a
  *  Simulation that captures its own trace must report exactly what
  *  one replaying a shared capture does, and synthetic traces must be
  *  pure functions of their parameters. */
 
+#include <iterator>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -43,19 +45,19 @@ expectSameRecord(const func::CommittedTrace &t, uint64_t i,
                  const func::ExecRecord &e, const std::string &what)
 {
     const func::TraceRecord &r = t.record(i);
-    const isa::StaticInst &si = t.inst(r);
-    ASSERT_EQ(r.pc, e.pc) << what << " record " << i;
-    ASSERT_EQ(r.taken, e.taken) << what << " record " << i;
+    const isa::StaticInst &si = t.entry(r).inst;
+    ASSERT_EQ(t.entry(r).pc, e.pc) << what << " record " << i;
+    ASSERT_EQ(bool(r.taken), e.taken) << what << " record " << i;
     ASSERT_TRUE(si == e.inst)
         << what << " record " << i << ": trace has '"
         << si.disassemble() << "', emulator '" << e.inst.disassemble()
         << "'";
     if (e.inst.isControl()) {
-        ASSERT_EQ(r.addr, e.nextPc) << what << " record " << i;
+        ASSERT_EQ(uint64_t{r.addr}, e.nextPc) << what << " record " << i;
     } else {
         // Anything else falls through: the record keeps no next pc.
         ASSERT_EQ(e.nextPc, e.pc + 4) << what << " record " << i;
-        ASSERT_EQ(r.addr, e.effAddr) << what << " record " << i;
+        ASSERT_EQ(uint64_t{r.addr}, e.effAddr) << what << " record " << i;
     }
 }
 
@@ -95,6 +97,78 @@ TEST(TraceCapture, ByteIdenticalToEmulatorForEveryWorkload)
     for (const auto &name : workloads::benchmarkNames()) {
         auto w = workloads::make(name, workloads::Scale::Test);
         expectSameStream(w.program, steadyPc(w), 3000, name);
+    }
+}
+
+/** FNV-1a (64-bit) over a trace's committed stream: each record's
+ *  pc, address and taken bit, and its instruction's decoded fields
+ *  (op, ra, rb, rc, literal, disp), each value little-endian at its
+ *  own width. It depends on what the trace records, not on how it
+ *  stores it. */
+uint64_t
+streamDigest(const func::CommittedTrace &t)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto put = [&h](uint64_t v, unsigned bytes) {
+        for (unsigned i = 0; i < bytes; ++i) {
+            h ^= (v >> (8 * i)) & 0xFF;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (size_t i = 0; i < t.size(); ++i) {
+        const func::TraceRecord &r = t.record(i);
+        const func::TraceEntry &e = t.entry(r);
+        put(e.pc, 8);
+        put(r.addr, 8);
+        put(r.taken, 1);
+        put(uint64_t(e.inst.op), 1);
+        put(e.inst.ra, 1);
+        put(e.inst.rb, 1);
+        put(e.inst.rc, 1);
+        put(e.inst.literal, 1);
+        put(uint32_t(e.inst.disp), 4);
+    }
+    return h;
+}
+
+TEST(TraceCapture, FullScaleStreamsMatchTheirRecordedDigests)
+{
+    // The 12 Full-scale kernels captured as the sweep captures them:
+    // fast-forwarded to `steady:`, then 50,000 instructions. The
+    // constants were recorded with an earlier interpreter, so any
+    // change to what capture records changes a digest.
+    struct Expected
+    {
+        const char *name;
+        size_t size;
+        uint64_t fastForwarded;
+        bool halted;
+        uint64_t digest;
+    };
+    const Expected expected[] = {
+        {"bzip", 50000, 245813, false, 0x82f92ae0a87a39a0ull},
+        {"crafty", 50000, 7, false, 0x2c0c869da5c508ddull},
+        {"eon", 50000, 4625, false, 0x8dd993056c0cfd70ull},
+        {"gap", 50000, 1264, false, 0xd68d8b60d5430843ull},
+        {"gcc", 50000, 139254, false, 0x99f0b308e2af8404ull},
+        {"gzip", 50000, 294925, false, 0x8b32235d3ff5a28full},
+        {"mcf", 50000, 3336471, false, 0x63aa7b4c001d3cffull},
+        {"parser", 50000, 12, false, 0x0581b640bcc65420ull},
+        {"perl", 50000, 70663, false, 0xd440bbc67e023578ull},
+        {"twolf", 50000, 30732, false, 0x0823f80e39f07a9dull},
+        {"vortex", 50000, 12300, false, 0x4c3e08840106d91bull},
+        {"vpr", 50000, 786457, false, 0xbeb47a58c3a654f7ull},
+    };
+    ASSERT_EQ(std::size(expected), workloads::benchmarkNames().size());
+    for (const Expected &x : expected) {
+        auto w = workloads::make(x.name, workloads::Scale::Full);
+        func::CommittedTrace t =
+            func::CommittedTrace::capture(w.program, steadyPc(w), 50000);
+        EXPECT_EQ(t.size(), x.size) << x.name;
+        EXPECT_EQ(t.fastForwarded(), x.fastForwarded) << x.name;
+        EXPECT_EQ(t.halted(), x.halted) << x.name;
+        EXPECT_EQ(streamDigest(t), x.digest)
+            << x.name << ": digest 0x" << std::hex << streamDigest(t);
     }
 }
 
@@ -228,11 +302,12 @@ TEST(SyntheticTrace, DeterministicPerSeedAndEndsInHalt)
     ASSERT_EQ(b.size(), sp.num_insts);
     for (size_t i = 0; i < a.size(); ++i) {
         const func::TraceRecord &ra = a.record(i), &rb = b.record(i);
-        ASSERT_TRUE(ra.pc == rb.pc && ra.addr == rb.addr
-                    && ra.taken == rb.taken && a.inst(ra) == b.inst(rb))
+        const func::TraceEntry &ea = a.entry(ra), &eb = b.entry(rb);
+        ASSERT_TRUE(ea.pc == eb.pc && ra.addr == rb.addr
+                    && ra.taken == rb.taken && ea.inst == eb.inst)
             << "seed 7 record " << i;
     }
-    EXPECT_EQ(a.inst(a.record(a.size() - 1)).op, isa::Opcode::HALT);
+    EXPECT_EQ(a.entry(a.record(a.size() - 1)).inst.op, isa::Opcode::HALT);
     EXPECT_TRUE(a.halted());
     EXPECT_EQ(a.fastForwarded(), 0u);
     EXPECT_TRUE(a.console().empty());
@@ -243,8 +318,9 @@ TEST(SyntheticTrace, DeterministicPerSeedAndEndsInHalt)
     ASSERT_EQ(c.size(), sp.num_insts);
     bool differs = false;
     for (size_t i = 0; i < c.size() && !differs; ++i)
-        differs = a.inst(a.record(i)).op != c.inst(c.record(i)).op
-            || a.record(i).pc != c.record(i).pc;
+        differs = a.entry(a.record(i)).inst.op
+                != c.entry(c.record(i)).inst.op
+            || a.entry(a.record(i)).pc != c.entry(c.record(i)).pc;
     EXPECT_TRUE(differs);
 }
 

@@ -319,7 +319,7 @@ main(int argc, char **argv)
             insts = parseU64(a, need(i));
             if (insts == 0) {
                 std::cerr << "--insts must be at least 1 (every cell "
-                             "holds its trace in memory, 24 B per "
+                             "holds its trace in memory, 12 B per "
                              "instruction)\n";
                 return 2;
             }

@@ -138,7 +138,7 @@ main(int argc, char **argv)
         std::vector<Row> rows;
         s.core().setCommitListener(
             [&rows](const core::DynInst &di, uint64_t commit) {
-                rows.push_back(Row{di.seq, di.rec->pc,
+                rows.push_back(Row{di.seq, di.pc,
                                    di.si->disassemble(),
                                    di.fetchCycle, di.dispatchCycle,
                                    di.issueCycle, di.completeCycle,

@@ -59,7 +59,7 @@ run control:
   --insts N           committed-instruction budget per run, at
                       least 1 (default 200000). A run captures its
                       committed trace first and holds it in memory:
-                      24 B per instruction. A budget past the
+                      12 B per instruction. A budget past the
                       program's end runs it to HALT.
   --cycles N          cycle budget (default: unbounded)
   --no-fastforward    do not skip to the workload's steady: label

@@ -39,7 +39,7 @@ struct SimOptions
     bool lap_set = false;
     unsigned bypass = 1;
     /** Committed-instruction budget per run (never 0: every run
-     *  holds its trace in memory, 24 B per instruction). */
+     *  holds its trace in memory, 12 B per instruction). */
     uint64_t insts = 200000;
     uint64_t cycles = 0;
     bool fastforward = true;
@@ -236,7 +236,7 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
                 return 2;
             if (opt.insts == 0)
                 return fail("--insts must be at least 1 (a run holds "
-                            "its trace in memory, 24 B per "
+                            "its trace in memory, 12 B per "
                             "instruction)");
         } else if (a == "--cycles") {
             if (!needNumber(&opt.cycles))

@@ -367,27 +367,18 @@ Core::tick()
     tickGuards();
 }
 
-/** Everything rare-but-checked-every-cycle: the deadlock watchdog,
- *  the periodic scheduler cross-validation and the test-only fault
- *  injections. At default settings this is one predictable compare
- *  per cycle. */
+/** Everything rare-but-checked-every-cycle: the deadlock watchdog
+ *  and the periodic scheduler cross-validation. At default settings
+ *  this is one predictable compare per cycle. */
 void
 Core::tickGuards()
 {
-    // Every guard below is time-predictable, so the common case is a
+    // Both guards are time-predictable, so the common case is a
     // single compare: nextGuardCycle_ under-approximates the next
-    // cycle any guard could fire (a too-early visit merely re-arms;
-    // a fire is never missed — the fault setters reset the gate).
+    // cycle either could fire (a too-early visit merely re-arms; a
+    // fire is never missed).
     if (cycle_ < nextGuardCycle_)
         return;
-
-    if (cycle_ == corruptAt_) {
-        // Test hook: corrupt the incremental ready set so the
-        // periodic cross-validation must diverge whatever the window
-        // holds — toggling the head slot's ready bit diverges
-        // whichever way it was.
-        masks_.ready.testFlip(head_);
-    }
 
     if (cfg_.check_interval && cycle_ % cfg_.check_interval == 0)
         crossValidate();
@@ -405,8 +396,6 @@ Core::tickGuards()
     // at the recorded cycle finds nothing and re-arms — exact fire
     // timing, at most one spare visit per watchdog period.
     uint64_t next = NO_CYCLE;
-    if (corruptAt_ != NO_CYCLE && corruptAt_ > cycle_)
-        next = std::min(next, corruptAt_);
     if (cfg_.check_interval)
         next = std::min(next, cycle_ + cfg_.check_interval
                                   - cycle_ % cfg_.check_interval);
@@ -448,8 +437,6 @@ Core::commitFormatStats(const DynInst &di)
 void
 Core::commit()
 {
-    if (cycle_ > blockCommitAfter_)
-        return; // test hook: simulate a wedged commit stage
     unsigned budget = cfg_.width;
     while (budget > 0 && windowCount_ > 0) {
         DynInst &di = window_[head_];

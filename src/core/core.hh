@@ -232,27 +232,11 @@ class Core
      */
     std::string dumpPipelineState() const;
 
-    // --- Test-only fault injection (sim/sweep fault hooks). ---
-
-    /** At @p cycle, corrupt the incremental ready set (flip the
-     *  head slot's ready bit) — the periodic cross-validation must
-     *  then report an InvariantViolation. Test-only. */
-    void
-    testCorruptSchedulerAt(uint64_t cycle)
-    {
-        corruptAt_ = cycle;
-        nextGuardCycle_ = 0; // re-arm the guard gate
-    }
-
-    /** After @p cycle, commit() retires nothing — forward progress
-     *  stops and the watchdog must report a Deadlock. Test-only. */
-    void
-    testBlockCommitAfter(uint64_t cycle)
-    {
-        blockCommitAfter_ = cycle;
-    }
-
   private:
+    /** Defined by tests/test_error.cc, which corrupts the ready
+     *  plane to check that the periodic cross-validation catches it. */
+    friend struct CoreTestPeer;
+
     // --- Event machinery. ---
     enum class EventKind : uint8_t
     {
@@ -317,9 +301,8 @@ class Core
     /** Re-derive the ready/issued/store lists from the window and
      *  describe the first divergence (empty string = consistent). */
     std::string sideListDivergence() const;
-    /** Watchdog / cross-check / fault-injection hooks;
-     *  everything rare-but-per-cycle, kept out of tick()'s hot
-     *  path body. */
+    /** Watchdog and cross-check: everything rare-but-per-cycle,
+     *  kept out of tick()'s hot path body. */
     void tickGuards();
 
     void setupOperands(DynInst &di, int slot);
@@ -479,10 +462,6 @@ class Core
     /** Earliest cycle any tickGuards() condition can fire next; 0
      *  forces a (re)evaluation on the next tick. */
     uint64_t nextGuardCycle_ = 0;
-
-    /** Test-only fault injection (NO_CYCLE = disarmed). */
-    uint64_t corruptAt_ = NO_CYCLE;
-    uint64_t blockCommitAfter_ = NO_CYCLE;
 
     std::function<void(const DynInst &, uint64_t)> commitListener_;
 };

@@ -82,15 +82,6 @@ class SlotMask
         words_[s >> 6] &= ~(uint64_t(1) << (s & 63));
     }
 
-    /** Test-only corruption hook: toggle membership of @p s, which
-     *  diverges from the re-derived window state whichever way the
-     *  bit was. */
-    void
-    testFlip(unsigned s)
-    {
-        words_[s >> 6] ^= uint64_t(1) << (s & 63);
-    }
-
     const uint64_t *words() const { return words_.data(); }
     unsigned capacity() const { return slots_; }
 

@@ -118,8 +118,15 @@ Emulator::execute(Effects &fx)
       case Opcode::ADD: setInt(static_cast<int64_t>(ua + ub)); break;
       case Opcode::SUB: setInt(static_cast<int64_t>(ua - ub)); break;
       case Opcode::MUL: setInt(static_cast<int64_t>(ua * ub)); break;
-      case Opcode::DIV: setInt(b == 0 ? 0 : a / b); break;
-      case Opcode::REM: setInt(b == 0 ? 0 : a % b); break;
+      // INT64_MIN / -1 overflows (and traps on x86): a divisor of -1
+      // negates with two's-complement wrap, so the quotient is
+      // INT64_MIN and the remainder 0.
+      case Opcode::DIV:
+        setInt(b == 0 ? 0
+               : b == -1 ? static_cast<int64_t>(0 - ua)
+                         : a / b);
+        break;
+      case Opcode::REM: setInt(b == 0 || b == -1 ? 0 : a % b); break;
       case Opcode::AND: setInt(a & b); break;
       case Opcode::BIS: setInt(a | b); break;
       case Opcode::XOR: setInt(a ^ b); break;

@@ -39,24 +39,6 @@ enum class RunStatus
 const char *statusName(RunStatus status);
 
 /**
- * Test-only fault injection, threaded through ExperimentSpec so the
- * robustness tests can exercise the whole in-process isolation
- * pipeline — core guard, sweep catch, CLI/JSON reporting — end to
- * end. Each kind trips one of the core's guards inside one cell;
- * none in any production spec.
- */
-enum class FaultKind
-{
-    None,
-    /** Corrupt the scheduler ready list at fault_cycle; the periodic
-     *  cross-validation pass must trip an InvariantViolation. */
-    InvariantTrip,
-    /** Stop commit after fault_cycle; the watchdog must trip a
-     *  Deadlock. */
-    BlockCommit,
-};
-
-/**
  * How one run actually ended: status, the error (kind + one-line
  * text + context) when it did not end well, and data-quality caveats
  * that are not errors (a requested fast-forward with no `steady:`
@@ -167,11 +149,6 @@ struct ExperimentSpec
     /** Fast-forward functionally to the kernel's `steady:` label. */
     bool fast_forward = true;
     workloads::Scale scale = workloads::Scale::Full;
-
-    /** Test-only fault injection (FaultKind::None in production). */
-    FaultKind fault = FaultKind::None;
-    /** Cycle at which InvariantTrip/BlockCommit faults arm. */
-    uint64_t fault_cycle = 1000;
 
     /**
      * Check the spec is runnable: the workload must be a registered

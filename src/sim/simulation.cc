@@ -43,14 +43,4 @@ Simulation::report(std::ostream &os)
     statsRegistry().dump(os);
 }
 
-double
-runIpc(const std::string &program_text, const core::CoreConfig &cfg,
-       uint64_t max_insts)
-{
-    auto prog = assembler::assemble(program_text);
-    Simulation s(prog, cfg, max_insts);
-    s.run();
-    return s.ipc();
-}
-
 } // namespace hpa::sim

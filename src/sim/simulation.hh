@@ -112,13 +112,6 @@ class Simulation
     std::unique_ptr<core::Core> core_;
 };
 
-/**
- * Assemble-and-run helper: run @p program_text on @p cfg for at most
- * @p max_insts instructions and return the achieved IPC.
- */
-double runIpc(const std::string &program_text,
-              const core::CoreConfig &cfg, uint64_t max_insts = 0);
-
 } // namespace hpa::sim
 
 #endif // HPA_SIM_SIMULATION_HH

@@ -31,8 +31,8 @@ namespace
 
 /**
  * Run one job: build (or fetch) the workload, construct a fresh
- * Simulation, arm any injected fault, run, and record metrics into
- * @p r. Throws on any failure; runOne owns isolation.
+ * Simulation, run, and record metrics into @p r. Throws on any
+ * failure; runOne owns isolation.
  */
 void
 runCell(const SweepJob &job, workloads::WorkloadCache &cache,
@@ -49,21 +49,13 @@ runCell(const SweepJob &job, workloads::WorkloadCache &cache,
             r.outcome.steadyMissing = true;
     }
 
-    core::CoreConfig cfg = job.machine.cfg;
-    if (job.fault == FaultKind::InvariantTrip && cfg.check_interval == 0)
-        cfg.check_interval = 1;
-
     // Trace-once/replay-many: the first cell of a (workload, budget,
     // fast-forward) group captures the committed stream; every other
     // cell — across machines, threads and repeat sweeps — replays
     // the shared immutable buffer.
     const func::CommittedTrace &trace =
         cache.trace(job.workload, job.scale, job.max_insts, ff);
-    r.sim = std::make_unique<Simulation>(trace, cfg);
-    if (job.fault == FaultKind::InvariantTrip)
-        r.sim->core().testCorruptSchedulerAt(job.fault_cycle);
-    if (job.fault == FaultKind::BlockCommit)
-        r.sim->core().testBlockCommitAfter(job.fault_cycle);
+    r.sim = std::make_unique<Simulation>(trace, job.machine.cfg);
 
     // hpa-nolint(HPA007): wall-time around the run; reported, never fed back
     auto t0 = std::chrono::steady_clock::now();

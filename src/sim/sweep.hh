@@ -1,8 +1,8 @@
 /**
  * @file
- * Parallel sweep engine. Every table of tools/hpa_figures and every
- * golden gate of tools/hpa_bench_sweep is the same pattern — a loop
- * over (workload, machine, budget) tuples, each an independent
+ * Parallel sweep engine. Every table of tools/hpa_figures and both
+ * golden IPC gates of tests/test_golden.cc are the same pattern — a
+ * loop over (workload, machine, budget) tuples, each an independent
  * Simulation — so the engine runs them as jobs on a
  * fixed thread pool: one isolated Simulation per job, workload
  * programs built once process-wide (thread-safe cache), and results
@@ -69,9 +69,9 @@ class SweepRunner
     std::vector<SweepResult> run(std::vector<SweepJob> jobs);
 
     /**
-     * Run one job synchronously on the calling thread, including its
-     * fault injection. Never throws for per-run failures — they are
-     * filed into the returned RunOutcome.
+     * Run one job synchronously on the calling thread. Never throws
+     * for per-run failures — they are filed into the returned
+     * RunOutcome.
      */
     static SweepResult runOne(const SweepJob &job,
                               workloads::WorkloadCache &cache);
@@ -113,18 +113,18 @@ void requireAllOk(const std::vector<SweepResult> &results);
  * (Table 2 base, Figure 14 wakeup schemes, Figure 15 register
  * files, Figure 16 combined), for both Table 1 widths. Crossed with
  * the twelve workloads this is the canonical "full reproduction
- * sweep" run by tools/hpa_bench_sweep and the determinism tests, and
- * the first 16 machines of tools/hpa_figures' machine union.
+ * sweep" that tools/golden_sweep_ipc.json pins and the determinism
+ * tests run, and the first 16 machines of tools/hpa_figures' machine
+ * union.
  */
 std::vector<Machine> reproductionMachines();
 
 /**
  * The post-paper policy-zoo machines: load-delay-tracking wakeup
  * ("dlt") and the operand-prefetch register file ("prefetch"), alone
- * and combined, for both Table 1 widths. This is the sweep dimension
- * behind `hpa_bench_sweep --zoo` and the EXPERIMENTS.md policy-sweep
- * guide; unlike reproductionMachines() it is not pinned by the
- * golden gate and is expected to grow as policies are added.
+ * and combined, for both Table 1 widths: the last eight machines of
+ * tools/hpa_figures' machine union (its "Extension: post-paper
+ * policies" table), pinned by tools/golden_zoo_ipc.json.
  */
 std::vector<Machine> policyZooMachines();
 

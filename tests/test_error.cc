@@ -5,8 +5,10 @@
  * throws InvariantViolation with file/line/condition context and
  * evaluates its message lazily, and the core's runtime guards — the
  * no-forward-progress watchdog and the periodic scheduler
- * cross-validation — each turn the corresponding injected fault into
- * the right typed error with a usable pipeline-state dump.
+ * cross-validation — each turn a real fault (a watchdog shorter than
+ * the cold-start stall, a ready instruction missing from the ready
+ * plane) into the right typed error with a usable pipeline-state
+ * dump.
  */
 
 #include <stdexcept>
@@ -109,7 +111,31 @@ TEST(HpaCheck, MessageIsOnlyEvaluatedOnFailure)
     EXPECT_EQ(evaluations, 1);
 }
 
-/** A small timing run on a real workload with one fault injected. */
+} // namespace
+
+namespace hpa::core
+{
+
+/** The one test-only door into Core (declared its friend). */
+struct CoreTestPeer
+{
+    /** Clear @p slot's bit in the incremental ready plane while the
+     *  window still holds a ready instruction there. */
+    static void
+    dropReady(Core &core, unsigned slot)
+    {
+        core.masks_.ready.clear(slot);
+    }
+};
+
+} // namespace hpa::core
+
+namespace
+{
+
+using namespace hpa;
+
+/** A small timing run on a real workload from program start. */
 class CoreGuards : public ::testing::Test
 {
   protected:
@@ -122,20 +148,21 @@ class CoreGuards : public ::testing::Test
     }
 };
 
-TEST_F(CoreGuards, WatchdogTurnsBlockedCommitIntoDeadlock)
+TEST_F(CoreGuards, WatchdogShorterThanTheColdStartStallIsADeadlock)
 {
+    // The first fetch misses all the way to memory, so nothing
+    // commits for longer than a 40-cycle watchdog allows.
     core::CoreConfig cfg = core::fourWideConfig();
-    cfg.watchdog_cycles = 2000;
-    auto s = makeSim(cfg, 50000);
-    s.core().testBlockCommitAfter(100);
+    cfg.watchdog_cycles = 40;
+    auto s = makeSim(cfg, 5000);
     try {
         s.run();
         FAIL() << "expected hpa::Deadlock";
     } catch (const Deadlock &e) {
         EXPECT_EQ(e.kind(), ErrorKind::Deadlock);
         // Tripped after the threshold, with attribution and a dump.
-        EXPECT_GT(e.context().cycle, 2000u);
-        EXPECT_LE(e.context().lastCommitCycle, 101u);
+        EXPECT_GT(e.context().cycle, 40u);
+        EXPECT_EQ(e.context().committed, 0u);
         ASSERT_FALSE(e.context().dump.empty());
         EXPECT_NE(e.context().dump.find("window"), std::string::npos)
             << e.context().dump;
@@ -144,31 +171,35 @@ TEST_F(CoreGuards, WatchdogTurnsBlockedCommitIntoDeadlock)
 
 TEST_F(CoreGuards, WatchdogZeroDisablesTheCheck)
 {
+    // The same run without the watchdog outlasts the stall.
     core::CoreConfig cfg = core::fourWideConfig();
     cfg.watchdog_cycles = 0;
     auto s = makeSim(cfg, 5000);
-    s.core().testBlockCommitAfter(100);
-    // Without the watchdog the run only ends on the cycle budget.
-    uint64_t committed = s.run(30000);
-    EXPECT_EQ(committed, s.core().stats().committed.value());
-    EXPECT_GE(s.core().cycle(), 30000u);
+    EXPECT_EQ(s.run(), 5000u);
 }
 
 TEST_F(CoreGuards, CrossValidationCatchesACorruptedReadyList)
 {
+    // Every tick cross-validates. Once an instruction waits ready,
+    // drop it from the ready plane: select can no longer issue it, so
+    // the next tick's check must see the plane and the window differ.
     core::CoreConfig cfg = core::fourWideConfig();
-    cfg.check_interval = 64;
-    auto s = makeSim(cfg, 50000);
-    s.core().testCorruptSchedulerAt(512);
+    cfg.check_interval = 1;
+    auto s = makeSim(cfg, 5000);
+    core::Core &core = s.core();
+    while (core.readyListSnapshot().empty())
+        core.tick();
+    const uint64_t corrupted = core.cycle();
+    core::CoreTestPeer::dropReady(core, core.readyListSnapshot().front());
     try {
-        s.run();
+        core.tick();
         FAIL() << "expected hpa::InvariantViolation";
     } catch (const InvariantViolation &e) {
         EXPECT_EQ(e.kind(), ErrorKind::Invariant);
-        EXPECT_NE(std::string(e.what()).find("cross-validation"),
+        EXPECT_NE(std::string(e.what()).find("ready list"),
                   std::string::npos)
             << e.what();
-        EXPECT_GE(e.context().cycle, 512u);
+        EXPECT_EQ(e.context().cycle, corrupted + 1);
     }
 }
 

@@ -1,5 +1,7 @@
 /** @file Unit tests for the sparse memory and functional emulator. */
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -156,6 +158,18 @@ TEST(Emulator, DivideByZeroYieldsZero)
     auto e = runProgram("li r1, 9\ndiv r1, r31, r2\nrem r1, r31, r3\nhalt");
     EXPECT_EQ(e.intReg(2), 0);
     EXPECT_EQ(e.intReg(3), 0);
+}
+
+TEST(Emulator, MinValueOverMinusOneWraps)
+{
+    // r1 = INT64_MIN, r2 = -1: the quotient wraps to INT64_MIN and the
+    // remainder is 0, where the host's division would trap.
+    const char *prologue = "li r1, 1\nsll r1, #63, r1\nli r2, 0\n"
+                           "sub r2, #1, r2\n";
+    auto d = runProgram(std::string(prologue) + "div r1, r2, r3\nhalt");
+    EXPECT_EQ(d.intReg(3), INT64_MIN);
+    auto r = runProgram(std::string(prologue) + "rem r1, r2, r3\nhalt");
+    EXPECT_EQ(r.intReg(3), 0);
 }
 
 TEST(Emulator, LogicalOps)

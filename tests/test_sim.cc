@@ -323,17 +323,6 @@ TEST(Simulation, FastForwardToUnreachedPcRunsToHalt)
     EXPECT_EQ(s.core().stats().committed.value(), 0u);
 }
 
-TEST(Simulation, RunIpcHelper)
-{
-    double ipc = runIpc(R"(
-        li r1, 100
-loop:   sub r1, #1, r1
-        bne r1, loop
-        halt)", core::fourWideConfig());
-    EXPECT_GT(ipc, 0.5);
-    EXPECT_LE(ipc, 4.0);
-}
-
 TEST(Simulation, MaxInstsCapsRun)
 {
     auto p = assembler::assemble("loop: add r1, #1, r1\nbr loop");

@@ -276,11 +276,10 @@ TEST(SweepFaultIsolation, FailedAndHungCellsLeaveTheRestIntact)
     auto clean = sim::SweepRunner(4, &cache).run(clean_jobs);
 
     auto jobs = smallGrid();
-    jobs[2].fault = sim::FaultKind::InvariantTrip;
-    jobs[2].fault_cycle = 500;
-    jobs[5].fault = sim::FaultKind::BlockCommit;
-    jobs[5].fault_cycle = 200;
-    jobs[5].machine.cfg.watchdog_cycles = 2000;
+    // An empty window fails the Core constructor's HPA_CHECK.
+    jobs[2].machine.cfg.ruu_size = 0;
+    // A watchdog shorter than the cold-start memory stall.
+    jobs[5].machine.cfg.watchdog_cycles = 40;
     auto res = sim::SweepRunner(4, &cache).run(jobs);
     ASSERT_EQ(res.size(), clean.size());
 
@@ -308,7 +307,7 @@ TEST(SweepFaultIsolation, FailedAndHungCellsLeaveTheRestIntact)
     EXPECT_EQ(res[5].outcome.status, sim::RunStatus::Failed);
     EXPECT_EQ(res[5].outcome.errorKind, ErrorKind::Deadlock);
     EXPECT_FALSE(res[5].valid());
-    EXPECT_GT(res[5].outcome.context.cycle, 2000u);
+    EXPECT_GT(res[5].outcome.context.cycle, 40u);
     EXPECT_FALSE(res[5].outcome.context.dump.empty());
 }
 

@@ -1,16 +1,16 @@
 /**
  * @file
  * Every table and figure of the reproduction from one run. The union
- * of the machines the tables read (33 machines x 12 kernels) runs
- * once on the sweep engine, one functional-emulator pass per kernel
- * counts Figures 2 and 3, and the tables print in paper order. The
- * last table checks the paper's claims as named predicates.
+ * of the machines the tables read (41 machines x 12 kernels) runs
+ * once on the sweep engine, and the tables print in paper order,
+ * followed by the post-paper policies of sim::policyZooMachines().
+ * The last table checks the paper's claims as named predicates.
  *
  *   hpa_figures [--insts N] [--jobs N]
  *
  * --insts is the committed-instruction budget of every timing run
- * and of the Figure 2/3 emulator pass (default 150000); --jobs is the
- * sweep's worker count (0, the default, is one per hardware thread).
+ * (default 150000); --jobs is the sweep's worker count (0, the
+ * default, is one per hardware thread).
  * The output depends only on the budget, never on --jobs or the
  * host, so tests/golden/figures_50k.txt pins it byte for byte (ctest
  * golden_figures). After an intended model change, refresh it with
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/last_arrival.hh"
-#include "func/emulator.hh"
 #include "model/timing_models.hh"
 #include "sim/sweep.hh"
 #include "workloads/workloads.hh"
@@ -213,6 +212,10 @@ struct MachineUnion
     size_t lap[4];
     size_t convSel, seqwSel;
 
+    /** sim::policyZooMachines(), per width: dlt wakeup, prefetch RF,
+     *  both, and sequential wakeup on the prefetch RF. */
+    size_t zoo[2][4];
+
     size_t
     add(sim::Machine m)
     {
@@ -275,6 +278,11 @@ machineUnion()
                           .wakeup(WakeupModel::Sequential)
                           .lap(1024)
                           .recovery(RecoveryModel::Selective));
+
+    const std::vector<sim::Machine> zoo = sim::policyZooMachines();
+    HPA_CHECK(zoo.size() == 8, "the zoo table has four columns per width");
+    for (size_t i = 0; i < zoo.size(); ++i)
+        u.zoo[i / 4][i % 4] = u.add(zoo[i]);
     return u;
 }
 
@@ -348,73 +356,36 @@ table2(const Cells &c, const MachineUnion &u)
                 "0.71(mcf)..2.02(vortex), 8-wide 0.93..2.95.\n");
 }
 
-/** Figure 2/3 instruction-format counts of one functional pass. */
-struct FormatCounts
-{
-    uint64_t total = 0, stores = 0;
-    /** Non-store 2-source-format instructions, split by unique
-     *  sources. */
-    uint64_t fmt2 = 0, nops = 0, oneUnique = 0, twoUnique = 0;
-};
-
-/** One emulator pass per kernel from program start, @p budget
- *  instructions or HALT. */
-std::vector<FormatCounts>
-countFormats(const std::vector<std::string> &names, uint64_t budget,
-             unsigned jobs)
-{
-    std::vector<FormatCounts> counts(names.size());
-    auto &cache = workloads::globalCache();
-    sim::SweepRunner::parallelFor(names.size(), jobs, [&](size_t i) {
-        func::Emulator emu(cache.get(names[i]).program);
-        FormatCounts &c = counts[i];
-        while (!emu.halted() && c.total < budget) {
-            auto rec = emu.step();
-            ++c.total;
-            if (rec.inst.isStore()) {
-                ++c.stores;
-                continue;
-            }
-            if (!rec.inst.isTwoSourceFormat())
-                continue;
-            ++c.fmt2;
-            if (rec.inst.isNop())
-                ++c.nops;
-            else if (rec.inst.uniqueSrcRegs().count == 2)
-                ++c.twoUnique;
-            else
-                ++c.oneUnique;
-        }
-    });
-    return counts;
-}
-
+/** Figures 2 and 3 count the committed stream of the base 4-wide
+ *  runs, the same stream every timing run replays. */
 void
-figures2and3(const std::vector<std::string> &names,
-             const std::vector<FormatCounts> &counts)
+figures2and3(const Cells &c, const MachineUnion &u)
 {
     banner("Figure 2: percentage of 2-source-format instructions",
            "Kim & Lipasti, ISCA 2003, Figure 2 (paper: 18-36% "
            "2-source format)");
-    kernelTable(names, {"bench", "2-src fmt", "stores", "other"}, 12,
+    kernelTable(c.names, {"bench", "2-src fmt", "stores", "other"}, 12,
                 false, [&](Table &t, size_t k) {
-                    const FormatCounts &c = counts[k];
-                    t.pct(share(c.fmt2, c.total))
-                        .pct(share(c.stores, c.total))
-                        .pct(share(c.total - c.fmt2 - c.stores, c.total));
+                    const auto &st = c.stats(u.base[0], k);
+                    const uint64_t total = st.committed.value();
+                    t.pct(share(st.fmt2srcInsts.value(), total))
+                        .pct(share(st.fmtStores.value(), total))
+                        .pct(share(st.fmtOther.value(), total));
                 });
 
     banner("Figure 3: breakdown of 2-source-format instructions",
            "Kim & Lipasti, ISCA 2003, Figure 3 (paper: 6-23% of all "
            "instructions are true 2-source)");
-    kernelTable(names, {"bench", "nops", "<2 unique", "2 unique",
-                        "2src/all"},
+    kernelTable(c.names, {"bench", "nops", "<2 unique", "2 unique",
+                          "2src/all"},
                 12, false, [&](Table &t, size_t k) {
-                    const FormatCounts &c = counts[k];
-                    t.pct(share(c.nops, c.fmt2))
-                        .pct(share(c.oneUnique, c.fmt2))
-                        .pct(share(c.twoUnique, c.fmt2))
-                        .pct(share(c.twoUnique, c.total));
+                    const auto &st = c.stats(u.base[0], k);
+                    const uint64_t fmt2 = st.fmt2srcInsts.value();
+                    t.pct(share(st.fmtNops.value(), fmt2))
+                        .pct(share(st.fmtOneUnique.value(), fmt2))
+                        .pct(share(st.fmtTwoUnique.value(), fmt2))
+                        .pct(share(st.fmtTwoUnique.value(),
+                                   st.committed.value()));
                 });
     std::printf("\n(last column: true 2-source instructions as a "
                 "fraction of all dynamic instructions)\n");
@@ -696,6 +667,25 @@ ablations(const Cells &c, const MachineUnion &u)
                 "access + half rename ports)\n");
 }
 
+/** The post-paper policies of sim::policyZooMachines(), over base. */
+void
+policyZoo(const Cells &c, const MachineUnion &u)
+{
+    banner("Extension: post-paper policies",
+           "no paper figure (dlt wakeup: arXiv 2109.03112; prefetch "
+           "register file: arXiv 2502.00147)");
+    c.perWidth(NORMALIZED,
+               {"bench", "base IPC", "dlt", "prefetch", "dlt+pf",
+                "seq+pf"},
+               12, true, [&](Table &t, size_t w, size_t k) {
+                   t.abs(c.at(u.base[w], k).ipc, 3);
+                   for (size_t m : u.zoo[w])
+                       t.norm(c.norm(m, u.base[w], k));
+               });
+    std::printf("\n(dlt: load-delay-tracking wakeup; pf: operand-prefetch "
+                "RF; seq: sequential wakeup)\n");
+}
+
 std::string
 wide(size_t w)
 {
@@ -908,18 +898,17 @@ main(int argc, char **argv)
                 sweep.push_back({name, m, insts});
         c.results = sim::SweepRunner(jobs).run(std::move(sweep));
         sim::requireAllOk(c.results);
-        const auto formats = countFormats(c.names, insts, jobs);
 
         std::printf("Kim & Lipasti, \"Half-Price Architecture\", "
                     "ISCA 2003: every table, in paper order\n");
         std::printf("committed-instruction budget per run: %llu\n",
                     static_cast<unsigned long long>(insts));
         std::printf("timing runs: %zu machines x %zu kernels; "
-                    "Figures 2-3: one emulator pass per kernel\n",
+                    "Figures 2-3 count the base 4-wide runs\n",
                     u.machines.size(), c.names.size());
 
         table2(c, u);
-        figures2and3(c.names, formats);
+        figures2and3(c, u);
         figure4(c, u);
         figure6(c, u);
         table3(c, u);
@@ -928,6 +917,7 @@ main(int argc, char **argv)
         timingModels();
         figures14to16(c, u);
         ablations(c, u);
+        policyZoo(c, u);
         claims(c, u);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "hpa_figures: %s\n", e.what());

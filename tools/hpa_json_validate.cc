@@ -49,12 +49,6 @@ requiredFields()
             {"hpa.run.v3",
              {"workload", "machine", "status", "valid",
               "steady_missing", "ipc", "committed", "cycles"}},
-            // What hpa_bench_sweep writes: every field depends only
-            // on the grid and the budget (no host timing).
-            {"hpa.bench-sweep.v6",
-             {"insts_per_run", "total_simulated_cycles", "ok_runs",
-              "failed_runs", "runs", "status", "valid", "sched_policy",
-              "rf_policy", "ipc", "committed", "cycles"}},
             {"hpa.sweep-golden.v1", {"insts_per_run"}},
         };
     return req;

@@ -41,13 +41,14 @@ class BoundedRing
     reset(size_t capacity)
     {
         buf_.assign(capacity, T{});
+        cap_ = capacity;
         head_ = 0;
         count_ = 0;
     }
 
     bool empty() const { return count_ == 0; }
     size_t size() const { return count_; }
-    size_t capacity() const { return buf_.size(); }
+    size_t capacity() const { return cap_; }
 
     T &front() { return buf_[head_]; }
     const T &front() const { return buf_[head_]; }
@@ -62,7 +63,7 @@ class BoundedRing
     void
     push_back(const T &v)
     {
-        assert(count_ < buf_.size());
+        assert(count_ < cap_);
         buf_[wrap(head_ + count_)] = v;
         ++count_;
     }
@@ -80,10 +81,12 @@ class BoundedRing
     size_t
     wrap(size_t i) const
     {
-        return i >= buf_.size() ? i - buf_.size() : i;
+        return i >= cap_ ? i - cap_ : i;
     }
 
     std::vector<T> buf_;
+    /** buf_.size(), kept so a wrap needs no divide by sizeof(T). */
+    size_t cap_ = 0;
     size_t head_ = 0;
     size_t count_ = 0;
 };

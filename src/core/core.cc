@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <memory>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -83,15 +83,18 @@ namespace
 /**
  * The furthest ahead of the current cycle any event can be scheduled
  * on @p cfg, which sizes the calendar ring. Measured from an issue:
- *  - a load completes schedToExec() + its full miss latency (DL1 +
- *    L2 + memory) later; its wakes and a replay's re-broadcast come
- *    earlier;
+ *  - a load's wakes and a replay's re-broadcast come no later than
+ *    its completion, schedToExec() + its full miss latency (DL1 +
+ *    L2 + memory) later;
  *  - any other op wakes its latency later and completes
  *    schedToExec() + latency - 1 later, where the latency includes
- *    the sequential-RF cycle;
+ *    the sequential-RF cycle (only a mispredicted control
+ *    instruction schedules its completion);
  *  - a load miss is detected 1 + DL1 + replay_shadow later;
  *  - a tag-elimination misissue tagelim_detect_delay + 1 later.
- * A slow-bus re-broadcast is one cycle ahead.
+ * A slow-bus re-broadcast is one cycle ahead. Every latency a
+ * DynInst records is at most this horizon + 1 (a load's 1 + full
+ * miss latency when sched_to_exec is 0).
  */
 uint64_t
 eventHorizon(const CoreConfig &cfg)
@@ -110,29 +113,50 @@ eventHorizon(const CoreConfig &cfg)
                      uint64_t(cfg.tagelim_detect_delay) + 1});
 }
 
-/** The most events pending at once on @p cfg: 7 per issue, from the
+/** The most events pending at once on @p cfg: 6 per issue, from the
  *  issues of the last eventHorizon + 2 cycles (derived in
  *  event_queue.hh). */
 size_t
 eventCapacity(const CoreConfig &cfg)
 {
-    return 7 * size_t(cfg.width) * (eventHorizon(cfg) + 2);
+    return 6 * size_t(cfg.width) * (eventHorizon(cfg) + 2);
+}
+
+/** The state of an empty window slot; dispatch copies it over the
+ *  slot's previous tenant. A copy is a run of vector moves, where
+ *  value-initializing in place compiles to `rep stosq`. */
+constexpr DynInst BLANK_INST{};
+static_assert(std::is_trivially_copyable_v<DynInst>,
+              "dispatch resets a slot by copying BLANK_INST");
+static_assert(sizeof(DynInst) <= 192,
+              "DynInst is copied at every dispatch; keep it small");
+
+/** @p cfg, once the ranges the core's narrowed fields rely on hold.
+ *  Runs first in the constructor, so a bad configuration allocates
+ *  no window or calendar. */
+const CoreConfig &
+checkedConfig(const CoreConfig &cfg)
+{
+    HPA_CHECK(cfg.ruu_size > 0 && cfg.ruu_size <= 32767,
+              "ruu_size must fit Event::slot (int16)");
+    HPA_CHECK(eventHorizon(cfg) < std::numeric_limits<uint16_t>::max(),
+              "eventHorizon must fit DynInst::latency (uint16): "
+                  + std::to_string(eventHorizon(cfg)) + " cycles");
+    return cfg;
 }
 
 } // namespace
 
 Core::Core(const CoreConfig &cfg, const func::CommittedTrace &trace)
-    : cfg_(cfg), trace_(trace), hier_(cfg.mem), bp_(cfg.bpred),
-      fu_(cfg), lap_(cfg.lap_entries), window_(cfg.ruu_size),
-      events_(eventHorizon(cfg), eventCapacity(cfg))
+    : cfg_(checkedConfig(cfg)), trace_(trace), traceSize_(trace.size()),
+      hier_(cfg.mem), bp_(cfg.bpred), fu_(cfg), lap_(cfg.lap_entries),
+      window_(cfg.ruu_size), events_(eventHorizon(cfg), eventCapacity(cfg))
 {
     // Every hot-path container is sized to its configuration bound
     // here so steady-state simulation allocates nothing: stores never
     // outnumber window slots, the fetch queue is capped by the
     // front-end depth, and the calendar spans the furthest event
     // with a pool for the most events pending at once.
-    HPA_CHECK(cfg.ruu_size > 0 && cfg.ruu_size <= 32767,
-              "ruu_size must fit Event::slot (int16)");
     storeSlots_.reset(cfg.ruu_size);
     fetchQueue_.reset(size_t(cfg.front_end_depth) * cfg.width);
     masks_.reset(cfg.ruu_size);
@@ -157,8 +181,7 @@ void
 Core::updateReadySlot(unsigned slot)
 {
     DynInst &di = window_[slot];
-    bool want = di.inWindow && !di.issued && !di.completed
-        && schedReady(di);
+    bool want = di.inWindow && !di.issued && schedReady(di);
     if (want == di.inReadyList)
         return;
     if (want)
@@ -196,14 +219,14 @@ Core::sideListDivergence() const
     for (unsigned n = 0; n < windowCount_; ++n) {
         const DynInst &di = window_[idx];
         if (di.inWindow) {
-            if (!di.issued && !di.completed && schedReady(di))
+            if (!di.issued && schedReady(di))
                 want_ready.push_back(idx);
-            if (di.issued && !di.completed)
+            if (di.issued)
                 want_issued.push_back(idx);
             if (di.isStore())
                 want_stores.push_back(idx);
         }
-        idx = (idx + 1) % cfg_.ruu_size;
+        idx = nextSlot(idx);
     }
     std::vector<unsigned> have_ready = readyListSnapshot();
     if (want_ready != have_ready)
@@ -214,9 +237,17 @@ Core::sideListDivergence() const
     std::vector<unsigned> have_stores;
     have_stores.reserve(storeSlots_.size());
     for (size_t i = 0; i < storeSlots_.size(); ++i)
-        have_stores.push_back(storeSlots_[i]);
+        have_stores.push_back(storeSlots_[i].slot);
     if (want_stores != have_stores)
         return listText("store list", have_stores, want_stores);
+    for (size_t i = 0; i < storeSlots_.size(); ++i) {
+        const StoreEntry &st = storeSlots_[i];
+        const DynInst &di = window_[st.slot];
+        if (st.seq != di.seq || st.lo != di.rec->addr
+            || st.hi != st.lo + di.si->memSize())
+            return "store list entry for slot " + std::to_string(st.slot)
+                + " does not match the store it holds";
+    }
     for (unsigned slot : have_ready)
         if (!window_[slot].inReadyList)
             return "slot " + std::to_string(slot)
@@ -288,17 +319,19 @@ Core::dumpPipelineState() const
                               static_cast<unsigned long long>(c));
             os << b;
         };
+        // An issued entry's completion cycle is recorded at issue,
+        // so it may lie ahead; 'C' marks one already reached.
         cyc(di.dispatchCycle);
         cyc(di.issueCycle);
-        cyc(di.completeCycle);
+        cyc(di.issued ? di.completeCycle : NO_CYCLE);
         std::string state;
         state += di.issued ? 'I' : '.';
-        state += di.completed ? 'C' : '.';
+        state += completed(di) ? 'C' : '.';
         state += di.inReadyList ? 'R' : '.';
         state += di.loadMissReplay ? 'M' : '.';
         os << "  " << state << "   "
            << di.si->disassemble() << "\n";
-        idx = (idx + 1) % cfg_.ruu_size;
+        idx = nextSlot(idx);
     }
     if (windowCount_ > MAX_ROWS)
         os << "  ... " << (windowCount_ - MAX_ROWS)
@@ -340,7 +373,7 @@ Core::releaseTimingState()
     masks_ = IssueWindowMasks();
     events_ = CalendarQueue<Event, 3>(0, 0);
     fetchQueue_ = BoundedRing<FetchedInst>();
-    storeSlots_ = BoundedRing<unsigned>();
+    storeSlots_ = BoundedRing<StoreEntry>();
     squashCandidates_ = std::vector<int>();
     squashList_ = std::vector<int>();
     squashTainted_ = std::vector<uint64_t>();
@@ -440,9 +473,11 @@ Core::commit()
     unsigned budget = cfg_.width;
     while (budget > 0 && windowCount_ > 0) {
         DynInst &di = window_[head_];
-        // A replayed load's re-broadcast can trail its completion
-        // (handleLoadMiss); retiring first would drop it.
-        if (!di.completed || di.completeCycle >= cycle_
+        // Commit runs before this cycle's events, so the head must
+        // have completed in an earlier cycle. A replayed load's
+        // re-broadcast can trail its completion (handleLoadMiss);
+        // retiring first would drop it.
+        if (!di.issued || di.completeCycle >= cycle_
             || di.wakeBroadcastCycle >= cycle_)
             break;
 
@@ -462,10 +497,11 @@ Core::commit()
         // rows can never be scanned again before its re-dispatch
         // clears them (deferring the clear keeps commit row-free).
         masks_.occupancy.clear(head_);
+        masks_.issued.clear(head_);
         di.inWindow = false;
         if (di.isStore()) {
             HPA_CHECK_CTX(!storeSlots_.empty()
-                              && storeSlots_.front() == head_,
+                              && storeSlots_.front().slot == head_,
                           "committing store at head slot "
                               + std::to_string(head_)
                               + " not at front of the store list",
@@ -477,7 +513,7 @@ Core::commit()
         ++stats_.committed;
         lastCommitCycle_ = cycle_;
 
-        head_ = (head_ + 1) % cfg_.ruu_size;
+        head_ = nextSlot(head_);
         --windowCount_;
         --budget;
     }
@@ -598,7 +634,7 @@ Core::noteSecondWake(DynInst &ci, uint64_t now)
  *  state, so a no-op broadcast cannot change membership. */
 bool
 Core::wakeOperand(DynInst &ci, OperandState &op, uint64_t now,
-                  uint64_t producer_seq, bool slow_bus)
+                  bool slow_bus)
 {
     if (slow_bus) {
         // Slow-bus re-broadcast: only slow-side operands gain their
@@ -606,8 +642,7 @@ Core::wakeOperand(DynInst &ci, OperandState &op, uint64_t now,
         // broadcast.
         if (op.slowSide && !op.ready && op.dataReady) {
             op.ready = true;
-            op.wakeCycle = now;
-            op.wakeProducerSeq = producer_seq;
+            op.wokenByProducer = true;
             return true;
         }
         return false;
@@ -618,7 +653,7 @@ Core::wakeOperand(DynInst &ci, OperandState &op, uint64_t now,
         changed = true;
         op.dataReady = true;
         op.dataReadyCycle = now;
-        op.wakeProducerSeq = producer_seq;
+        op.wokenByProducer = true;
 
         if (ci.twoPending && !ci.lapResolved) {
             if (ci.wakesSeen == 0) {
@@ -638,8 +673,7 @@ Core::wakeOperand(DynInst &ci, OperandState &op, uint64_t now,
     // the slow bus (sequential wakeup).
     if (op.watched && !op.slowSide && !op.ready) {
         op.ready = true;
-        op.wakeCycle = now;
-        op.wakeProducerSeq = producer_seq;
+        op.wokenByProducer = true;
         changed = true;
     }
     return changed;
@@ -666,7 +700,7 @@ Core::handleFastWake(const Event &ev)
                 if (!(k == 0 ? in0 : in1))
                     continue;
                 OperandState &op = ci.src[k];
-                if (wakeOperand(ci, op, cycle_, ev.seq, false))
+                if (wakeOperand(ci, op, cycle_, false))
                     updateReadySlot(s);
                 // File the slow-plane residue: consumers whose tag
                 // match arrives only on the +1 re-broadcast.
@@ -701,7 +735,7 @@ Core::handleSlowWake(const Event &ev)
             for (unsigned k = 0; k < 2; ++k) {
                 if (!masks_.dep[k].test(p, s))
                     continue;
-                if (wakeOperand(ci, ci.src[k], cycle_, ev.seq, true))
+                if (wakeOperand(ci, ci.src[k], cycle_, true))
                     updateReadySlot(s);
             }
             return true;
@@ -711,12 +745,10 @@ Core::handleSlowWake(const Event &ev)
 void
 Core::handleComplete(const Event &ev)
 {
-    DynInst &di = window_[ev.slot];
-    di.completed = true;
-    di.completeCycle = cycle_;
-    masks_.issued.clear(unsigned(ev.slot));
-
-    if (di.mispredictedBranch && fetchStalledOnBranch_) {
+    // Only a mispredicted control instruction schedules its
+    // completion: the front end resumes once it resolves.
+    const DynInst &di = window_[ev.slot];
+    if (fetchStalledOnBranch_) {
         fetchStalledOnBranch_ = false;
         fetchResumeCycle_ =
             std::max(cycle_ + 1,
@@ -725,12 +757,14 @@ Core::handleComplete(const Event &ev)
 }
 
 void
-Core::repairConsumersOf(int slot, uint64_t producer_seq)
+Core::repairConsumersOf(int slot)
 {
-    // Un-wake every operand this producer speculatively woke.
+    // Un-wake every operand this producer speculatively woke. A
+    // consumer in the producer's dependency rows names it as
+    // producerSeq (issue_window.hh), so only wokenByProducer is
+    // left to test.
     auto repairOp = [&](DynInst &ci, OperandState &op, unsigned s) {
-        if (op.producerSeq != producer_seq
-            || op.wakeProducerSeq != producer_seq)
+        if (!op.wokenByProducer)
             return;
         if (!op.dataReady && !op.ready)
             return;
@@ -743,9 +777,8 @@ Core::repairConsumersOf(int slot, uint64_t producer_seq)
         }
         op.ready = false;
         op.dataReady = false;
-        op.wakeCycle = NO_CYCLE;
         op.dataReadyCycle = NO_CYCLE;
-        op.wakeProducerSeq = NO_SEQ;
+        op.wokenByProducer = false;
         updateReadySlot(s);
     };
 
@@ -769,10 +802,12 @@ void
 Core::squashWindow(uint64_t first_cycle, uint64_t last_cycle,
                    uint64_t trigger_seq, bool selective)
 {
-    // Collect issued-in-shadow instructions. The issued plane holds
-    // exactly the issued-and-incomplete window entries; scanned from
-    // head_ it visits them oldest first — same order as a
-    // head-to-tail window scan. The scratch vectors are members
+    // Collect issued-in-shadow instructions that have not completed.
+    // Detections run at rank 0, before any of this cycle's
+    // completions, so "not complete" is completeCycle >= cycle_. The
+    // issued plane holds the issued, uncommitted window entries;
+    // scanned from head_ it visits them oldest first — same order as
+    // a head-to-tail window scan. The scratch vectors are members
     // (capacity reserved at window size), so recovery allocates
     // nothing once warm.
     std::vector<int> &candidates = squashCandidates_;
@@ -780,7 +815,7 @@ Core::squashWindow(uint64_t first_cycle, uint64_t last_cycle,
     masks_.issued.forEachFrom(head_, [&](unsigned slot) {
         DynInst &di = window_[slot];
         if (di.seq != trigger_seq && di.issueCycle >= first_cycle
-            && di.issueCycle <= last_cycle)
+            && di.issueCycle <= last_cycle && di.completeCycle >= cycle_)
             candidates.push_back(int(slot));
         return true;
     });
@@ -804,9 +839,9 @@ Core::squashWindow(uint64_t first_cycle, uint64_t last_cycle,
                     continue;
                 DynInst &di = window_[candidates[i]];
                 for (unsigned s = 0; s < di.numSrc; ++s) {
-                    uint64_t wp = di.src[s].wakeProducerSeq;
-                    if (wp == NO_SEQ)
+                    if (!di.src[s].wokenByProducer)
                         continue;
+                    uint64_t wp = di.src[s].producerSeq;
                     if (std::find(tainted.begin(), tainted.end(), wp)
                         != tainted.end()) {
                         in[i] = 1;
@@ -835,7 +870,7 @@ Core::squashWindow(uint64_t first_cycle, uint64_t last_cycle,
         ++stats_.squashedIssues;
         masks_.issued.clear(unsigned(slot));
         updateReadySlot(unsigned(slot));
-        repairConsumersOf(slot, di.seq);
+        repairConsumersOf(slot);
     }
 }
 
@@ -862,7 +897,7 @@ Core::handleLoadMiss(const Event &ev)
     // cancelled consumers would never wake. The load can also have
     // completed by then: commit() waits for the recorded broadcast
     // cycle, so the load is still in the window to deliver it.
-    repairConsumersOf(ev.slot, load.seq);
+    repairConsumersOf(ev.slot);
     uint64_t true_wake = wakeBroadcastCycle(
         load.issueCycle + 1 + load.memLatency,
         load.issueCycle + cfg_.schedToExec() + load.latency - 1);
@@ -910,19 +945,18 @@ Core::lsqAllowsLoad(const DynInst &load) const
 {
     uint64_t lo = load.rec->addr;
     uint64_t hi = lo + load.si->memSize();
-    // storeSlots_ holds the in-window stores in program order, so
-    // the overlap search touches only older stores instead of the
-    // whole window.
+    // storeSlots_ holds the in-window stores in program order with
+    // their byte intervals, so the overlap search reads one dense
+    // array and touches only older stores.
     for (size_t k = 0; k < storeSlots_.size(); ++k) {
-        const DynInst &di = window_[storeSlots_[k]];
-        if (di.seq >= load.seq)
+        const StoreEntry &st = storeSlots_[k];
+        if (st.seq >= load.seq)
             break;
-        uint64_t slo = di.rec->addr;
-        uint64_t shi = slo + di.si->memSize();
-        if (slo < hi && lo < shi) {
+        if (st.lo < hi && lo < st.hi) {
             // Overlapping older store: its address must be known
             // (agen issued) and its data produced before the load
             // can obtain a forwarded value.
+            const DynInst &di = window_[st.slot];
             if (!di.issued)
                 return false;
             if (di.storeDataProducerSeq != NO_SEQ) {
@@ -930,7 +964,7 @@ Core::lsqAllowsLoad(const DynInst &load) const
                     window_[di.storeDataProducerSlot];
                 if (p.inWindow
                     && p.seq == di.storeDataProducerSeq
-                    && !p.completed)
+                    && !completed(p))
                     return false;
             }
         }
@@ -956,7 +990,7 @@ Core::computeRfPorts(const DynInst &di) const
         // elsewhere).
         bool bypassed = op.prefetched
             || (op.dataReady
-                && op.wakeProducerSeq != NO_SEQ
+                && op.wokenByProducer
                 && op.dataReadyCycle <= cycle_
                 && cycle_ - op.dataReadyCycle < cfg_.bypass_window);
         if (!bypassed)
@@ -977,7 +1011,7 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
     di.inReadyList = false;
     bool first_issue = di.issueToken == 1;
 
-    di.rfPorts = ports;
+    di.rfPorts = uint8_t(ports);
 
     // Sequential register access (Section 4.3): one read port per
     // slot, so two register-file operands read one after the other.
@@ -1012,12 +1046,10 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
         uint64_t lo = di.rec->addr;
         uint64_t hi = lo + di.si->memSize();
         for (size_t k = 0; k < storeSlots_.size(); ++k) {
-            const DynInst &st = window_[storeSlots_[k]];
+            const StoreEntry &st = storeSlots_[k];
             if (st.seq >= di.seq)
                 break;
-            uint64_t slo = st.rec->addr;
-            uint64_t shi = slo + st.si->memSize();
-            if (slo < hi && lo < shi) {
+            if (st.lo < hi && lo < st.hi) {
                 forwarded = true;
                 break;
             }
@@ -1025,11 +1057,11 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
         unsigned mem_lat = forwarded
             ? hier_.assumedLoadLatency()
             : hier_.dataAccess(di.rec->addr, false);
-        di.memLatency = mem_lat;
+        di.memLatency = uint16_t(mem_lat);
 
         unsigned assumed_total = 1 + hier_.assumedLoadLatency();
         unsigned actual_total = 1 + mem_lat;
-        di.latency = actual_total;
+        di.latency = uint16_t(actual_total);
 
         wake_cycle = cycle_ + assumed_total;
         complete_cycle = cycle_ + cfg_.schedToExec() + actual_total - 1;
@@ -1046,7 +1078,7 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
     } else {
         unsigned lat =
             isa::opClassLatency(di.si->opClass()) + extra;
-        di.latency = lat;
+        di.latency = uint16_t(lat);
         wake_cycle = cycle_ + lat;
         complete_cycle = cycle_ + cfg_.schedToExec() + lat - 1;
     }
@@ -1060,9 +1092,14 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
     } else {
         di.wakeBroadcastCycle = cycle_;
     }
-    scheduleEvent(complete_cycle,
-                  Event{di.seq, di.issueToken, int16_t(slot),
-                        EventKind::Complete});
+    // Completion is a recorded cycle (commit, the LSQ and the
+    // replay shadow compare against it); only a mispredicted control
+    // instruction needs an event, to resume fetch when it resolves.
+    di.completeCycle = complete_cycle;
+    if (di.mispredictedBranch)
+        scheduleEvent(complete_cycle,
+                      Event{di.seq, di.issueToken, int16_t(slot),
+                            EventKind::Complete});
 
     // Tag elimination: the scoreboard detects issues whose unwatched
     // operands were not actually data-ready.
@@ -1086,13 +1123,14 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
 /** One select-candidate attempt. @return false once the width
  *  budget is spent — the caller stops scanning. */
 bool
-Core::selectTry(unsigned slot, int pass, unsigned &avail,
-                unsigned &ports_left, bool arbitrated)
+Core::selectTry(unsigned slot, unsigned &avail, unsigned &ports_left,
+                bool arbitrated)
 {
+    // The pass's priority class came from the highPrio plane. The
+    // eligibility test reads no StaticInst, so a stray ready bit on
+    // an empty slot is skipped here and left for crossValidate().
     DynInst &di = window_[slot];
-
-    bool high_prio = di.selectHighPrio();
-    if ((pass == 0) != high_prio || !eligible(di))
+    if (!eligible(di))
         return true;
     if (di.isLoad() && !lsqAllowsLoad(di))
         return true;
@@ -1137,8 +1175,7 @@ Core::select()
         scanSetBitsFromAnd(
             masks_.ready.words(), masks_.highPrio.words(), pass != 0,
             cfg_.ruu_size, head_, [&](unsigned slot) {
-                return selectTry(slot, pass, avail, ports_left,
-                                 arbitrated);
+                return selectTry(slot, avail, ports_left, arbitrated);
             });
 }
 
@@ -1163,7 +1200,7 @@ Core::setupOperands(DynInst &di, int slot)
             ProducerRef pr = lastProducer_[data_reg];
             if (pr.seq != NO_SEQ) {
                 di.storeDataProducerSeq = pr.seq;
-                di.storeDataProducerSlot = pr.slot;
+                di.storeDataProducerSlot = int16_t(pr.slot);
             }
         }
         if (isa::isZeroReg(sched.regs[0]))
@@ -1198,21 +1235,19 @@ Core::setupOperands(DynInst &di, int slot)
             ready_now = p.issued
                 && p.wakeBroadcastCycle != NO_CYCLE
                 && p.wakeBroadcastCycle <= cycle_;
-            if (ready_now)
-                op.wakeProducerSeq = pr.seq;
+            op.wokenByProducer = ready_now;
         }
 
         if (ready_now) {
             op.ready = true;
             op.dataReady = true;
             op.readyAtInsert = true;
-            op.wakeCycle = cycle_;
             // Record the true arrival time when the value came off an
             // in-flight producer's broadcast (it may still be within
             // a multi-cycle bypass window); architectural values read
             // from the register file carry the insert cycle and are
             // excluded from bypass capture in computeRfPorts().
-            op.dataReadyCycle = op.wakeProducerSeq != NO_SEQ
+            op.dataReadyCycle = op.wokenByProducer
                 ? window_[pr.slot].wakeBroadcastCycle : cycle_;
         } else {
             ++pending;
@@ -1268,7 +1303,7 @@ Core::prefetchOperands(DynInst &di, unsigned &ports_left)
     // repair can never invalidate a prefetched value.
     for (unsigned i = 0; i < di.numSrc; ++i) {
         OperandState &op = di.src[i];
-        if (!op.readyAtInsert || op.wakeProducerSeq != NO_SEQ)
+        if (!op.readyAtInsert || op.wokenByProducer)
             continue;
         if (ports_left > 0) {
             --ports_left;
@@ -1312,16 +1347,11 @@ Core::dispatch()
 
         unsigned slot = tail_;
         DynInst &di = window_[slot];
-        // Re-construct in place: assigning a DynInst{} temporary
-        // copies 272 B twice.
-        static_assert(std::is_trivially_destructible_v<DynInst>);
-        std::construct_at(&di);
-        // Slot reuse: retire the previous tenant's planes (its
-        // occupancy/ready/issued bits were cleared on its way out;
-        // its dependency rows were left stale at commit).
+        di = BLANK_INST;
+        // Slot reuse: retire the previous tenant's dependency rows,
+        // left stale at commit (its occupancy, ready and issued bits
+        // were cleared at issue and commit).
         masks_.clearProducer(slot);
-        masks_.ready.clear(slot);
-        masks_.issued.clear(slot);
         masks_.occupancy.set(slot);
 
         di.rec = fi.rec;
@@ -1345,7 +1375,9 @@ Core::dispatch()
             prefetchOperands(di, prefetch_ports);
         updateReadySlot(slot);
         if (di.isStore())
-            storeSlots_.push_back(slot);
+            storeSlots_.push_back(StoreEntry{
+                di.rec->addr, di.rec->addr + di.si->memSize(), di.seq,
+                slot});
 
         isa::RegIndex dest = di.si->destReg();
         if (dest != isa::NO_REG && !isa::isZeroReg(dest))
@@ -1354,7 +1386,7 @@ Core::dispatch()
         if (di.si->isMemRef())
             ++lsqCount_;
 
-        tail_ = (tail_ + 1) % cfg_.ruu_size;
+        tail_ = nextSlot(tail_);
         ++windowCount_;
         ++stats_.dispatched;
         --budget;
@@ -1369,7 +1401,7 @@ Core::dispatch()
 void
 Core::fetch()
 {
-    if (nextRec_ == trace_.size())
+    if (nextRec_ == traceSize_)
         return;
     if (fetchStalledOnBranch_ || cycle_ < fetchResumeCycle_)
         return;
@@ -1380,7 +1412,7 @@ Core::fetch()
     uint64_t line_mask = ~uint64_t(hier_.il1().config().line_bytes - 1);
 
     while (budget > 0 && fetchQueue_.size() < fq_cap
-           && nextRec_ < trace_.size()) {
+           && nextRec_ < traceSize_) {
         const func::TraceRecord &rec = trace_.record(nextRec_);
         const func::TraceEntry &entry = trace_.entry(rec);
         const isa::StaticInst &si = entry.inst;

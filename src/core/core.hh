@@ -152,7 +152,7 @@ class Core
     bool
     done() const
     {
-        return nextRec_ == trace_.size() && windowCount_ == 0
+        return nextRec_ == traceSize_ && windowCount_ == 0
             && fetchQueue_.empty();
     }
 
@@ -196,7 +196,8 @@ class Core
         return masks_.ready.toVector(head_);
     }
 
-    /** Snapshot of the issued-but-incomplete set, oldest first. */
+    /** Snapshot of the issued set: window slots issued and not yet
+     *  committed (complete or not), oldest first. */
     std::vector<unsigned>
     issuedListSnapshot() const
     {
@@ -242,13 +243,13 @@ class Core
     {
         FastWake,       ///< producer tag on the fast wakeup bus
         SlowWake,       ///< re-broadcast on the slow bus (seq wakeup)
-        Complete,       ///< execution finished (value available)
+        Complete,       ///< mispredicted control done: resume fetch
         LoadMissDetect, ///< latency misprediction detected
         TagElimDetect,  ///< scoreboard flags a premature issue
     };
 
-    /** 16 bytes — ~7 events per simulated cycle flow through the
-     *  calendar, so the packed layout is worth the int16 slot. */
+    /** 16 bytes — every simulated cycle delivers events through
+     *  the calendar, so the packed layout is worth the int16 slot. */
     struct Event
     {
         uint64_t seq;
@@ -268,8 +269,9 @@ class Core
     };
 
     /** Same-cycle delivery order of coincident events: detections
-     *  (recovery) first, completions second, wakeups last. Events of
-     *  equal rank process in schedule order. */
+     *  (recovery) first, a mispredicted branch's completion second,
+     *  wakeups last. Events of equal rank process in schedule
+     *  order. */
     static int
     eventRank(EventKind k)
     {
@@ -294,6 +296,21 @@ class Core
     // --- Helpers. ---
     DynInst &inst(int slot) { return window_[slot]; }
     bool windowFull() const { return windowCount_ == cfg_.ruu_size; }
+    /** The ring slot after @p s (a compare: no divide). */
+    unsigned
+    nextSlot(unsigned s) const
+    {
+        return s + 1 == cfg_.ruu_size ? 0 : s + 1;
+    }
+    /** Completion once this cycle's events are delivered (select's
+     *  LSQ check, diagnostics): issued, and the recorded completion
+     *  cycle reached. Commit, which runs before the events, and the
+     *  rank-0 detections compare completeCycle with cycle_ directly. */
+    bool
+    completed(const DynInst &di) const
+    {
+        return di.issued && di.completeCycle <= cycle_;
+    }
 
     /** SimContext for a failure raised now: cycle, commit progress
      *  and the pipeline-state dump. */
@@ -310,15 +327,15 @@ class Core
     bool
     eligible(const DynInst &di) const
     {
-        return di.inWindow && !di.issued && !di.completed
-            && di.dispatchCycle < cycle_ && schedReady(di);
+        return di.inWindow && !di.issued && di.dispatchCycle < cycle_
+            && schedReady(di);
     }
     bool lsqAllowsLoad(const DynInst &load) const;
     unsigned computeRfPorts(const DynInst &di) const;
     /** One select-candidate attempt; issues on success.
      *  @return false when the width budget is spent. */
-    bool selectTry(unsigned slot, int pass, unsigned &avail,
-                   unsigned &ports_left, bool arbitrated);
+    bool selectTry(unsigned slot, unsigned &avail, unsigned &ports_left,
+                   bool arbitrated);
     /** @p ports is the candidate's computeRfPorts() value, computed
      *  once by selectTry (port arbitration needs it first). */
     void issueInst(DynInst &di, int slot, unsigned ports);
@@ -329,7 +346,7 @@ class Core
     void handleLoadMiss(const Event &ev);
     void handleTagElim(const Event &ev);
     bool wakeOperand(DynInst &ci, OperandState &op, uint64_t now,
-                     uint64_t producer_seq, bool slow_bus);
+                     bool slow_bus);
     void noteSecondWake(DynInst &ci, uint64_t now);
 
     /** Model readiness predicate: every tag match the wakeup scheme
@@ -368,13 +385,16 @@ class Core
     void prefetchOperands(DynInst &di, unsigned &ports_left);
     void squashWindow(uint64_t first_cycle, uint64_t last_cycle,
                       uint64_t trigger_seq, bool selective);
-    void repairConsumersOf(int slot, uint64_t producer_seq);
+    void repairConsumersOf(int slot);
     void commitFormatStats(const DynInst &di);
     /** run()'s last step once done(): free the timing state. */
     void releaseTimingState();
 
     CoreConfig cfg_;
     const func::CommittedTrace &trace_;
+    /** trace_.size(), read once (the trace never changes while the
+     *  core runs): computing it divides by the 12-B record size. */
+    size_t traceSize_;
     /** Index of the next trace record to fetch. */
     size_t nextRec_ = 0;
     mem::Hierarchy hier_;
@@ -401,9 +421,20 @@ class Core
     // only the instructions it acts on while keeping oldest-first
     // priority.
 
+    /** One in-window store: its byte interval [lo, hi), seq and
+     *  window slot, cached at dispatch so the LSQ overlap searches
+     *  read one dense array and load a store's DynInst only on an
+     *  overlap. */
+    struct StoreEntry
+    {
+        uint64_t lo;
+        uint64_t hi;
+        uint64_t seq;
+        unsigned slot;
+    };
     /** In-window stores in program order (LSQ overlap searches);
      *  occupancy bounded by the window size. */
-    BoundedRing<unsigned> storeSlots_;
+    BoundedRing<StoreEntry> storeSlots_;
     /** Ready/issued/priority bit planes and the producer->consumers
      *  dependency matrix, scanned in age order from head_. See
      *  issue_window.hh. */

@@ -20,26 +20,30 @@ constexpr uint64_t NO_CYCLE = ~0ull;
 /** Invalid sequence number sentinel. */
 constexpr uint64_t NO_SEQ = ~0ull;
 
-/** State of one source operand of an in-window instruction. */
+/** State of one source operand of an in-window instruction. The
+ *  two cycle fields come first and the flags pack behind them, so
+ *  the operand takes 32 B. */
 struct OperandState
 {
-    isa::RegIndex reg = isa::NO_REG;
     /** Sequence number of the in-flight producer; NO_SEQ when the
      *  value was already available at insert. */
     uint64_t producerSeq = NO_SEQ;
+    /** Cycle the value is actually available (scoreboard view). */
+    uint64_t dataReadyCycle = NO_CYCLE;
+    isa::RegIndex reg = isa::NO_REG;
     /** Format position: true when this unique operand came from the
      *  left (ra) field. */
     bool leftField = true;
 
     /** Tag match observed (per-model bus timing applied). */
     bool ready = false;
-    /** Cycle the operand's wakeup arrived (select-eligibility). */
-    uint64_t wakeCycle = NO_CYCLE;
-    /** Cycle the value is actually available (scoreboard view). */
+    /** Value is actually available (scoreboard view). */
     bool dataReady = false;
-    uint64_t dataReadyCycle = NO_CYCLE;
-    /** Producer whose broadcast set `ready` (for replay repair). */
-    uint64_t wakeProducerSeq = NO_SEQ;
+    /** The in-flight producer's broadcast set `ready`/`dataReady`
+     *  (replay repair undoes exactly these). A broadcast reaches an
+     *  operand only through its producer's dependency row, so the
+     *  waking producer is always producerSeq. */
+    bool wokenByProducer = false;
 
     /** Sequential wakeup: operand listens to the slow bus. Only
      *  sequential wakeup sets it; every other scheme keeps false, so
@@ -58,7 +62,9 @@ struct OperandState
     bool prefetched = false;
 };
 
-/** A dynamic instruction occupying a window (RUU) slot. */
+/** A dynamic instruction occupying a window (RUU) slot. Dispatch
+ *  resets a slot by copying a blank DynInst (core.cc), so the struct
+ *  stays trivially copyable and under 192 B. */
 struct DynInst
 {
     /** Committed-path record and its decoded instruction; both
@@ -73,30 +79,44 @@ struct DynInst
 
     // --- Dependences (unique, non-zero source registers). ---
     OperandState src[2];
-    unsigned numSrc = 0;
 
     // --- Pipeline state. ---
-    bool inWindow = false;
-    bool issued = false;
-    bool completed = false;
     uint64_t fetchCycle = NO_CYCLE;
     uint64_t dispatchCycle = NO_CYCLE;
     uint64_t issueCycle = NO_CYCLE;
+    /** Cycle the current issue completes (value available), recorded
+     *  at issue. An issued instruction has completed once this cycle
+     *  is reached: after a cycle's events, `issued && completeCycle
+     *  <= cycle`. */
     uint64_t completeCycle = NO_CYCLE;
-    /** Incremented on every (re)issue; cancels stale events. */
-    uint32_t issueToken = 0;
-
-    /** Actual execution latency assigned at issue. */
-    unsigned latency = 1;
-    /** Actual memory-system latency for loads (set at issue). */
-    unsigned memLatency = 0;
     /** Cycle this instruction's destination tag broadcasts on the
      *  fast bus (select-eligibility of dependents). */
     uint64_t wakeBroadcastCycle = NO_CYCLE;
-    /** Window slot of the store-data producer (stores only). */
-    int storeDataProducerSlot = -1;
+    /** Stores: in-flight producer of the store-data register (used to
+     *  gate store-to-load forwarding; not a scheduling operand). */
+    uint64_t storeDataProducerSeq = NO_SEQ;
+    /** Data-arrival cycle of the first operand wakeup
+     *  (characterization). */
+    uint64_t firstWakeCycle = NO_CYCLE;
+    /** Incremented on every (re)issue; cancels stale events. */
+    uint32_t issueToken = 0;
+
+    /** Actual execution latency assigned at issue. Core's
+     *  constructor checks that every latency of its configuration
+     *  fits (eventHorizon). */
+    uint16_t latency = 1;
+    /** Actual memory-system latency for loads (set at issue). */
+    uint16_t memLatency = 0;
+    /** Window slot of the store-data producer (stores only); a slot
+     *  fits in int16, as Event::slot does. */
+    int16_t storeDataProducerSlot = -1;
     /** Register-file read ports consumed at issue (0..2). */
-    unsigned rfPorts = 0;
+    uint8_t rfPorts = 0;
+    /** Unique scheduling sources (0..2). */
+    uint8_t numSrc = 0;
+
+    bool inWindow = false;
+    bool issued = false;
     /** Issued with the sequential-register-access penalty. */
     bool seqRegAccess = false;
     /** Load issued assuming a DL1 hit but missed. */
@@ -109,9 +129,6 @@ struct DynInst
     bool requireDataReady = false;
     /** Control instruction the front end mispredicted. */
     bool mispredictedBranch = false;
-    /** Stores: in-flight producer of the store-data register (used to
-     *  gate store-to-load forwarding; not a scheduling operand). */
-    uint64_t storeDataProducerSeq = NO_SEQ;
 
     /** Scheduler bookkeeping: currently on the core's incremental
      *  ready list (unissued + all required tag matches observed). */
@@ -122,8 +139,6 @@ struct DynInst
     bool lapResolved = false;
     /** Number of operand data-wakeups observed so far. */
     uint8_t wakesSeen = 0;
-    /** Data-arrival cycle of the first operand wakeup. */
-    uint64_t firstWakeCycle = NO_CYCLE;
     /** The first data wakeup was the left-field operand. */
     bool firstWakeWasLeft = false;
 
@@ -140,8 +155,8 @@ struct DynInst
     bool isControl() const { return si->isControl(); }
 
     /** Pass-0 select class (Section 2.1: loads and branches first).
-     *  Fixed at dispatch; the core caches it in the highPrio bit
-     *  plane. */
+     *  Read once at dispatch, which caches it in the highPrio bit
+     *  plane; select reads only the plane. */
     bool selectHighPrio() const { return isLoad() || isControl(); }
 
     /** All tag matches observed (per-model issue condition helper). */

@@ -26,17 +26,18 @@
  *
  * Capacity (chosen by Core, computed from its configuration): every
  * pending event descends from one issue, and
- *  - an issue schedules at most FastWake, Complete, LoadMissDetect
- *    and TagElimDetect (4);
+ *  - an issue schedules at most three of FastWake, Complete (a
+ *    mispredicted control instruction only), LoadMissDetect (a load
+ *    only) and TagElimDetect;
  *  - a delivered FastWake adds at most one SlowWake (+1);
  *  - a delivered LoadMissDetect adds at most one re-broadcast
  *    FastWake (+1), plus that FastWake's SlowWake (+1);
- * so an issue begets at most 7 events. With H = eventHorizon(cfg),
+ * so an issue begets at most 6 events. With H = eventHorizon(cfg),
  * an issue at cycle t schedules for at most t + H, and the two
  * one-step descendants (SlowWake after a FastWake) land at most at
  * t + H + 1. An event pending at cycle `now` therefore comes from an
  * issue in now - H - 1 .. now: H + 2 cycles of at most `width`
- * issues each, hence 7 * width * (H + 2) nodes. Core checks full()
+ * issues each, hence 6 * width * (H + 2) nodes. Core checks full()
  * before every schedule, so a broken bound raises an
  * InvariantViolation in that cell and never writes past the pool.
  */

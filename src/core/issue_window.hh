@@ -9,8 +9,10 @@
  *    The ready plane holds the unissued, scheduler-ready entries
  *    (bit set <=> DynInst::inReadyList); select is a tzcnt scan of
  *    it in age order (containers.hh scan helpers). The issued plane
- *    holds the issued-but-incomplete entries, the replay-shadow
- *    candidates. highPrio caches the loads-and-branches-first select
+ *    holds the issued, uncommitted entries, complete or not (a
+ *    completion is a recorded cycle, not an event): the replay-shadow
+ *    candidates, which the squash filters by that cycle. highPrio
+ *    caches the loads-and-branches-first select
  *    class, fixed at dispatch, so each select pass scans only its
  *    own class (ready & highPrio, then ready & ~highPrio).
  *
@@ -179,7 +181,7 @@ struct IssueWindowMasks
 {
     SlotMask occupancy; ///< in-window slots (dispatch .. commit)
     SlotMask ready;     ///< unissued, scheduler-ready (select scan)
-    SlotMask issued;    ///< issued-but-incomplete (replay candidates)
+    SlotMask issued;    ///< issued, uncommitted (replay candidates)
     SlotMask highPrio;  ///< loads/branches (pass-0 select class)
     DepMatrix dep[2];   ///< producer -> consumers, per operand plane
     DepMatrix slowPend; ///< slow-bus re-delivery plane (seq wakeup)

@@ -20,8 +20,10 @@ namespace hpa::isa
 /** Sentinel meaning "no register". */
 constexpr RegIndex NO_REG = 255;
 
-/** Fixed-capacity list of source register ids (unified namespace). */
-struct SrcList
+/** Fixed-capacity list of source register ids (unified namespace).
+ *  4-B aligned, so a copy is one 32-bit move: a byte-wise copy that
+ *  is then reloaded as a word cannot be store-forwarded. */
+struct alignas(4) SrcList
 {
     uint8_t count = 0;
     RegIndex regs[2] = {NO_REG, NO_REG};

@@ -1,12 +1,14 @@
 /** @file Exact-timing litmus tests driven by the commit listener:
  *  per-instruction pipeline timestamps must follow the documented
  *  conventions (back-to-back issue, load-to-use latency, slow-bus
- *  delay, sequential-RF stretch, replay re-issue, short load misses)
- *  and the structural occupancy invariants (window, LSQ, commit
- *  width). */
+ *  delay, sequential-RF stretch, replay re-issue, short load misses,
+ *  store-to-load overlap, fetch resuming after a re-issued
+ *  mispredicted branch) and the structural occupancy invariants
+ *  (window, LSQ, commit width). */
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -249,6 +251,119 @@ TEST(ExactTiming, ShortLoadMissStillWakesItsConsumers)
             }
         }
     }
+}
+
+/** A byte store at @p store_disp(r1) whose data comes from a
+ *  20-cycle divide, then a quadword load of 0(r1) from a cold line.
+ *  Words: la (0, 1), li (2, 3), div (4), stb (5), ldq (6). */
+std::string
+byteStoreThenLoad(int store_disp)
+{
+    return R"(
+        la   r1, buf
+        li   r5, 77
+        li   r6, 7
+        div  r5, r6, r7
+        stb  r7, )"
+        + std::to_string(store_disp) + R"((r1)
+        ldq  r8, 0(r1)
+        halt
+        .data
+        .align 8
+buf:    .space 16)";
+}
+
+TEST(ExactTiming, ByteStoreInsideTheQuadwordForwardsToTheLoad)
+{
+    // Bytes [3, 4) overlap the load's [0, 8): the load waits until
+    // the store's data producer completes, then takes the forwarded
+    // latency (the assumed DL1 hit) instead of missing on the cold
+    // line.
+    CoreConfig cfg = core::fourWideConfig();
+    auto t = trace(byteStoreThenLoad(3), cfg);
+    auto div = atWord(t, 4);
+    auto ld = atWord(t, 6);
+    ASSERT_EQ(div.size(), 1u);
+    ASSERT_EQ(ld.size(), 1u);
+    EXPECT_EQ(ld[0].issue, div[0].complete);
+    EXPECT_EQ(ld[0].issues, 1u);
+    EXPECT_EQ(ld[0].complete,
+              ld[0].issue + cfg.schedToExec() + cfg.mem.dl1.latency);
+}
+
+TEST(ExactTiming, ByteStorePastTheQuadwordLeavesTheLoadAlone)
+{
+    // Byte 8 is one past the load's [0, 8): no overlap, so the load
+    // neither waits for the divide nor forwards — it misses on the
+    // cold line.
+    CoreConfig cfg = core::fourWideConfig();
+    auto t = trace(byteStoreThenLoad(8), cfg);
+    auto div = atWord(t, 4);
+    auto ld = atWord(t, 6);
+    ASSERT_EQ(div.size(), 1u);
+    ASSERT_EQ(ld.size(), 1u);
+    EXPECT_LT(ld[0].issue, div[0].complete);
+    EXPECT_GT(ld[0].complete,
+              ld[0].issue + cfg.schedToExec() + cfg.mem.dl1.latency);
+}
+
+TEST(ExactTiming, FetchResumesAfterTheReissuedMispredictedBranch)
+{
+    // Each iteration loads a cold line and branches on the value, in
+    // an irregular pattern the predictor misses. The branch issues
+    // on the load's speculative wakeup, inside its miss shadow, so
+    // the miss squashes it and it re-issues once the data is back.
+    // Fetch must resume at the re-issue's completion + 1 (or the
+    // minimum branch penalty, if later), never at the squashed
+    // issue's.
+    std::string src = R"(
+        la   r1, data
+        li   r2, 24
+loop:   ldq  r3, 0(r1)
+        beq  r3, skip
+        add  r4, #1, r4
+skip:   lda  r1, 64(r1)
+        sub  r2, #1, r2
+        bne  r2, loop
+        halt
+        .data
+        .align 8
+data:)";
+    const int pattern[24] = {1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1,
+                             0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1};
+    for (int v : pattern)
+        src += "\n        .word " + std::to_string(v)
+            + "\n        .space 56";
+
+    CoreConfig cfg = core::fourWideConfig();
+    auto prog = assembler::assemble(src);
+    sim::Simulation s(prog, cfg);
+    struct Row
+    {
+        uint64_t fetch, complete;
+        uint32_t issues;
+        bool mispredicted;
+    };
+    std::vector<Row> rows;
+    s.core().setCommitListener([&rows](const DynInst &di, uint64_t) {
+        rows.push_back(Row{di.fetchCycle, di.completeCycle,
+                           di.issueToken, di.mispredictedBranch});
+    });
+    s.run(2000000);
+    ASSERT_TRUE(s.trace().halted());
+
+    unsigned checked = 0;
+    for (size_t i = 0; i + 1 < rows.size(); ++i) {
+        const Row &br = rows[i];
+        if (!br.mispredicted || br.issues < 2)
+            continue;
+        ++checked;
+        EXPECT_EQ(rows[i + 1].fetch,
+                  std::max(br.complete + 1,
+                           br.fetch + cfg.min_branch_penalty))
+            << "committed instruction " << i;
+    }
+    EXPECT_GT(checked, 2u);
 }
 
 TEST(Occupancy, IssueGroupsRespectWidthAndAluCount)

@@ -7,8 +7,9 @@
  * no-forward-progress watchdog and the periodic scheduler
  * cross-validation — each turn a real fault (a watchdog shorter than
  * the cold-start stall, a ready instruction missing from the ready
- * plane) into the right typed error with a usable pipeline-state
- * dump.
+ * plane, a ready bit on an empty slot) into the right typed error
+ * with a usable pipeline-state dump, and the core's constructor
+ * rejects a configuration its narrowed fields cannot hold.
  */
 
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "core/core.hh"
+#include "core/synthetic.hh"
 #include "sim/error.hh"
 #include "sim/experiment.hh"
 #include "sim/simulation.hh"
@@ -126,6 +128,14 @@ struct CoreTestPeer
     {
         core.masks_.ready.clear(slot);
     }
+
+    /** Set @p slot's bit in the ready plane, whatever the slot
+     *  holds. */
+    static void
+    setReady(Core &core, unsigned slot)
+    {
+        core.masks_.ready.set(slot);
+    }
 };
 
 } // namespace hpa::core
@@ -200,6 +210,53 @@ TEST_F(CoreGuards, CrossValidationCatchesACorruptedReadyList)
                   std::string::npos)
             << e.what();
         EXPECT_EQ(e.context().cycle, corrupted + 1);
+    }
+}
+
+TEST_F(CoreGuards, CrossValidationCatchesAStrayReadyBitOnAnEmptySlot)
+{
+    // A ready bit on a slot nothing was ever dispatched to: select
+    // must skip it without reading the slot's (null) instruction, so
+    // the first tick's check reports the ready plane instead of the
+    // process dying.
+    core::CoreConfig cfg = core::fourWideConfig();
+    cfg.check_interval = 1;
+    auto s = makeSim(cfg, 5000);
+    core::Core &core = s.core();
+    ASSERT_EQ(core.cycle(), 0u);
+    ASSERT_TRUE(core.readyListSnapshot().empty());
+    core::CoreTestPeer::setReady(core, 3);
+    try {
+        core.tick();
+        FAIL() << "expected hpa::InvariantViolation";
+    } catch (const InvariantViolation &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Invariant);
+        EXPECT_NE(std::string(e.what()).find("ready list"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_EQ(e.context().cycle, 1u);
+    }
+}
+
+TEST(CoreConfigCheck, LatencyPastTheNarrowedFieldIsRejected)
+{
+    // DynInst records latencies in 16 bits, and every latency is at
+    // most the event horizon + 1. The first memory latency whose
+    // horizon (sched-to-exec + DL1 + L2 + memory) reaches 65535
+    // must fail the constructor before it sizes the calendar.
+    core::SyntheticParams sp;
+    sp.num_insts = 100;
+    func::CommittedTrace trace = core::syntheticTrace(sp);
+    core::CoreConfig cfg = core::fourWideConfig();
+    cfg.mem.mem_latency = 65535
+        - (cfg.schedToExec() + cfg.mem.dl1.latency + cfg.mem.l2.latency);
+    try {
+        core::Core c(cfg, trace);
+        FAIL() << "expected hpa::InvariantViolation";
+    } catch (const InvariantViolation &e) {
+        EXPECT_NE(std::string(e.what()).find("eventHorizon"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -475,10 +475,11 @@ Core::commit()
         DynInst &di = window_[head_];
         // Commit runs before this cycle's events, so the head must
         // have completed in an earlier cycle. A replayed load's
-        // re-broadcast can trail its completion (handleLoadMiss);
+        // re-broadcast can trail its completion (handleLoadMiss), and
+        // on the slow bus it goes out a cycle after the fast one;
         // retiring first would drop it.
         if (!di.issued || di.completeCycle >= cycle_
-            || di.wakeBroadcastCycle >= cycle_)
+            || di.wakeBroadcastCycle + (slowBus_ ? 1 : 0) >= cycle_)
             break;
 
         if (di.isStore())
@@ -896,7 +897,8 @@ Core::handleLoadMiss(const Event &ev)
     // the next cycle, the earliest a handler may schedule, or the
     // cancelled consumers would never wake. The load can also have
     // completed by then: commit() waits for the recorded broadcast
-    // cycle, so the load is still in the window to deliver it.
+    // cycle (and the slow bus's a cycle later), so the load is still
+    // in the window to deliver it.
     repairConsumersOf(ev.slot);
     uint64_t true_wake = wakeBroadcastCycle(
         load.issueCycle + 1 + load.memLatency,

@@ -5,23 +5,18 @@ namespace hpa::core
 
 // Registration tables. One entry per line, key first — the hpa-lint
 // HPA006 rule extracts the keys from this file and requires each to
-// be documented in EXPERIMENTS.md.
+// be documented in EXPERIMENTS.md. The base machine's policy comes
+// first and adds nothing to a machine name.
 
 const std::vector<SchedPolicyInfo> &
 schedPolicies()
 {
     static const std::vector<SchedPolicyInfo> table = {
-        {"conv", "/conv-wakeup", WakeupModel::Conventional,
-         "conventional broadcast wakeup (two comparators/entry)"},
-        {"seq", "/seq-wakeup", WakeupModel::Sequential,
-         "sequential wakeup with a last-arrival predictor"},
-        {"seq-nopred", "/seq-wakeup-nopred",
-         WakeupModel::SequentialNoPred,
-         "sequential wakeup, right operand statically last"},
-        {"tag-elim", "/tag-elim", WakeupModel::TagElimination,
-         "tag elimination with scoreboard mis-issue detection"},
-        {"dlt", "/dlt-wakeup", WakeupModel::LoadDelayTracking,
-         "load-delay-tracking wakeup (bounded delay counters)"},
+        {"conv", "", WakeupModel::Conventional},
+        {"seq", "/seq-wakeup", WakeupModel::Sequential},
+        {"seq-nopred", "/seq-wakeup-nopred", WakeupModel::SequentialNoPred},
+        {"tag-elim", "/tag-elim", WakeupModel::TagElimination},
+        {"dlt", "/dlt-wakeup", WakeupModel::LoadDelayTracking},
     };
     return table;
 }
@@ -30,17 +25,11 @@ const std::vector<RFPolicyInfo> &
 rfPolicies()
 {
     static const std::vector<RFPolicyInfo> table = {
-        {"2port", "/2r-port", RegfileModel::TwoPort,
-         "two read ports per issue slot (base machine)"},
-        {"seq", "/seq-rf", RegfileModel::SequentialAccess,
-         "one port per slot, sequential 2-operand access"},
-        {"extra-stage", "/extra-rf-stage", RegfileModel::ExtraStage,
-         "2R/slot register file pipelined over an extra stage"},
-        {"half-xbar", "/half-ports-xbar",
-         RegfileModel::HalfPortCrossbar,
-         "half ports behind a fully connected crossbar"},
-        {"prefetch", "/prefetch-rf", RegfileModel::PrefetchBuffer,
-         "half ports + crossbar with an operand prefetch buffer"},
+        {"2port", "", RegfileModel::TwoPort},
+        {"seq", "/seq-rf", RegfileModel::SequentialAccess},
+        {"extra-stage", "/extra-rf-stage", RegfileModel::ExtraStage},
+        {"half-xbar", "/half-ports-xbar", RegfileModel::HalfPortCrossbar},
+        {"prefetch", "/prefetch-rf", RegfileModel::PrefetchBuffer},
     };
     return table;
 }

@@ -5,10 +5,11 @@
  * One table per policy axis maps a short registry key (the name
  * accepted by `MachineBuilder::schedPolicy()` / `rfPolicy()` and the
  * `--sched-policy` / `--rf-policy` CLI flags) to the machine-name
- * suffix, the `CoreConfig` enum it selects, and a one-line summary.
- * The suffixes key the golden IPC gate, so they are part of the
- * stable surface; the hpa-lint HPA006 rule requires every registered
- * name to be documented in EXPERIMENTS.md.
+ * suffix that `sim::machineName()` appends (empty for the base
+ * machine's policy) and the `CoreConfig` enum it selects. The
+ * suffixes key the golden IPC gate, so they are part of the stable
+ * surface; the hpa-lint HPA006 rule requires every registered name
+ * to be documented in EXPERIMENTS.md.
  */
 
 #ifndef HPA_CORE_POLICY_REGISTRY_HH
@@ -27,9 +28,8 @@ namespace hpa::core
 struct SchedPolicyInfo
 {
     const char *name;   ///< registry key ("conv", "dlt", ...)
-    const char *suffix; ///< machine-name suffix ("/conv-wakeup", ...)
+    const char *suffix; ///< machine-name suffix ("", "/seq-wakeup", ...)
     WakeupModel model;  ///< CoreConfig selection
-    const char *summary;
 };
 
 /** One registered register-file read-port policy. */
@@ -38,7 +38,6 @@ struct RFPolicyInfo
     const char *name;
     const char *suffix;
     RegfileModel model;
-    const char *summary;
 };
 
 /** All registered policies, registration order. */

@@ -20,47 +20,50 @@ statusName(RunStatus status)
     return "?";
 }
 
-MachineBuilder
-Machine::base(unsigned width)
+std::string
+machineName(const core::CoreConfig &cfg)
 {
-    return MachineBuilder::base(width);
+    const core::CoreConfig base =
+        cfg.width == 8 ? core::eightWideConfig() : core::fourWideConfig();
+    std::string name = std::to_string(cfg.width) + "-wide";
+    name += core::schedPolicyFor(cfg.wakeup).suffix;
+    name += core::rfPolicyFor(cfg.regfile).suffix;
+    if (cfg.recovery != base.recovery)
+        name += "/selective";
+    if (cfg.rename != base.rename)
+        name += "/half-rename";
+    auto knob = [&](const char *tag, unsigned value, unsigned table1) {
+        if (value != table1)
+            name += tag + std::to_string(value);
+    };
+    knob("/lap", cfg.lap_entries, base.lap_entries);
+    knob("/bypass", cfg.bypass_window, base.bypass_window);
+    knob("/detect", cfg.tagelim_detect_delay, base.tagelim_detect_delay);
+    return name;
 }
 
 MachineBuilder
-MachineBuilder::base(unsigned width)
+Machine::base(unsigned width)
 {
     if (width != 4 && width != 8)
         throw ConfigError(
             "machine width must be 4 or 8 (Table 1), got "
             + std::to_string(width));
-    Machine m;
-    m.name = width == 8 ? "8-wide" : "4-wide";
-    m.cfg = width == 8 ? core::eightWideConfig()
-                       : core::fourWideConfig();
-    return MachineBuilder(std::move(m));
-}
-
-MachineBuilder
-MachineBuilder::from(Machine m)
-{
-    return MachineBuilder(std::move(m));
+    return MachineBuilder(width == 8 ? core::eightWideConfig()
+                                     : core::fourWideConfig());
 }
 
 MachineBuilder &
 MachineBuilder::wakeup(core::WakeupModel w)
 {
-    // The registry owns the name suffixes (they key the golden IPC
-    // gate); enum and string entry points stay in lockstep.
-    m_.cfg.wakeup = w;
-    m_.name += core::schedPolicyFor(w).suffix;
+    cfg_.wakeup = w;
     return *this;
 }
 
 MachineBuilder &
 MachineBuilder::regfile(core::RegfileModel r)
 {
-    m_.cfg.regfile = r;
-    m_.name += core::rfPolicyFor(r).suffix;
+    cfg_.regfile = r;
     return *this;
 }
 
@@ -89,25 +92,21 @@ MachineBuilder::rfPolicy(std::string_view name)
 MachineBuilder &
 MachineBuilder::recovery(core::RecoveryModel r)
 {
-    m_.cfg.recovery = r;
-    m_.name += r == core::RecoveryModel::Selective ? "/selective"
-                                                   : "/non-selective";
+    cfg_.recovery = r;
     return *this;
 }
 
 MachineBuilder &
 MachineBuilder::rename(core::RenameModel r)
 {
-    m_.cfg.rename = r;
-    m_.name += r == core::RenameModel::HalfPort ? "/half-rename"
-                                                : "/2r-rename";
+    cfg_.rename = r;
     return *this;
 }
 
 MachineBuilder &
 MachineBuilder::lap(unsigned entries)
 {
-    m_.cfg.lap_entries = entries;
+    cfg_.lap_entries = entries;
     lapSet_ = true;
     return *this;
 }
@@ -115,14 +114,14 @@ MachineBuilder::lap(unsigned entries)
 MachineBuilder &
 MachineBuilder::bypassWindow(unsigned cycles)
 {
-    m_.cfg.bypass_window = cycles;
+    cfg_.bypass_window = cycles;
     return *this;
 }
 
 MachineBuilder &
 MachineBuilder::detectDelay(unsigned cycles)
 {
-    m_.cfg.tagelim_detect_delay = cycles;
+    cfg_.tagelim_detect_delay = cycles;
     detectSet_ = true;
     return *this;
 }
@@ -130,35 +129,36 @@ MachineBuilder::detectDelay(unsigned cycles)
 Machine
 MachineBuilder::build() const
 {
-    const core::CoreConfig &cfg = m_.cfg;
+    const core::CoreConfig &cfg = cfg_;
+    const std::string name = machineName(cfg);
     bool predictor_wakeup =
         cfg.wakeup == core::WakeupModel::Sequential
         || cfg.wakeup == core::WakeupModel::TagElimination;
 
     if (lapSet_ && !predictor_wakeup)
         throw ConfigError(
-            "machine '" + m_.name
+            "machine '" + name
             + "': lap() needs a predictor-based wakeup scheme "
               "(Sequential or TagElimination)");
     if (cfg.lap_entries == 0
         || (cfg.lap_entries & (cfg.lap_entries - 1)))
         throw ConfigError(
-            "machine '" + m_.name
+            "machine '" + name
             + "': predictor entries must be a power of 2, got "
             + std::to_string(cfg.lap_entries));
     if (detectSet_ && cfg.wakeup != core::WakeupModel::TagElimination)
         throw ConfigError(
-            "machine '" + m_.name
+            "machine '" + name
             + "': detectDelay() only applies to tag elimination");
     if (cfg.tagelim_detect_delay == 0)
         throw ConfigError(
-            "machine '" + m_.name
+            "machine '" + name
             + "': tag-elimination detect delay must be >= 1 cycle");
     if (cfg.bypass_window == 0)
         throw ConfigError(
-            "machine '" + m_.name
+            "machine '" + name
             + "': bypass window must be >= 1 cycle");
-    return m_;
+    return Machine{name, cfg};
 }
 
 void

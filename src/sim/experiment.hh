@@ -62,8 +62,17 @@ struct RunOutcome
 };
 
 /**
- * Fluent machine assembly with eager naming and deferred
- * validation:
+ * The name of the machine @p cfg, the only place one is made:
+ * `<width>-wide`, then, in this order, the wakeup and register-file
+ * registry suffixes, `/selective`, `/half-rename`, `/lapN`,
+ * `/bypassN` and `/detectN`, each only where a field a MachineBuilder
+ * setter writes differs from the Table 1 machine. The robustness
+ * knobs never enter it.
+ */
+std::string machineName(const core::CoreConfig &cfg);
+
+/**
+ * Fluent machine assembly with deferred validation:
  *
  *   Machine m = Machine::base(4)
  *                   .wakeup(core::WakeupModel::Sequential)
@@ -71,24 +80,18 @@ struct RunOutcome
  *                   .regfile(core::RegfileModel::SequentialAccess)
  *                   .build();
  *
- * Each setter updates the configuration and appends the historical
- * machine-name suffix from the policy registry (the names key the
- * golden IPC gate, so they are part of the stable surface).
- * build() — or the implicit Machine conversion — validates the
- * combination and throws std::invalid_argument on contradictions:
- * a lap() table on a predictor-less wakeup scheme, a non-power-of-2
- * predictor, a detectDelay() without tag elimination, a zero-cycle
- * bypass window, or a width outside Table 1.
+ * Each setter only sets its configuration field; build() names the
+ * machine with machineName(), so the order of the calls does not
+ * matter. build() — or the implicit Machine conversion — validates
+ * the combination and throws std::invalid_argument on
+ * contradictions: a lap() table on a predictor-less wakeup scheme, a
+ * non-power-of-2 predictor, a detectDelay() without tag elimination,
+ * or a zero-cycle bypass window (Machine::base() rejects a width
+ * outside Table 1).
  */
 class MachineBuilder
 {
   public:
-    /** Start from a Table 1 base machine; width must be 4 or 8. */
-    static MachineBuilder base(unsigned width);
-
-    /** Start from an existing machine (modify a built Machine). */
-    static MachineBuilder from(Machine m);
-
     MachineBuilder &wakeup(core::WakeupModel w);
     MachineBuilder &regfile(core::RegfileModel r);
     MachineBuilder &recovery(core::RecoveryModel r);
@@ -116,7 +119,8 @@ class MachineBuilder
      *  WakeupModel::TagElimination. */
     MachineBuilder &detectDelay(unsigned cycles);
 
-    /** Validate the accumulated configuration and return it. */
+    /** Validate the accumulated configuration and return it, named
+     *  by machineName(). */
     Machine build() const;
 
     /** Implicit finalization so a chain can be passed anywhere a
@@ -124,9 +128,10 @@ class MachineBuilder
     operator Machine() const { return build(); }
 
   private:
-    explicit MachineBuilder(Machine m) : m_(std::move(m)) {}
+    friend struct Machine;
+    explicit MachineBuilder(const core::CoreConfig &cfg) : cfg_(cfg) {}
 
-    Machine m_;
+    core::CoreConfig cfg_;
     bool lapSet_ = false;
     bool detectSet_ = false;
 };

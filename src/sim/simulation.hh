@@ -21,7 +21,8 @@ namespace hpa::sim
 
 class MachineBuilder;
 
-/** Named machine model variants used across the evaluation. */
+/** A machine configuration and its name, machineName(cfg) (set by
+ *  MachineBuilder::build(); see sim/experiment.hh). */
 struct Machine
 {
     std::string name;

@@ -189,11 +189,9 @@ reproductionMachines()
     for (unsigned width : {4u, 8u}) {
         ms.push_back(Machine::base(width));
         ms.push_back(Machine::base(width)
-                         .wakeup(WakeupModel::Sequential)
-                         .lap(1024));
+                         .wakeup(WakeupModel::Sequential));
         ms.push_back(Machine::base(width)
-                         .wakeup(WakeupModel::TagElimination)
-                         .lap(1024));
+                         .wakeup(WakeupModel::TagElimination));
         ms.push_back(Machine::base(width)
                          .wakeup(WakeupModel::SequentialNoPred));
         ms.push_back(Machine::base(width)
@@ -204,7 +202,6 @@ reproductionMachines()
                          .regfile(RegfileModel::HalfPortCrossbar));
         ms.push_back(Machine::base(width)
                          .wakeup(WakeupModel::Sequential)
-                         .lap(1024)
                          .regfile(RegfileModel::SequentialAccess));
     }
     return ms;
@@ -226,7 +223,6 @@ policyZooMachines()
                          .rfPolicy("prefetch"));
         ms.push_back(Machine::base(width)
                          .schedPolicy("seq")
-                         .lap(1024)
                          .rfPolicy("prefetch"));
     }
     return ms;

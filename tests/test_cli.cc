@@ -291,9 +291,7 @@ TEST(SimOptionsMachine, NewPolicySuffixesComposeTheMachineName)
               0)
         << err;
     sim::Machine m = tools::machineFor(o);
-    EXPECT_EQ(
-        m.name,
-        "4-wide/dlt-wakeup/prefetch-rf/non-selective/2r-rename");
+    EXPECT_EQ(m.name, "4-wide/dlt-wakeup/prefetch-rf");
     EXPECT_EQ(m.cfg.wakeup, core::WakeupModel::LoadDelayTracking);
     EXPECT_EQ(m.cfg.regfile, core::RegfileModel::PrefetchBuffer);
 }
@@ -309,15 +307,15 @@ TEST(SimOptionsParse, StdoutTargetsSuppressSummary)
     EXPECT_FALSE(o2.machineReadableStdout());
 }
 
-TEST(SimOptionsMachine, BuildsLegacyFiveComponentName)
+TEST(SimOptionsMachine, BuildsTheGoldenKeyOfItsMachine)
 {
+    // The name is the one the golden IPC gate keys the same machine
+    // by: options left at their Table 1 defaults add nothing to it.
     SimOptions o;
     std::string err;
     ASSERT_EQ(parse({"--wakeup", "seq", "--regfile", "seq"}, o, err),
               0);
-    sim::Machine m = tools::machineFor(o);
-    EXPECT_EQ(m.name,
-              "4-wide/seq-wakeup/seq-rf/non-selective/2r-rename");
+    EXPECT_EQ(tools::machineFor(o).name, "4-wide/seq-wakeup/seq-rf");
 }
 
 TEST(SimOptionsMachine, LapWithConventionalWakeupThrows)

@@ -208,37 +208,38 @@ far:    .word 9)", core::fourWideConfig());
 
 TEST(ExactTiming, ShortLoadMissStillWakesItsConsumers)
 {
-    // With an L2 latency of 1 or 2 a DL1 miss delivers its data by
+    // With an L2 latency of 1 to 3 a DL1 miss can deliver its data by
     // the cycle the miss is detected. Its consumers' speculative
     // wakeups are cancelled at detection, so the re-broadcast must
     // still go out (on the next cycle) or they never wake and the
     // watchdog fires. With a replay shadow of 3 or 4 the load can
     // also complete by its detection cycle, so it must not commit
-    // before that re-broadcast has gone out, or the staleness filter
-    // drops it. Under load-delay tracking the re-broadcast cycle can
-    // already be past when the miss is detected: that is a delay of
-    // zero, which no counter saturates on (with dlt_max_delay = 1000
-    // nothing in this stream comes close).
+    // before that re-broadcast has gone out on every bus it takes:
+    // under sequential wakeup the slow-bus copy follows the fast one
+    // a cycle later, and a load retired in between leaves its
+    // slow-side consumers asleep. Under load-delay tracking the
+    // re-broadcast cycle can already be past when the miss is
+    // detected: that is a delay of zero, which no counter saturates
+    // on (with dlt_max_delay = 1000 nothing in this stream comes
+    // close).
     core::SyntheticParams sp;
     func::CommittedTrace stream = core::syntheticTrace(sp);
-    for (bool dlt : {false, true}) {
+    for (core::WakeupModel wakeup :
+         {core::WakeupModel::Conventional,
+          core::WakeupModel::LoadDelayTracking,
+          core::WakeupModel::Sequential,
+          core::WakeupModel::SequentialNoPred}) {
         for (unsigned width : {4u, 8u}) {
             for (unsigned shadow : {2u, 3u, 4u}) {
-                for (unsigned l2 : {1u, 2u}) {
+                for (unsigned l2 : {1u, 2u, 3u}) {
                     CoreConfig cfg =
-                        sim::Machine::base(width).build().cfg;
+                        sim::Machine::base(width).wakeup(wakeup).build().cfg;
                     cfg.replay_shadow = shadow;
                     cfg.mem.l2.latency = l2;
-                    if (dlt) {
-                        cfg.wakeup =
-                            core::WakeupModel::LoadDelayTracking;
-                        cfg.dlt_max_delay = 1000;
-                    }
-                    const std::string what =
-                        std::string(dlt ? "dlt" : "base") + " width "
-                        + std::to_string(width) + " shadow "
-                        + std::to_string(shadow) + " L2 latency "
-                        + std::to_string(l2);
+                    cfg.dlt_max_delay = 1000;
+                    const std::string what = sim::machineName(cfg)
+                        + " shadow " + std::to_string(shadow)
+                        + " L2 latency " + std::to_string(l2);
                     core::Core c(cfg, stream);
                     ASSERT_NO_THROW(c.run(2000000)) << what;
                     EXPECT_TRUE(c.done()) << what;

@@ -199,6 +199,52 @@ TEST(Builder, AppendsEveryLegacyNameSuffix)
               "4-wide/half-rename");
 }
 
+TEST(Builder, NameIsAFunctionOfTheConfiguration)
+{
+    using core::RegfileModel;
+    using core::WakeupModel;
+    auto name = [](const MachineBuilder &b) { return b.build().name; };
+    // The setters only set fields, so their order does not matter.
+    EXPECT_EQ(name(Machine::base(4)
+                       .regfile(RegfileModel::SequentialAccess)
+                       .wakeup(WakeupModel::Sequential)),
+              "4-wide/seq-wakeup/seq-rf");
+    EXPECT_EQ(name(Machine::base(4)
+                       .wakeup(WakeupModel::Sequential)
+                       .regfile(RegfileModel::SequentialAccess)),
+              "4-wide/seq-wakeup/seq-rf");
+    // Predictor size, bypass window and detection delay are named.
+    EXPECT_EQ(
+        name(Machine::base(4).wakeup(WakeupModel::Sequential).lap(128)),
+        "4-wide/seq-wakeup/lap128");
+    EXPECT_EQ(name(Machine::base(4)
+                       .regfile(RegfileModel::SequentialAccess)
+                       .bypassWindow(2)),
+              "4-wide/seq-rf/bypass2");
+    EXPECT_EQ(name(Machine::base(8)
+                       .wakeup(WakeupModel::TagElimination)
+                       .detectDelay(3)),
+              "8-wide/tag-elim/detect3");
+    // A setter given its Table 1 value leaves the name unchanged.
+    EXPECT_EQ(
+        name(Machine::base(4).wakeup(WakeupModel::Sequential).lap(1024)),
+        "4-wide/seq-wakeup");
+    EXPECT_EQ(name(Machine::base(4).bypassWindow(1)), "4-wide");
+    EXPECT_EQ(
+        name(Machine::base(4).recovery(core::RecoveryModel::NonSelective)),
+        "4-wide");
+    EXPECT_EQ(name(Machine::base(8).rename(core::RenameModel::TwoPort)),
+              "8-wide");
+}
+
+TEST(Builder, RobustnessKnobsStayOutOfTheName)
+{
+    core::CoreConfig cfg = Machine(Machine::base(8)).cfg;
+    cfg.watchdog_cycles = 7;
+    cfg.check_interval = 1;
+    EXPECT_EQ(machineName(cfg), "8-wide");
+}
+
 TEST(Builder, LapRequiresPredictorBasedWakeup)
 {
     // Conventional and SequentialNoPred have no last-arrival

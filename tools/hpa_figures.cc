@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -186,134 +187,107 @@ kernelTable(const std::vector<std::string> &names,
 
 constexpr unsigned WIDTHS[2] = {4, 8};
 
-/**
- * Every machine the tables read, declared once. Tables find their
- * cells by index here, never by name: lap(), bypassWindow() and
- * detectDelay() leave Machine::name unchanged.
- */
-struct MachineUnion
+/** The base machine's name at width index @p w ("4-wide", "8-wide");
+ *  every other machine of that width extends it. */
+std::string
+wide(size_t w)
 {
-    std::vector<sim::Machine> machines;
-
-    // Per width (index 0 = 4-wide, 1 = 8-wide).
-    size_t base[2], seqw[2], te[2], nopred[2];
-    size_t seqrf[2], extra[2], xbar[2], comb[2];
-    /** Tag elimination at detection delay d = 1..4 ([w][0] unused;
-     *  d = 1 is Figure 14's tag elimination). */
-    size_t teDelay[2][5];
-    size_t halfRename[2], allHalf[2];
-
-    // 4-wide only.
-    /** Sequential RF at bypass window 1..3 ([0] unused; window 1 is
-     *  Figure 15's seq RF). */
-    size_t bypass[4];
-    /** Sequential wakeup with a 128/512/1024/4096-entry predictor
-     *  (1024 is Figure 14's sequential wakeup). */
-    size_t lap[4];
-    size_t convSel, seqwSel;
-
-    /** sim::policyZooMachines(), per width: dlt wakeup, prefetch RF,
-     *  both, and sequential wakeup on the prefetch RF. */
-    size_t zoo[2][4];
-
-    size_t
-    add(sim::Machine m)
-    {
-        machines.push_back(std::move(m));
-        return machines.size() - 1;
-    }
-};
-
-MachineUnion
-machineUnion()
-{
-    MachineUnion u{};
-    // Table 2 and Figures 14-16: sim::reproductionMachines(), the
-    // golden_sweep_ipc grid, in its order per width.
-    u.machines = sim::reproductionMachines();
-    for (size_t w = 0; w < 2; ++w) {
-        size_t *paper[8] = {&u.base[w],  &u.seqw[w],  &u.te[w],
-                            &u.nopred[w], &u.seqrf[w], &u.extra[w],
-                            &u.xbar[w],  &u.comb[w]};
-        for (size_t i = 0; i < 8; ++i)
-            *paper[i] = 8 * w + i;
-    }
-
-    for (size_t w = 0; w < 2; ++w) {
-        const unsigned width = WIDTHS[w];
-        u.teDelay[w][1] = u.te[w];
-        for (unsigned d = 2; d <= 4; ++d)
-            u.teDelay[w][d] =
-                u.add(sim::Machine::base(width)
-                          .wakeup(WakeupModel::TagElimination)
-                          .lap(1024)
-                          .detectDelay(d));
-        u.halfRename[w] = u.add(
-            sim::Machine::base(width).rename(RenameModel::HalfPort));
-        // Everything halved: wakeup + register file + rename.
-        u.allHalf[w] =
-            u.add(sim::Machine::base(width)
-                      .wakeup(WakeupModel::Sequential)
-                      .lap(1024)
-                      .regfile(RegfileModel::SequentialAccess)
-                      .rename(RenameModel::HalfPort));
-    }
-
-    u.bypass[1] = u.seqrf[0];
-    for (unsigned window : {2u, 3u})
-        u.bypass[window] =
-            u.add(sim::Machine::base(4)
-                      .regfile(RegfileModel::SequentialAccess)
-                      .bypassWindow(window));
-    const unsigned sizes[4] = {128, 512, 1024, 4096};
-    for (size_t i = 0; i < 4; ++i)
-        u.lap[i] = sizes[i] == 1024
-            ? u.seqw[0]
-            : u.add(sim::Machine::base(4)
-                        .wakeup(WakeupModel::Sequential)
-                        .lap(sizes[i]));
-    u.convSel = u.add(
-        sim::Machine::base(4).recovery(RecoveryModel::Selective));
-    u.seqwSel = u.add(sim::Machine::base(4)
-                          .wakeup(WakeupModel::Sequential)
-                          .lap(1024)
-                          .recovery(RecoveryModel::Selective));
-
-    const std::vector<sim::Machine> zoo = sim::policyZooMachines();
-    HPA_CHECK(zoo.size() == 8, "the zoo table has four columns per width");
-    for (size_t i = 0; i < zoo.size(); ++i)
-        u.zoo[i / 4][i % 4] = u.add(zoo[i]);
-    return u;
+    return std::to_string(WIDTHS[w]) + "-wide";
 }
 
-/** The finished sweep: one cell per (machine, kernel), machine-major. */
+/** Every machine the tables read, each declared once: tables find
+ *  cells by sim::machineName(), so d = 1, lap 1024 and bypass window
+ *  1 are the grid's machines. */
+std::vector<sim::Machine>
+machineUnion()
+{
+    // Table 2 and Figures 14-16: sim::reproductionMachines(), the
+    // golden_sweep_ipc grid.
+    std::vector<sim::Machine> ms = sim::reproductionMachines();
+    for (unsigned width : WIDTHS) {
+        for (unsigned d = 2; d <= 4; ++d)
+            ms.push_back(sim::Machine::base(width)
+                             .wakeup(WakeupModel::TagElimination)
+                             .detectDelay(d));
+        ms.push_back(
+            sim::Machine::base(width).rename(RenameModel::HalfPort));
+        // Everything halved: wakeup + register file + rename.
+        ms.push_back(sim::Machine::base(width)
+                         .wakeup(WakeupModel::Sequential)
+                         .regfile(RegfileModel::SequentialAccess)
+                         .rename(RenameModel::HalfPort));
+    }
+    // 4-wide only: the bypass-window, predictor-size and recovery
+    // ablations.
+    for (unsigned window : {2u, 3u})
+        ms.push_back(sim::Machine::base(4)
+                         .regfile(RegfileModel::SequentialAccess)
+                         .bypassWindow(window));
+    for (unsigned entries : {128u, 512u, 4096u})
+        ms.push_back(sim::Machine::base(4)
+                         .wakeup(WakeupModel::Sequential)
+                         .lap(entries));
+    ms.push_back(sim::Machine::base(4).recovery(RecoveryModel::Selective));
+    ms.push_back(sim::Machine::base(4)
+                     .wakeup(WakeupModel::Sequential)
+                     .recovery(RecoveryModel::Selective));
+    for (sim::Machine &m : sim::policyZooMachines())
+        ms.push_back(std::move(m));
+    return ms;
+}
+
+/** The finished sweep: one cell per (machine, kernel), found by
+ *  machine name and kernel index. */
 struct Cells
 {
     std::vector<std::string> names;
     std::vector<sim::SweepResult> results;
+    /** Machine name -> its row of names.size() cells in results. */
+    std::map<std::string, size_t> rows;
+
+    /** Run every machine on every kernel. A failed cell (a table
+     *  cannot have a hole) or two machines of one name throw. */
+    Cells(const std::vector<sim::Machine> &machines, uint64_t insts,
+          unsigned jobs)
+        : names(workloads::benchmarkNames())
+    {
+        std::vector<sim::SweepJob> sweep;
+        for (const sim::Machine &m : machines) {
+            HPA_CHECK(rows.emplace(m.name, rows.size()).second,
+                      "two machines are named '" + m.name + "'");
+            for (const std::string &name : names)
+                sweep.push_back({name, m, insts});
+        }
+        results = sim::SweepRunner(jobs).run(std::move(sweep));
+        sim::requireAllOk(results);
+    }
 
     const sim::SweepResult &
-    at(size_t machine, size_t kernel) const
+    at(const std::string &machine, size_t kernel) const
     {
-        return results[machine * names.size() + kernel];
+        const auto row = rows.find(machine);
+        HPA_CHECK(row != rows.end(),
+                  "no machine named '" + machine + "' in the sweep");
+        return results[row->second * names.size() + kernel];
     }
 
     const core::CoreStats &
-    stats(size_t machine, size_t kernel) const
+    stats(const std::string &machine, size_t kernel) const
     {
         return at(machine, kernel).coreStats();
     }
 
     /** IPC of @p machine over @p base on one kernel. */
     double
-    norm(size_t machine, size_t base, size_t kernel) const
+    norm(const std::string &machine, const std::string &base,
+         size_t kernel) const
     {
         return at(machine, kernel).ipc / at(base, kernel).ipc;
     }
 
     /** Geomean of norm() over the kernels, as a table prints it. */
     double
-    normGeomean(size_t machine, size_t base) const
+    normGeomean(const std::string &machine, const std::string &base) const
     {
         std::vector<double> v;
         for (size_t k = 0; k < names.size(); ++k)
@@ -337,20 +311,26 @@ struct Cells
     }
 };
 
+/** Tag elimination at detection delay d = 1..4, as suffixes of
+ *  wide(w) (d = 1 is the Table 1 value, so it adds no suffix). */
+const char *const TE_DELAY[4] = {"/tag-elim", "/tag-elim/detect2",
+                                 "/tag-elim/detect3",
+                                 "/tag-elim/detect4"};
+
 const char *const BASE_MACHINE = "base machine";
 const char *const NORMALIZED = "(normalized IPC)";
 
 void
-table2(const Cells &c, const MachineUnion &u)
+table2(const Cells &c)
 {
     banner("Table 2: benchmarks and base IPC",
            "Kim & Lipasti, ISCA 2003, Table 2");
     std::printf("\n");
     kernelTable(c.names, {"bench", "insts", "IPC 4-wide", "IPC 8-wide"},
                 12, false, [&](Table &t, size_t k) {
-                    t.text(std::to_string(c.at(u.base[0], k).committed))
-                        .abs(c.at(u.base[0], k).ipc, 2)
-                        .abs(c.at(u.base[1], k).ipc, 2);
+                    t.text(std::to_string(c.at(wide(0), k).committed))
+                        .abs(c.at(wide(0), k).ipc, 2)
+                        .abs(c.at(wide(1), k).ipc, 2);
                 });
     std::printf("\nPaper (Table 2, SPEC CINT2000): 4-wide IPC "
                 "0.71(mcf)..2.02(vortex), 8-wide 0.93..2.95.\n");
@@ -359,14 +339,14 @@ table2(const Cells &c, const MachineUnion &u)
 /** Figures 2 and 3 count the committed stream of the base 4-wide
  *  runs, the same stream every timing run replays. */
 void
-figures2and3(const Cells &c, const MachineUnion &u)
+figures2and3(const Cells &c)
 {
     banner("Figure 2: percentage of 2-source-format instructions",
            "Kim & Lipasti, ISCA 2003, Figure 2 (paper: 18-36% "
            "2-source format)");
     kernelTable(c.names, {"bench", "2-src fmt", "stores", "other"}, 12,
                 false, [&](Table &t, size_t k) {
-                    const auto &st = c.stats(u.base[0], k);
+                    const auto &st = c.stats(wide(0), k);
                     const uint64_t total = st.committed.value();
                     t.pct(share(st.fmt2srcInsts.value(), total))
                         .pct(share(st.fmtStores.value(), total))
@@ -379,7 +359,7 @@ figures2and3(const Cells &c, const MachineUnion &u)
     kernelTable(c.names, {"bench", "nops", "<2 unique", "2 unique",
                           "2src/all"},
                 12, false, [&](Table &t, size_t k) {
-                    const auto &st = c.stats(u.base[0], k);
+                    const auto &st = c.stats(wide(0), k);
                     const uint64_t fmt2 = st.fmt2srcInsts.value();
                     t.pct(share(st.fmtNops.value(), fmt2))
                         .pct(share(st.fmtOneUnique.value(), fmt2))
@@ -392,21 +372,21 @@ figures2and3(const Cells &c, const MachineUnion &u)
 }
 
 void
-figure4(const Cells &c, const MachineUnion &u)
+figure4(const Cells &c)
 {
     banner("Figure 4: ready operands of 2-source insts at insert",
            "Kim & Lipasti, ISCA 2003, Figure 4 (paper: 4-16% have 0 "
            "ready operands)");
     c.perWidth(BASE_MACHINE, {"bench", "0 ready", "1 ready", "2 ready"},
                12, false, [&](Table &t, size_t w, size_t k) {
-                   const auto &d = c.stats(u.base[w], k).readyAtInsert;
+                   const auto &d = c.stats(wide(w), k).readyAtInsert;
                    t.pct(d.fraction(0)).pct(d.fraction(1)).pct(
                        d.fraction(2));
                });
 }
 
 void
-figure6(const Cells &c, const MachineUnion &u)
+figure6(const Cells &c)
 {
     banner("Figure 6: slack between two operand wakeups",
            "Kim & Lipasti, ISCA 2003, Figure 6 (paper: <3% of "
@@ -415,7 +395,7 @@ figure6(const Cells &c, const MachineUnion &u)
                {"bench", "slack 0", "slack 1", "slack 2", "slack 3",
                 "slack 4+", "0/all-2src"},
                11, false, [&](Table &t, size_t w, size_t k) {
-                   const auto &st = c.stats(u.base[w], k);
+                   const auto &st = c.stats(wide(w), k);
                    for (unsigned i = 0; i <= 4; ++i)
                        t.pct(st.wakeupSlack.fraction(i));
                    // Simultaneous wakeups as a fraction of all
@@ -427,7 +407,7 @@ figure6(const Cells &c, const MachineUnion &u)
 }
 
 void
-table3(const Cells &c, const MachineUnion &u)
+table3(const Cells &c)
 {
     banner("Table 3: operand wakeup order and last-arriving operand",
            "Kim & Lipasti, ISCA 2003, Table 3 (paper: ~81-99% same "
@@ -435,7 +415,7 @@ table3(const Cells &c, const MachineUnion &u)
     c.perWidth(BASE_MACHINE,
                {"bench", "same", "diff", "left last", "right last"}, 12,
                false, [&](Table &t, size_t w, size_t k) {
-                   const auto &st = c.stats(u.base[w], k);
+                   const auto &st = c.stats(wide(w), k);
                    uint64_t order =
                        st.orderSame.value() + st.orderDiff.value();
                    uint64_t last =
@@ -448,7 +428,7 @@ table3(const Cells &c, const MachineUnion &u)
 }
 
 void
-figure7(const Cells &c, const MachineUnion &u)
+figure7(const Cells &c)
 {
     banner("Figure 7: last-arriving operand prediction accuracy",
            "Kim & Lipasti, ISCA 2003, Figure 7 (paper: ~85-97% with "
@@ -457,7 +437,7 @@ figure7(const Cells &c, const MachineUnion &u)
                {"bench", "128", "512", "1024", "4096", "simultaneous"},
                13, false, [&](Table &t, size_t w, size_t k) {
                    const auto &mon =
-                       c.at(u.base[w], k).sim->core().lapMonitor();
+                       c.at(wide(w), k).sim->core().lapMonitor();
                    for (unsigned i = 0;
                         i < core::LastArrivalMonitor::NUM_SIZES; ++i)
                        t.pct(mon.accuracy(i));
@@ -475,7 +455,7 @@ rfAccesses(const core::CoreStats &st)
 }
 
 void
-figure10(const Cells &c, const MachineUnion &u)
+figure10(const Cells &c)
 {
     banner("Figure 10: register accesses of 2-source instructions",
            "Kim & Lipasti, ISCA 2003, Figure 10 (paper: <4% of all "
@@ -483,7 +463,7 @@ figure10(const Cells &c, const MachineUnion &u)
     c.perWidth(BASE_MACHINE,
                {"bench", "b2b issue", "2 ready", "non-b2b", "2-port/all"},
                12, false, [&](Table &t, size_t w, size_t k) {
-                   const auto &st = c.stats(u.base[w], k);
+                   const auto &st = c.stats(wide(w), k);
                    const auto n = rfAccesses(st);
                    for (uint64_t category : n)
                        t.pct(share(category, n[0] + n[1] + n[2]));
@@ -536,65 +516,68 @@ timingModels()
         ts.begin(std::to_string(n)).pct(wd.speedup(n, 2, 1)).end();
 }
 
-/** Figures 14-16: base IPC, then three machines (one index per width)
- *  over base; @p normalized[i] puts column i in the geomean row. */
+/** Figures 14-16: base IPC, then three machines (suffixes of
+ *  wide(w)) over base; @p normalized[i] puts column i in the geomean
+ *  row. */
 void
-normalizedFigure(const Cells &c, const MachineUnion &u,
-                 const std::vector<std::string> &headers,
-                 const size_t *const (&machines)[3],
+normalizedFigure(const Cells &c, const std::vector<std::string> &headers,
+                 const char *const (&machines)[3],
                  const bool (&normalized)[3])
 {
     c.perWidth(NORMALIZED, headers, 12, true,
                [&](Table &t, size_t w, size_t k) {
-                   t.abs(c.at(u.base[w], k).ipc, 3);
+                   t.abs(c.at(wide(w), k).ipc, 3);
                    for (size_t i = 0; i < 3; ++i) {
-                       double v = c.norm(machines[i][w], u.base[w], k);
+                       double v = c.norm(wide(w) + machines[i], wide(w), k);
                        normalized[i] ? t.norm(v) : t.abs(v, 4);
                    }
                });
 }
 
 void
-figures14to16(const Cells &c, const MachineUnion &u)
+figures14to16(const Cells &c)
 {
     banner("Figure 14: performance of sequential wakeup",
            "Kim & Lipasti, ISCA 2003, Figure 14");
-    normalizedFigure(c, u,
+    normalizedFigure(c,
                      {"bench", "base IPC", "seq-wakeup", "tag-elim",
                       "seq-nopred"},
-                     {u.seqw, u.te, u.nopred}, {true, true, true});
+                     {"/seq-wakeup", "/tag-elim", "/seq-wakeup-nopred"},
+                     {true, true, true});
     std::printf("\nPaper means: seq-wakeup 0.996/0.994, tag-elim "
                 "lower (worst 0.894), seq-nopred 0.984/0.974.\n");
 
     banner("Figure 15: performance of sequential register access",
            "Kim & Lipasti, ISCA 2003, Figure 15");
-    normalizedFigure(c, u,
+    normalizedFigure(c,
                      {"bench", "base IPC", "seq RF", "1 extra stg",
                       "reg+xbar"},
-                     {u.seqrf, u.extra, u.xbar}, {true, true, true});
+                     {"/seq-rf", "/extra-rf-stage", "/half-ports-xbar"},
+                     {true, true, true});
     std::printf("\nPaper means: seq RF 0.989 (4-wide) / 0.993 "
                 "(8-wide); crossbar close to 1.0.\n");
 
     banner("Figure 16: combined sequential wakeup + sequential "
            "register access",
            "Kim & Lipasti, ISCA 2003, Figure 16");
-    normalizedFigure(c, u,
+    normalizedFigure(c,
                      {"bench", "base IPC", "combined", "seq-wkup",
                       "seq-RF"},
-                     {u.comb, u.seqw, u.seqrf}, {true, false, false});
+                     {"/seq-wakeup/seq-rf", "/seq-wakeup", "/seq-rf"},
+                     {true, false, false});
     std::printf("\nPaper: 2.2%% mean degradation, worst case 4.8%%; "
                 "combined slightly worse than the sum of parts.\n");
 }
 
 /** The five ablation tables, in section order. */
 void
-ablations(const Cells &c, const MachineUnion &u)
+ablations(const Cells &c)
 {
-    const size_t base = u.base[0];
+    const std::string base = wide(0);
     banner("Ablation: recovery model vs. wakeup scheme",
            "Kim & Lipasti, ISCA 2003, Section 3.1 (selective "
            "recovery compatibility)");
-    auto squash_pct = [&](size_t m, size_t k) {
+    auto squash_pct = [&](const char *m, size_t k) {
         const auto &st = c.stats(m, k);
         return share(st.squashedIssues.value(), st.issued.value());
     };
@@ -603,11 +586,12 @@ ablations(const Cells &c, const MachineUnion &u)
                  "te-squash%", "sw-squash%"},
                 12, true, [&](Table &t, size_t k) {
                     t.abs(1.0, 3)
-                        .norm(c.norm(u.convSel, base, k))
-                        .norm(c.norm(u.seqwSel, base, k))
-                        .norm(c.norm(u.te[0], base, k))
-                        .pct(squash_pct(u.te[0], k))
-                        .pct(squash_pct(u.seqwSel, k));
+                        .norm(c.norm("4-wide/selective", base, k))
+                        .norm(c.norm("4-wide/seq-wakeup/selective", base,
+                                     k))
+                        .norm(c.norm("4-wide/tag-elim", base, k))
+                        .pct(squash_pct("4-wide/tag-elim", k))
+                        .pct(squash_pct("4-wide/seq-wakeup/selective", k));
                 });
     std::printf("\n(seqw/sel: sequential wakeup on selective "
                 "recovery — the composition tag elimination cannot "
@@ -618,9 +602,12 @@ ablations(const Cells &c, const MachineUnion &u)
            "(insensitivity to predictor accuracy)");
     kernelTable(c.names, {"bench", "128", "512", "1024", "4096", "no pred"},
                 11, true, [&](Table &t, size_t k) {
-                    for (size_t m : u.lap)
+                    for (const char *m :
+                         {"4-wide/seq-wakeup/lap128",
+                          "4-wide/seq-wakeup/lap512", "4-wide/seq-wakeup",
+                          "4-wide/seq-wakeup/lap4096",
+                          "4-wide/seq-wakeup-nopred"})
                         t.norm(c.norm(m, base, k));
-                    t.norm(c.norm(u.nopred[0], base, k));
                 });
 
     banner("Ablation: bypass window vs. sequential register access",
@@ -630,12 +617,14 @@ ablations(const Cells &c, const MachineUnion &u)
                 {"bench", "w=1 IPC", "w=2 IPC", "w=3 IPC", "seqRA w=1",
                  "seqRA w=3"},
                 12, true, [&](Table &t, size_t k) {
-                    for (unsigned window = 1; window <= 3; ++window)
-                        t.norm(c.norm(u.bypass[window], base, k));
-                    for (unsigned window : {1u, 3u})
+                    const char *const window[3] = {
+                        "4-wide/seq-rf", "4-wide/seq-rf/bypass2",
+                        "4-wide/seq-rf/bypass3"};
+                    for (const char *m : window)
+                        t.norm(c.norm(m, base, k));
+                    for (const char *m : {window[0], window[2]})
                         t.text(std::to_string(
-                            c.stats(u.bypass[window], k)
-                                .seqRegAccesses.value()));
+                            c.stats(m, k).seqRegAccesses.value()));
                 });
     std::printf("\n(wider windows catch more operands on the bypass, "
                 "cutting sequential accesses)\n");
@@ -646,9 +635,9 @@ ablations(const Cells &c, const MachineUnion &u)
                {"bench", "te d=1", "te d=2", "te d=3", "te d=4",
                 "seq-wkup"},
                11, true, [&](Table &t, size_t w, size_t k) {
-                   for (unsigned d = 1; d <= 4; ++d)
-                       t.norm(c.norm(u.teDelay[w][d], u.base[w], k));
-                   t.norm(c.norm(u.seqw[w], u.base[w], k));
+                   for (const char *te : TE_DELAY)
+                       t.norm(c.norm(wide(w) + te, wide(w), k));
+                   t.norm(c.norm(wide(w) + "/seq-wakeup", wide(w), k));
                });
 
     banner("Ablation: half-price register renaming (future work)",
@@ -656,9 +645,11 @@ ablations(const Cells &c, const MachineUnion &u)
     c.perWidth(NORMALIZED,
                {"bench", "half-rename", "all-half", "splits/kinst"}, 13,
                true, [&](Table &t, size_t w, size_t k) {
-                   const auto &st = c.stats(u.halfRename[w], k);
-                   t.norm(c.norm(u.halfRename[w], u.base[w], k))
-                       .norm(c.norm(u.allHalf[w], u.base[w], k))
+                   const std::string half = wide(w) + "/half-rename";
+                   const auto &st = c.stats(half, k);
+                   t.norm(c.norm(half, wide(w), k))
+                       .norm(c.norm(wide(w) + "/seq-wakeup/seq-rf/half-rename",
+                                    wide(w), k))
                        .abs(1000.0 * double(st.renameStalls.value())
                                 / double(st.committed.value()),
                             2);
@@ -669,7 +660,7 @@ ablations(const Cells &c, const MachineUnion &u)
 
 /** The post-paper policies of sim::policyZooMachines(), over base. */
 void
-policyZoo(const Cells &c, const MachineUnion &u)
+policyZoo(const Cells &c)
 {
     banner("Extension: post-paper policies",
            "no paper figure (dlt wakeup: arXiv 2109.03112; prefetch "
@@ -678,18 +669,14 @@ policyZoo(const Cells &c, const MachineUnion &u)
                {"bench", "base IPC", "dlt", "prefetch", "dlt+pf",
                 "seq+pf"},
                12, true, [&](Table &t, size_t w, size_t k) {
-                   t.abs(c.at(u.base[w], k).ipc, 3);
-                   for (size_t m : u.zoo[w])
-                       t.norm(c.norm(m, u.base[w], k));
+                   t.abs(c.at(wide(w), k).ipc, 3);
+                   for (const char *m :
+                        {"/dlt-wakeup", "/prefetch-rf",
+                         "/dlt-wakeup/prefetch-rf", "/seq-wakeup/prefetch-rf"})
+                       t.norm(c.norm(wide(w) + m, wide(w), k));
                });
     std::printf("\n(dlt: load-delay-tracking wakeup; pf: operand-prefetch "
                 "RF; seq: sequential wakeup)\n");
-}
-
-std::string
-wide(size_t w)
-{
-    return std::to_string(WIDTHS[w]) + "-wide";
 }
 
 /**
@@ -698,7 +685,7 @@ wide(size_t w)
  * measurement that breaks it. Failures never change the exit status.
  */
 void
-claims(const Cells &c, const MachineUnion &u)
+claims(const Cells &c)
 {
     banner("The paper's claims, checked",
            "Kim & Lipasti, ISCA 2003, Sections 3.3, 4 and 5 "
@@ -716,10 +703,15 @@ claims(const Cells &c, const MachineUnion &u)
         if (!holds)
             std::printf("      why: %s\n", why.c_str());
     };
-    auto gm = [&](const size_t *m, size_t w) {
-        return c.normGeomean(m[w], u.base[w]);
+    // The machines the claims compare, as suffixes of wide(w).
+    const char *const seqw = "/seq-wakeup", *const nopred =
+        "/seq-wakeup-nopred", *const tagElim = "/tag-elim",
+        *const seqrf = "/seq-rf", *const xbar = "/half-ports-xbar",
+        *const comb = "/seq-wakeup/seq-rf";
+    auto gm = [&](const char *m, size_t w) {
+        return c.normGeomean(wide(w) + m, wide(w));
     };
-    auto pair = [&](const size_t *m) {
+    auto pair = [&](const char *m) {
         return fmt(gm(m, 0), 4) + " / " + fmt(gm(m, 1), 4);
     };
     // The first width at which @p holds is false ("" when none is).
@@ -732,35 +724,37 @@ claims(const Cells &c, const MachineUnion &u)
 
     for (size_t w = 0; w < 2; ++w)
         claim("sequential wakeup stays within 1% of base, " + wide(w),
-              "geomean " + fmt(gm(u.seqw, w), 4), gm(u.seqw, w) >= 0.99,
+              "geomean " + fmt(gm(seqw, w), 4), gm(seqw, w) >= 0.99,
               "the geomean is below 0.99");
 
     std::string bad = failingWidth(
-        [&](size_t w) { return gm(u.nopred, w) <= gm(u.seqw, w); });
+        [&](size_t w) { return gm(nopred, w) <= gm(seqw, w); });
     claim("sequential wakeup without a predictor is no better than with "
           "one, 4/8-wide",
-          pair(u.nopred) + " vs " + pair(u.seqw), bad.empty(),
+          pair(nopred) + " vs " + pair(seqw), bad.empty(),
           bad + ": no predictor beats the predictor");
 
     bad = failingWidth(
-        [&](size_t w) { return gm(u.te, w) <= gm(u.seqw, w); });
+        [&](size_t w) { return gm(tagElim, w) <= gm(seqw, w); });
     claim("tag elimination is no better than sequential wakeup, 4/8-wide",
-          pair(u.te) + " vs " + pair(u.seqw), bad.empty(),
+          pair(tagElim) + " vs " + pair(seqw), bad.empty(),
           bad + ": tag elimination beats sequential wakeup");
 
-    claim("tag elimination is worse at 8-wide than at 4-wide", pair(u.te),
-          gm(u.te, 1) < gm(u.te, 0),
+    claim("tag elimination is worse at 8-wide than at 4-wide", pair(tagElim),
+          gm(tagElim, 1) < gm(tagElim, 0),
           "the 8-wide geomean is not below the 4-wide one");
 
     claim("sequential RF costs more at 4-wide than at 8-wide",
-          pair(u.seqrf), gm(u.seqrf, 0) < gm(u.seqrf, 1),
+          pair(seqrf), gm(seqrf, 0) < gm(seqrf, 1),
           "the 4-wide geomean is not below the 8-wide one");
 
     // The paper's worst case (eon) is a code whose 2-source
     // instructions often find both operands ready (Section 5.2).
-    auto seq_rf = [&](size_t k) { return c.norm(u.seqrf[0], u.base[0], k); };
+    auto seq_rf = [&](size_t k) {
+        return c.norm(wide(0) + seqrf, wide(0), k);
+    };
     auto two_ready = [&](size_t k) {
-        const auto n = rfAccesses(c.stats(u.base[0], k));
+        const auto n = rfAccesses(c.stats(wide(0), k));
         return share(n[1], n[0] + n[1] + n[2]);
     };
     size_t worst = 0, above = 0;
@@ -779,14 +773,14 @@ claims(const Cells &c, const MachineUnion &u)
           c.names[worst] + "'s 2-ready share is in the bottom half");
 
     bad = failingWidth(
-        [&](size_t w) { return std::fabs(gm(u.xbar, w) - 1.0) <= 0.01; });
+        [&](size_t w) { return std::fabs(gm(xbar, w) - 1.0) <= 0.01; });
     claim("half ports + crossbar stay within 1% of base, 4/8-wide",
-          pair(u.xbar), bad.empty(),
+          pair(xbar), bad.empty(),
           bad + " geomean is more than 1% from base");
 
-    auto combined = [&](size_t w) { return 1.0 - gm(u.comb, w); };
+    auto combined = [&](size_t w) { return 1.0 - gm(comb, w); };
     auto parts = [&](size_t w) {
-        return (1.0 - gm(u.seqw, w)) + (1.0 - gm(u.seqrf, w));
+        return (1.0 - gm(seqw, w)) + (1.0 - gm(seqrf, w));
     };
     bad = failingWidth([&](size_t w) { return combined(w) <= parts(w); });
     claim("combined costs at most the sum of its parts, 4/8-wide",
@@ -814,7 +808,7 @@ claims(const Cells &c, const MachineUnion &u)
           "the model is off its calibration point");
 
     auto te = [&](size_t w, unsigned d) {
-        return c.normGeomean(u.teDelay[w][d], u.base[w]);
+        return c.normGeomean(wide(w) + TE_DELAY[d - 1], wide(w));
     };
     std::string measured, why;
     for (size_t w = 0; w < 2; ++w) {
@@ -889,15 +883,7 @@ main(int argc, char **argv)
     }
 
     try {
-        const MachineUnion u = machineUnion();
-        Cells c;
-        c.names = workloads::benchmarkNames();
-        std::vector<sim::SweepJob> sweep;
-        for (const sim::Machine &m : u.machines)
-            for (const std::string &name : c.names)
-                sweep.push_back({name, m, insts});
-        c.results = sim::SweepRunner(jobs).run(std::move(sweep));
-        sim::requireAllOk(c.results);
+        const Cells c(machineUnion(), insts, jobs);
 
         std::printf("Kim & Lipasti, \"Half-Price Architecture\", "
                     "ISCA 2003: every table, in paper order\n");
@@ -905,20 +891,20 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(insts));
         std::printf("timing runs: %zu machines x %zu kernels; "
                     "Figures 2-3 count the base 4-wide runs\n",
-                    u.machines.size(), c.names.size());
+                    c.rows.size(), c.names.size());
 
-        table2(c, u);
-        figures2and3(c, u);
-        figure4(c, u);
-        figure6(c, u);
-        table3(c, u);
-        figure7(c, u);
-        figure10(c, u);
+        table2(c);
+        figures2and3(c);
+        figure4(c);
+        figure6(c);
+        table3(c);
+        figure7(c);
+        figure10(c);
         timingModels();
-        figures14to16(c, u);
-        ablations(c, u);
-        policyZoo(c, u);
-        claims(c, u);
+        figures14to16(c);
+        ablations(c);
+        policyZoo(c);
+        claims(c);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "hpa_figures: %s\n", e.what());
         return 1;

@@ -271,14 +271,14 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
 }
 
 /**
- * Assemble the machine the options describe. Every model setter is
- * applied (wakeup, regfile, recovery, rename) so the machine name
- * keeps its historical five-component form; lap() is only forwarded when
- * --lap was given, because the builder rejects a predictor table on
+ * Assemble the machine the options describe; its name is
+ * sim::machineName() of the result, so an option left at its Table 1
+ * default adds nothing to it. lap() is only forwarded when --lap was
+ * given, because the builder rejects a predictor table on
  * predictor-less wakeup schemes. Throws hpa::ConfigError (a
  * std::invalid_argument) on invalid combinations (bad width, --lap
  * with --wakeup conv, ...). The robustness knobs (--watchdog,
- * --check-interval) are applied after build(); they do not alter
+ * --check-interval) are applied after build(); they are not part of
  * the machine name.
  */
 inline sim::Machine

@@ -128,8 +128,10 @@ eventCapacity(const CoreConfig &cfg)
 constexpr DynInst BLANK_INST{};
 static_assert(std::is_trivially_copyable_v<DynInst>,
               "dispatch resets a slot by copying BLANK_INST");
-static_assert(sizeof(DynInst) <= 192,
+static_assert(sizeof(DynInst) <= 160,
               "DynInst is copied at every dispatch; keep it small");
+static_assert(sizeof(OperandState) <= 24,
+              "two OperandStates ride in every DynInst copy");
 
 /** @p cfg, once the ranges the core's narrowed fields rely on hold.
  *  Runs first in the constructor, so a bad configuration allocates
@@ -215,6 +217,10 @@ std::string
 Core::sideListDivergence() const
 {
     std::vector<unsigned> want_ready, want_issued, want_stores;
+    // The first dependency bit of an in-window producer that does not
+    // name an in-window consumer whose operand in that plane waits on
+    // it (the lifetime invariant of issue_window.hh).
+    std::string stray;
     unsigned idx = head_;
     for (unsigned n = 0; n < windowCount_; ++n) {
         const DynInst &di = window_[idx];
@@ -225,6 +231,20 @@ Core::sideListDivergence() const
                 want_issued.push_back(idx);
             if (di.isStore())
                 want_stores.push_back(idx);
+            for (unsigned k = 0; k < 2 && stray.empty(); ++k)
+                scanSetBitsFrom(
+                    masks_.dep[k].row(idx), cfg_.ruu_size, head_,
+                    [&](unsigned c) {
+                        const DynInst &ci = window_[c];
+                        if (ci.inWindow && ci.src[k].producerSeq == di.seq)
+                            return true;
+                        stray = "dependency row dep[" + std::to_string(k)
+                            + "] of slot " + std::to_string(idx)
+                            + " names slot " + std::to_string(c)
+                            + ", whose operand " + std::to_string(k)
+                            + " does not wait on it";
+                        return false;
+                    });
         }
         idx = nextSlot(idx);
     }
@@ -237,23 +257,15 @@ Core::sideListDivergence() const
     std::vector<unsigned> have_stores;
     have_stores.reserve(storeSlots_.size());
     for (size_t i = 0; i < storeSlots_.size(); ++i)
-        have_stores.push_back(storeSlots_[i].slot);
+        have_stores.push_back(storeSlots_[i]);
     if (want_stores != have_stores)
         return listText("store list", have_stores, want_stores);
-    for (size_t i = 0; i < storeSlots_.size(); ++i) {
-        const StoreEntry &st = storeSlots_[i];
-        const DynInst &di = window_[st.slot];
-        if (st.seq != di.seq || st.lo != di.rec->addr
-            || st.hi != st.lo + di.si->memSize())
-            return "store list entry for slot " + std::to_string(st.slot)
-                + " does not match the store it holds";
-    }
     for (unsigned slot : have_ready)
         if (!window_[slot].inReadyList)
             return "slot " + std::to_string(slot)
                 + " is in the ready list but its inReadyList flag "
                   "is clear";
-    return {};
+    return stray;
 }
 
 bool
@@ -373,7 +385,7 @@ Core::releaseTimingState()
     masks_ = IssueWindowMasks();
     events_ = CalendarQueue<Event, 3>(0, 0);
     fetchQueue_ = BoundedRing<FetchedInst>();
-    storeSlots_ = BoundedRing<StoreEntry>();
+    storeSlots_ = BoundedRing<unsigned>();
     squashCandidates_ = std::vector<int>();
     squashList_ = std::vector<int>();
     squashTainted_ = std::vector<uint64_t>();
@@ -497,12 +509,11 @@ Core::commit()
         // order and every consumer is younger, so a committed slot's
         // rows can never be scanned again before its re-dispatch
         // clears them (deferring the clear keeps commit row-free).
-        masks_.occupancy.clear(head_);
         masks_.issued.clear(head_);
         di.inWindow = false;
         if (di.isStore()) {
             HPA_CHECK_CTX(!storeSlots_.empty()
-                              && storeSlots_.front().slot == head_,
+                              && storeSlots_.front() == head_,
                           "committing store at head slot "
                               + std::to_string(head_)
                               + " not at front of the store list",
@@ -656,14 +667,13 @@ Core::wakeOperand(DynInst &ci, OperandState &op, uint64_t now,
         op.dataReadyCycle = now;
         op.wokenByProducer = true;
 
-        if (ci.twoPending && !ci.lapResolved) {
+        if (ci.twoPending && ci.wakesSeen < 2) {
             if (ci.wakesSeen == 0) {
                 ci.wakesSeen = 1;
                 ci.firstWakeCycle = now;
                 ci.firstWakeWasLeft = op.leftField;
             } else {
                 ci.wakesSeen = 2;
-                ci.lapResolved = true;
                 noteSecondWake(ci, now);
             }
         }
@@ -691,8 +701,6 @@ Core::handleFastWake(const Event &ev)
     // guards needed.
     const unsigned p = unsigned(ev.slot);
     bool need_slow = false;
-    if (slowBus_)
-        masks_.slowPend.clearRow(p);
     scanSetBitsFrom2(
         masks_.dep[0].row(p), masks_.dep[1].row(p), cfg_.ruu_size,
         head_, [&](unsigned s, bool in0, bool in1) {
@@ -703,19 +711,16 @@ Core::handleFastWake(const Event &ev)
                 OperandState &op = ci.src[k];
                 if (wakeOperand(ci, op, cycle_, false))
                     updateReadySlot(s);
-                // File the slow-plane residue: consumers whose tag
-                // match arrives only on the +1 re-broadcast.
-                if (op.slowSide && !op.ready && op.dataReady) {
-                    masks_.slowPend.set(p, s);
-                    need_slow = true;
-                }
+                // A consumer whose tag match arrives only on the +1
+                // re-broadcast.
+                need_slow |= op.slowSide && !op.ready && op.dataReady;
             }
         });
-    // An empty slow plane makes the +1 re-broadcast a provable no-op
-    // (no consumer can become slow-eligible in between: a later
-    // dispatch against an already-broadcast producer inserts fully
-    // ready), so the event is only scheduled when a consumer still
-    // owes its tag match to the slow bus.
+    // Without such a consumer the +1 re-broadcast is a provable
+    // no-op (none can appear in between: a later dispatch against an
+    // already-broadcast producer inserts fully ready), so the event
+    // is only scheduled when a consumer still owes its tag match to
+    // the slow bus.
     if (need_slow)
         scheduleEvent(cycle_ + 1,
                       Event{ev.seq, ev.token, ev.slot,
@@ -725,21 +730,20 @@ Core::handleFastWake(const Event &ev)
 void
 Core::handleSlowWake(const Event &ev)
 {
-    // The slow plane recorded at fast-broadcast time holds exactly
-    // the consumers whose tag match is still owed; the wake
-    // condition is re-verified per visit (a detection-rank repair
-    // this very cycle may have cleared dataReady).
+    // The same tag to the same listeners, a cycle later (Section
+    // 3.3): the producer's dependency rows. wakeOperand's slow arm
+    // wakes only a slow-side operand whose data arrived and whose
+    // tag match is still owed, so a detection-rank repair this very
+    // cycle (which clears dataReady) is respected.
     const unsigned p = unsigned(ev.slot);
-    scanSetBitsFrom(
-        masks_.slowPend.row(p), cfg_.ruu_size, head_, [&](unsigned s) {
+    scanSetBitsFrom2(
+        masks_.dep[0].row(p), masks_.dep[1].row(p), cfg_.ruu_size,
+        head_, [&](unsigned s, bool in0, bool in1) {
             DynInst &ci = window_[s];
-            for (unsigned k = 0; k < 2; ++k) {
-                if (!masks_.dep[k].test(p, s))
-                    continue;
-                if (wakeOperand(ci, ci.src[k], cycle_, true))
-                    updateReadySlot(s);
-            }
-            return true;
+            if (in0 && wakeOperand(ci, ci.src[0], cycle_, true))
+                updateReadySlot(s);
+            if (in1 && wakeOperand(ci, ci.src[1], cycle_, true))
+                updateReadySlot(s);
         });
 }
 
@@ -769,7 +773,7 @@ Core::repairConsumersOf(int slot)
             return;
         if (!op.dataReady && !op.ready)
             return;
-        if (op.dataReady && ci.twoPending && !ci.lapResolved) {
+        if (op.dataReady && ci.twoPending && ci.wakesSeen < 2) {
             // Un-record the speculative wakeup observation.
             if (ci.wakesSeen > 0)
                 --ci.wakesSeen;
@@ -943,32 +947,31 @@ Core::wakeBroadcastCycle(uint64_t wake, uint64_t complete)
 // --------------------------------------------------------------------
 
 bool
-Core::lsqAllowsLoad(const DynInst &load) const
+Core::lsqAllowsLoad(const DynInst &load, bool &forwarded) const
 {
     uint64_t lo = load.rec->addr;
     uint64_t hi = lo + load.si->memSize();
-    // storeSlots_ holds the in-window stores in program order with
-    // their byte intervals, so the overlap search reads one dense
-    // array and touches only older stores.
+    forwarded = false;
+    // storeSlots_ holds the in-window stores in program order, so the
+    // overlap search touches only older stores.
     for (size_t k = 0; k < storeSlots_.size(); ++k) {
-        const StoreEntry &st = storeSlots_[k];
+        const DynInst &st = window_[storeSlots_[k]];
         if (st.seq >= load.seq)
             break;
-        if (st.lo < hi && lo < st.hi) {
+        uint64_t st_lo = st.rec->addr;
+        if (st_lo < hi && lo < st_lo + st.si->memSize()) {
             // Overlapping older store: its address must be known
             // (agen issued) and its data produced before the load
             // can obtain a forwarded value.
-            const DynInst &di = window_[st.slot];
-            if (!di.issued)
+            if (!st.issued)
                 return false;
-            if (di.storeDataProducerSeq != NO_SEQ) {
-                const DynInst &p =
-                    window_[di.storeDataProducerSlot];
-                if (p.inWindow
-                    && p.seq == di.storeDataProducerSeq
+            if (st.storeDataProducerSeq != NO_SEQ) {
+                const DynInst &p = window_[st.storeDataProducerSlot];
+                if (p.inWindow && p.seq == st.storeDataProducerSeq
                     && !completed(p))
                     return false;
             }
+            forwarded = true;
         }
     }
     return true;
@@ -1002,7 +1005,7 @@ Core::computeRfPorts(const DynInst &di) const
 }
 
 void
-Core::issueInst(DynInst &di, int slot, unsigned ports)
+Core::issueInst(DynInst &di, int slot, unsigned ports, bool forwarded)
 {
     di.issued = true;
     di.issueCycle = cycle_;
@@ -1012,8 +1015,6 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
     masks_.issued.set(unsigned(slot));
     di.inReadyList = false;
     bool first_issue = di.issueToken == 1;
-
-    di.rfPorts = uint8_t(ports);
 
     // Sequential register access (Section 4.3): one read port per
     // slot, so two register-file operands read one after the other.
@@ -1042,20 +1043,8 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
     uint64_t complete_cycle;
 
     if (di.isLoad()) {
-        // Determine the actual memory latency: forwarded from an
-        // older overlapping store, or from the cache hierarchy.
-        bool forwarded = false;
-        uint64_t lo = di.rec->addr;
-        uint64_t hi = lo + di.si->memSize();
-        for (size_t k = 0; k < storeSlots_.size(); ++k) {
-            const StoreEntry &st = storeSlots_[k];
-            if (st.seq >= di.seq)
-                break;
-            if (st.lo < hi && lo < st.hi) {
-                forwarded = true;
-                break;
-            }
-        }
+        // The actual memory latency: forwarded from an older
+        // overlapping store, or from the cache hierarchy.
         unsigned mem_lat = forwarded
             ? hier_.assumedLoadLatency()
             : hier_.dataAccess(di.rec->addr, false);
@@ -1134,7 +1123,8 @@ Core::selectTry(unsigned slot, unsigned &avail, unsigned &ports_left,
     DynInst &di = window_[slot];
     if (!eligible(di))
         return true;
-    if (di.isLoad() && !lsqAllowsLoad(di))
+    bool forwarded = false;
+    if (di.isLoad() && !lsqAllowsLoad(di, forwarded))
         return true;
     unsigned ports = computeRfPorts(di);
     if (arbitrated && ports > ports_left) {
@@ -1145,18 +1135,17 @@ Core::selectTry(unsigned slot, unsigned &avail, unsigned &ports_left,
         return true;
     if (arbitrated)
         ports_left -= ports;
-    issueInst(di, int(slot), ports);
+    issueInst(di, int(slot), ports, forwarded);
     return --avail > 0;
 }
 
 void
 Core::select()
 {
-    blockedSlots_ = blockedSlotsNext_;
+    const unsigned blocked = blockedSlotsNext_;
     blockedSlotsNext_ = 0;
 
-    unsigned avail = cfg_.width > blockedSlots_
-        ? cfg_.width - blockedSlots_ : 0;
+    unsigned avail = cfg_.width > blocked ? cfg_.width - blocked : 0;
     if (avail == 0)
         return;
     unsigned ports_left = portBudget_;
@@ -1216,16 +1205,16 @@ Core::setupOperands(DynInst &di, int slot)
     for (unsigned i = 0; i < di.numSrc; ++i) {
         OperandState &op = di.src[i];
         op = OperandState{};
-        op.reg = sched.regs[i];
-        op.leftField = raw.count > 0 && sched.regs[i] == raw.regs[0];
+        const isa::RegIndex reg = sched.regs[i];
+        op.leftField = raw.count > 0 && reg == raw.regs[0];
 
-        ProducerRef pr = lastProducer_[op.reg];
+        ProducerRef pr = lastProducer_[reg];
         bool ready_now = true;
         if (pr.seq != NO_SEQ) {
             DynInst &p = window_[pr.slot];
             HPA_CHECK_CTX(p.seq == pr.seq && p.inWindow,
                           "stale producer map entry for reg "
-                              + std::to_string(unsigned(op.reg))
+                              + std::to_string(unsigned(reg))
                               + ": slot " + std::to_string(pr.slot)
                               + " no longer holds seq "
                               + std::to_string(pr.seq),
@@ -1329,7 +1318,7 @@ Core::dispatch()
         ? cfg_.width : 2 * cfg_.width;
     while (budget > 0 && !fetchQueue_.empty() && !windowFull()) {
         FetchedInst &fi = fetchQueue_.front();
-        if (fi.earliestDispatch > cycle_)
+        if (fi.fetchCycle + cfg_.front_end_depth > cycle_)
             break;
         if (fi.si->isMemRef() && lsqCount_ >= cfg_.lsq_size)
             break;
@@ -1351,10 +1340,9 @@ Core::dispatch()
         DynInst &di = window_[slot];
         di = BLANK_INST;
         // Slot reuse: retire the previous tenant's dependency rows,
-        // left stale at commit (its occupancy, ready and issued bits
-        // were cleared at issue and commit).
+        // left stale at commit (its ready and issued bits were
+        // cleared at issue and commit).
         masks_.clearProducer(slot);
-        masks_.occupancy.set(slot);
 
         di.rec = fi.rec;
         di.si = fi.si;
@@ -1377,9 +1365,7 @@ Core::dispatch()
             prefetchOperands(di, prefetch_ports);
         updateReadySlot(slot);
         if (di.isStore())
-            storeSlots_.push_back(StoreEntry{
-                di.rec->addr, di.rec->addr + di.si->memSize(), di.seq,
-                slot});
+            storeSlots_.push_back(slot);
 
         isa::RegIndex dest = di.si->destReg();
         if (dest != isa::NO_REG && !isa::isZeroReg(dest))
@@ -1409,11 +1395,10 @@ Core::fetch()
         return;
 
     unsigned budget = cfg_.width;
-    size_t fq_cap = size_t(cfg_.front_end_depth) * cfg_.width;
     uint64_t fetched_line = ~0ull;
     uint64_t line_mask = ~uint64_t(hier_.il1().config().line_bytes - 1);
 
-    while (budget > 0 && fetchQueue_.size() < fq_cap
+    while (budget > 0 && fetchQueue_.size() < fetchQueue_.capacity()
            && nextRec_ < traceSize_) {
         const func::TraceRecord &rec = trace_.record(nextRec_);
         const func::TraceEntry &entry = trace_.entry(rec);
@@ -1436,7 +1421,6 @@ Core::fetch()
         fi.si = &si;
         fi.pc = entry.pc;
         fi.fetchCycle = cycle_;
-        fi.earliestDispatch = cycle_ + cfg_.front_end_depth;
         fi.mispredicted = false;
 
         bool stop_group = false;

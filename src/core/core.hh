@@ -204,15 +204,14 @@ class Core
         return masks_.issued.toVector(head_);
     }
 
-    /** The scheduler's bit planes (ReadyMaskFuzz inspection). */
-    const IssueWindowMasks &issueMasks() const { return masks_; }
-
     /**
      * Recompute scheduler readiness by brute force over the whole
      * window and check it matches the incrementally maintained
-     * ready list (same members, oldest-first order), and that the
-     * store/issued side lists match the window too. Used by the
-     * fuzz tests; O(window), never called on the hot path.
+     * ready list (same members, oldest-first order), that the
+     * store/issued side lists match the window too, and that every
+     * dependency bit of an in-window producer names an operand that
+     * waits on it. Used by the fuzz tests; O(window^2 / 64), never
+     * called on the hot path.
      */
     bool readyListConsistent() const;
 
@@ -235,7 +234,8 @@ class Core
 
   private:
     /** Defined by tests/test_error.cc, which corrupts the ready
-     *  plane to check that the periodic cross-validation catches it. */
+     *  plane and the dependency rows to check that the periodic
+     *  cross-validation catches it. */
     friend struct CoreTestPeer;
 
     // --- Event machinery. ---
@@ -263,7 +263,6 @@ class Core
         const func::TraceRecord *rec;
         const isa::StaticInst *si;
         uint64_t pc;
-        uint64_t earliestDispatch;
         bool mispredicted;
         uint64_t fetchCycle;
     };
@@ -315,8 +314,9 @@ class Core
     /** SimContext for a failure raised now: cycle, commit progress
      *  and the pipeline-state dump. */
     hpa::SimContext invariantContext() const;
-    /** Re-derive the ready/issued/store lists from the window and
-     *  describe the first divergence (empty string = consistent). */
+    /** Re-derive the ready/issued/store lists from the window, check
+     *  the in-window producers' dependency rows, and describe the
+     *  first divergence (empty string = consistent). */
     std::string sideListDivergence() const;
     /** Watchdog and cross-check: everything rare-but-per-cycle,
      *  kept out of tick()'s hot path body. */
@@ -330,15 +330,21 @@ class Core
         return di.inWindow && !di.issued && di.dispatchCycle < cycle_
             && schedReady(di);
     }
-    bool lsqAllowsLoad(const DynInst &load) const;
+    /** The LSQ gate of @p load: every older store whose bytes
+     *  overlap it has issued and has its data. When it allows the
+     *  load, @p forwarded says whether any such store exists (the
+     *  load then takes its value from the store, not the cache). */
+    bool lsqAllowsLoad(const DynInst &load, bool &forwarded) const;
     unsigned computeRfPorts(const DynInst &di) const;
     /** One select-candidate attempt; issues on success.
      *  @return false when the width budget is spent. */
     bool selectTry(unsigned slot, unsigned &avail, unsigned &ports_left,
                    bool arbitrated);
     /** @p ports is the candidate's computeRfPorts() value, computed
-     *  once by selectTry (port arbitration needs it first). */
-    void issueInst(DynInst &di, int slot, unsigned ports);
+     *  once by selectTry (port arbitration needs it first), and
+     *  @p forwarded a load's lsqAllowsLoad() verdict. */
+    void issueInst(DynInst &di, int slot, unsigned ports,
+                   bool forwarded);
     void scheduleEvent(uint64_t cycle, Event ev);
     void handleFastWake(const Event &ev);
     void handleSlowWake(const Event &ev);
@@ -421,20 +427,9 @@ class Core
     // only the instructions it acts on while keeping oldest-first
     // priority.
 
-    /** One in-window store: its byte interval [lo, hi), seq and
-     *  window slot, cached at dispatch so the LSQ overlap searches
-     *  read one dense array and load a store's DynInst only on an
-     *  overlap. */
-    struct StoreEntry
-    {
-        uint64_t lo;
-        uint64_t hi;
-        uint64_t seq;
-        unsigned slot;
-    };
-    /** In-window stores in program order (LSQ overlap searches);
-     *  occupancy bounded by the window size. */
-    BoundedRing<StoreEntry> storeSlots_;
+    /** Window slots of the in-window stores in program order (the
+     *  LSQ overlap search); occupancy bounded by the window size. */
+    BoundedRing<unsigned> storeSlots_;
     /** Ready/issued/priority bit planes and the producer->consumers
      *  dependency matrix, scanned in age order from head_. See
      *  issue_window.hh. */
@@ -475,11 +470,9 @@ class Core
     BoundedRing<FetchedInst> fetchQueue_;
     uint64_t fetchResumeCycle_ = 0;
     bool fetchStalledOnBranch_ = false;
-    uint64_t stalledBranchSeqTag_ = NO_SEQ; // pc tag for bookkeeping
 
-    /** Issue slots blocked this cycle by sequential register access
-     *  issues of the previous cycle. */
-    unsigned blockedSlots_ = 0;
+    /** Issue slots the next cycle loses to this cycle's sequential
+     *  register access issues. */
     unsigned blockedSlotsNext_ = 0;
 
     /** Wakeup-order history per PC (Table 3). Keyed by static PC,

@@ -22,7 +22,7 @@ constexpr uint64_t NO_SEQ = ~0ull;
 
 /** State of one source operand of an in-window instruction. The
  *  two cycle fields come first and the flags pack behind them, so
- *  the operand takes 32 B. */
+ *  the operand takes 24 B. */
 struct OperandState
 {
     /** Sequence number of the in-flight producer; NO_SEQ when the
@@ -30,7 +30,6 @@ struct OperandState
     uint64_t producerSeq = NO_SEQ;
     /** Cycle the value is actually available (scoreboard view). */
     uint64_t dataReadyCycle = NO_CYCLE;
-    isa::RegIndex reg = isa::NO_REG;
     /** Format position: true when this unique operand came from the
      *  left (ra) field. */
     bool leftField = true;
@@ -47,7 +46,7 @@ struct OperandState
 
     /** Sequential wakeup: operand listens to the slow bus. Only
      *  sequential wakeup sets it; every other scheme keeps false, so
-     *  the core's fast-bus and slow-plane rules need no scheme
+     *  the core's fast-bus and slow-bus rules need no scheme
      *  check. */
     bool slowSide = false;
     /** Tag elimination: operand has a comparator on the bus. Only
@@ -64,7 +63,7 @@ struct OperandState
 
 /** A dynamic instruction occupying a window (RUU) slot. Dispatch
  *  resets a slot by copying a blank DynInst (core.cc), so the struct
- *  stays trivially copyable and under 192 B. */
+ *  stays trivially copyable and at most 160 B. */
 struct DynInst
 {
     /** Committed-path record and its decoded instruction; both
@@ -110,8 +109,6 @@ struct DynInst
     /** Window slot of the store-data producer (stores only); a slot
      *  fits in int16, as Event::slot does. */
     int16_t storeDataProducerSlot = -1;
-    /** Register-file read ports consumed at issue (0..2). */
-    uint8_t rfPorts = 0;
     /** Unique scheduling sources (0..2). */
     uint8_t numSrc = 0;
 
@@ -135,9 +132,8 @@ struct DynInst
     bool inReadyList = false;
 
     // --- Characterization bookkeeping. ---
-    /** Operand wake-order stats already recorded for this inst. */
-    bool lapResolved = false;
-    /** Number of operand data-wakeups observed so far. */
+    /** Number of operand data-wakeups observed so far; at 2 the
+     *  wake-order stats are recorded and it no longer moves. */
     uint8_t wakesSeen = 0;
     /** The first data wakeup was the left-field operand. */
     bool firstWakeWasLeft = false;

@@ -5,16 +5,16 @@
  * architectural record; this header holds the structure-of-arrays
  * planes the hot wakeup/select loops actually walk:
  *
- *  - occupancy / ready / issued / highPrio: one bit per window slot.
- *    The ready plane holds the unissued, scheduler-ready entries
- *    (bit set <=> DynInst::inReadyList); select is a tzcnt scan of
- *    it in age order (containers.hh scan helpers). The issued plane
- *    holds the issued, uncommitted entries, complete or not (a
- *    completion is a recorded cycle, not an event): the replay-shadow
- *    candidates, which the squash filters by that cycle. highPrio
- *    caches the loads-and-branches-first select
- *    class, fixed at dispatch, so each select pass scans only its
- *    own class (ready & highPrio, then ready & ~highPrio).
+ *  - ready / issued / highPrio: one bit per window slot. The ready
+ *    plane holds the unissued, scheduler-ready entries (bit set <=>
+ *    DynInst::inReadyList); select is a tzcnt scan of it in age
+ *    order (containers.hh scan helpers). The issued plane holds the
+ *    issued, uncommitted entries, complete or not (a completion is a
+ *    recorded cycle, not an event): the replay-shadow candidates,
+ *    which the squash filters by that cycle. highPrio caches the
+ *    loads-and-branches-first select class, fixed at dispatch, so
+ *    each select pass scans only its own class (ready & highPrio,
+ *    then ready & ~highPrio).
  *
  *  - dep[2]: the dependency matrix, one producer -> consumers
  *    bit-vector per window slot and source-operand plane. Bit s of
@@ -23,13 +23,9 @@
  *    row(p) with one OR of a few words; an instruction's two
  *    scheduling operands always name distinct producers (one
  *    destination per instruction), so a consumer appears in at most
- *    one plane per producer.
- *
- *  - slowPend: the sequential-wakeup slow plane. The fast broadcast
- *    records here which consumers still owe their tag match to the
- *    slow bus (the slowSide operands); the SlowWake event one
- *    cycle later ORs exactly those bits back through the ready-plane
- *    update instead of re-walking every consumer.
+ *    one plane per producer. Sequential wakeup's slow bus is the
+ *    same tag re-broadcast a cycle later to the same listeners, so
+ *    it walks the same rows.
  *
  * Lifetime invariant (why no seq-staleness checks are needed on the
  * wake path): commit is in order and a consumer is strictly
@@ -40,7 +36,9 @@
  * leaves behind are harmless in between, because only an in-window
  * producer's rows are ever scanned, and a consumer bit cannot go
  * stale while its producer is still in the window (the strictly
- * younger consumer commits later).
+ * younger consumer commits later). Core::crossValidate() checks
+ * every bit of every in-window producer's rows against the operand
+ * it names.
  *
  * All planes live in flat vectors sized once at reset(); steady-state
  * operation is allocation-free (test_hotpath_alloc).
@@ -70,12 +68,6 @@ class SlotMask
         words_.assign(wordCount(slots), 0);
     }
 
-    bool
-    test(unsigned s) const
-    {
-        return (words_[s >> 6] >> (s & 63)) & 1;
-    }
-
     void set(unsigned s) { words_[s >> 6] |= uint64_t(1) << (s & 63); }
 
     void
@@ -85,7 +77,6 @@ class SlotMask
     }
 
     const uint64_t *words() const { return words_.data(); }
-    unsigned capacity() const { return slots_; }
 
     /** Number of members (cold diagnostics). */
     unsigned
@@ -136,7 +127,6 @@ class DepMatrix
     void
     reset(unsigned slots)
     {
-        slots_ = slots;
         rowWords_ = SlotMask::wordCount(slots);
         bits_.assign(rowWords_ * slots, 0);
     }
@@ -154,14 +144,6 @@ class DepMatrix
             uint64_t(1) << (bit & 63);
     }
 
-    bool
-    test(unsigned row_slot, unsigned bit) const
-    {
-        return (bits_[size_t(row_slot) * rowWords_ + (bit >> 6)]
-                >> (bit & 63))
-            & 1;
-    }
-
     void
     clearRow(unsigned row_slot)
     {
@@ -173,29 +155,24 @@ class DepMatrix
   private:
     std::vector<uint64_t> bits_;
     size_t rowWords_ = 0;
-    unsigned slots_ = 0;
 };
 
 /** The scheduler's full plane set, sized to the window. */
 struct IssueWindowMasks
 {
-    SlotMask occupancy; ///< in-window slots (dispatch .. commit)
-    SlotMask ready;     ///< unissued, scheduler-ready (select scan)
-    SlotMask issued;    ///< issued, uncommitted (replay candidates)
-    SlotMask highPrio;  ///< loads/branches (pass-0 select class)
-    DepMatrix dep[2];   ///< producer -> consumers, per operand plane
-    DepMatrix slowPend; ///< slow-bus re-delivery plane (seq wakeup)
+    SlotMask ready;    ///< unissued, scheduler-ready (select scan)
+    SlotMask issued;   ///< issued, uncommitted (replay candidates)
+    SlotMask highPrio; ///< loads/branches (pass-0 select class)
+    DepMatrix dep[2];  ///< producer -> consumers, per operand plane
 
     void
     reset(unsigned slots)
     {
-        occupancy.reset(slots);
         ready.reset(slots);
         issued.reset(slots);
         highPrio.reset(slots);
         dep[0].reset(slots);
         dep[1].reset(slots);
-        slowPend.reset(slots);
     }
 
     /** Drop every dependency bit owned by @p slot (slot reuse). */
@@ -204,7 +181,6 @@ struct IssueWindowMasks
     {
         dep[0].clearRow(slot);
         dep[1].clearRow(slot);
-        slowPend.clearRow(slot);
     }
 };
 

@@ -27,7 +27,7 @@ class LastArrivalPredictor
     /** @return true when the right-hand operand is predicted last.
      *  Header-inline: consulted at dispatch for every 2-pending
      *  instruction on the sequential-wakeup/tag-elim paths (it
-     *  decides which operand the slow plane and the tag-elimination
+     *  decides which operand the slow bus and the tag-elimination
      *  comparator watch). */
     bool
     predictRightLast(uint64_t pc) const

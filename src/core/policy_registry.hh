@@ -3,8 +3,7 @@
  * String-keyed registry of scheduler and register-file policies.
  *
  * One table per policy axis maps a short registry key (the name
- * accepted by `MachineBuilder::schedPolicy()` / `rfPolicy()` and the
- * `--sched-policy` / `--rf-policy` CLI flags) to the machine-name
+ * the `--wakeup` / `--regfile` CLI flags accept) to the machine-name
  * suffix that `sim::machineName()` appends (empty for the base
  * machine's policy) and the `CoreConfig` enum it selects. The
  * suffixes key the golden IPC gate, so they are part of the stable

@@ -68,28 +68,6 @@ MachineBuilder::regfile(core::RegfileModel r)
 }
 
 MachineBuilder &
-MachineBuilder::schedPolicy(std::string_view name)
-{
-    const core::SchedPolicyInfo *info = core::findSchedPolicy(name);
-    if (!info)
-        throw ConfigError(
-            "unknown scheduler policy '" + std::string(name)
-            + "' (registered: " + core::schedPolicyNames() + ")");
-    return wakeup(info->model);
-}
-
-MachineBuilder &
-MachineBuilder::rfPolicy(std::string_view name)
-{
-    const core::RFPolicyInfo *info = core::findRFPolicy(name);
-    if (!info)
-        throw ConfigError(
-            "unknown register-file policy '" + std::string(name)
-            + "' (registered: " + core::rfPolicyNames() + ")");
-    return regfile(info->model);
-}
-
-MachineBuilder &
 MachineBuilder::recovery(core::RecoveryModel r)
 {
     cfg_.recovery = r;

@@ -7,9 +7,8 @@
  * fast-forward count and the full statistics snapshot — emittable as
  * schema-versioned JSON. This is the stable programmatic surface the
  * tools and the sweep engine drive the simulator through; the builder
- * is the single machine-construction path, and policies can be
- * selected by registry name (schedPolicy()/rfPolicy(), see
- * core/policy_registry.hh) or by enum.
+ * is the single machine-construction path, and policies are selected
+ * by enum (core/policy_registry.hh maps each registry key to one).
  */
 
 #ifndef HPA_SIM_EXPERIMENT_HH
@@ -18,7 +17,6 @@
 #include <memory>
 #include <ostream>
 #include <string>
-#include <string_view>
 
 #include "sim/error.hh"
 #include "sim/simulation.hh"
@@ -97,16 +95,6 @@ class MachineBuilder
     MachineBuilder &recovery(core::RecoveryModel r);
     MachineBuilder &rename(core::RenameModel r);
 
-    /** Select the wakeup/select policy by registry key ("conv",
-     *  "seq", "seq-nopred", "tag-elim", "dlt"); throws ConfigError
-     *  listing the registered names on an unknown key. */
-    MachineBuilder &schedPolicy(std::string_view name);
-
-    /** Select the register-file port policy by registry key
-     *  ("2port", "seq", "extra-stage", "half-xbar", "prefetch");
-     *  throws ConfigError listing the registered names. */
-    MachineBuilder &rfPolicy(std::string_view name);
-
     /** Last-arrival predictor entries (power of 2); only meaningful
      *  — and only accepted — with a predictor-based wakeup scheme
      *  (Sequential or TagElimination). */
@@ -153,7 +141,6 @@ struct ExperimentSpec
     uint64_t max_cycles = 0;
     /** Fast-forward functionally to the kernel's `steady:` label. */
     bool fast_forward = true;
-    workloads::Scale scale = workloads::Scale::Full;
 
     /**
      * Check the spec is runnable: the workload must be a registered

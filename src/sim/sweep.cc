@@ -38,7 +38,8 @@ void
 runCell(const SweepJob &job, workloads::WorkloadCache &cache,
         SweepResult &r)
 {
-    const workloads::Workload &w = cache.get(job.workload, job.scale);
+    const workloads::Workload &w =
+        cache.get(job.workload, workloads::Scale::Full);
 
     uint64_t ff = 0;
     if (job.fast_forward) {
@@ -54,7 +55,8 @@ runCell(const SweepJob &job, workloads::WorkloadCache &cache,
     // cell — across machines, threads and repeat sweeps — replays
     // the shared immutable buffer.
     const func::CommittedTrace &trace =
-        cache.trace(job.workload, job.scale, job.max_insts, ff);
+        cache.trace(job.workload, workloads::Scale::Full, job.max_insts,
+                    ff);
     r.sim = std::make_unique<Simulation>(trace, job.machine.cfg);
 
     // hpa-nolint(HPA007): wall-time around the run; reported, never fed back
@@ -210,20 +212,22 @@ reproductionMachines()
 std::vector<Machine>
 policyZooMachines()
 {
-    // The post-paper policy points, selected through the string
-    // registry (the same path the --sched-policy/--rf-policy CLI
-    // flags take): each new policy alone, the two combined, and one
-    // cross with a paper scheme.
+    // The post-paper policy points: each new policy alone, the two
+    // combined, and one cross with a paper scheme.
+    using core::RegfileModel;
+    using core::WakeupModel;
     std::vector<Machine> ms;
     for (unsigned width : {4u, 8u}) {
-        ms.push_back(Machine::base(width).schedPolicy("dlt"));
-        ms.push_back(Machine::base(width).rfPolicy("prefetch"));
         ms.push_back(Machine::base(width)
-                         .schedPolicy("dlt")
-                         .rfPolicy("prefetch"));
+                         .wakeup(WakeupModel::LoadDelayTracking));
         ms.push_back(Machine::base(width)
-                         .schedPolicy("seq")
-                         .rfPolicy("prefetch"));
+                         .regfile(RegfileModel::PrefetchBuffer));
+        ms.push_back(Machine::base(width)
+                         .wakeup(WakeupModel::LoadDelayTracking)
+                         .regfile(RegfileModel::PrefetchBuffer));
+        ms.push_back(Machine::base(width)
+                         .wakeup(WakeupModel::Sequential)
+                         .regfile(RegfileModel::PrefetchBuffer));
     }
     return ms;
 }

@@ -242,35 +242,16 @@ TEST(SimOptionsParse, BadModelNamesAreRejected)
     EXPECT_EQ(parse({"--regfile", "3port"}, o, err), 2);
 }
 
-TEST(SimOptionsParse, PolicyFlagsAliasModelFlags)
-{
-    SimOptions a, b;
-    std::string err;
-    ASSERT_EQ(parse({"--sched-policy", "dlt", "--rf-policy",
-                     "prefetch"},
-                    a, err),
-              0)
-        << err;
-    EXPECT_EQ(a.wakeup, core::WakeupModel::LoadDelayTracking);
-    EXPECT_EQ(a.regfile, core::RegfileModel::PrefetchBuffer);
-    ASSERT_EQ(parse({"--wakeup", "dlt", "--regfile", "prefetch"}, b,
-                    err),
-              0)
-        << err;
-    EXPECT_EQ(b.wakeup, a.wakeup);
-    EXPECT_EQ(b.regfile, a.regfile);
-}
-
 TEST(SimOptionsParse, UnknownPolicyNamesListTheRegistry)
 {
     SimOptions o;
     std::string err;
-    EXPECT_EQ(parse({"--sched-policy", "psychic"}, o, err), 2);
+    EXPECT_EQ(parse({"--wakeup", "psychic"}, o, err), 2);
     for (const char *name :
          {"conv", "seq", "seq-nopred", "tag-elim", "dlt"})
         EXPECT_NE(err.find(name), std::string::npos)
             << "sched error does not list " << name << ": " << err;
-    EXPECT_EQ(parse({"--rf-policy", "3port"}, o, err), 2);
+    EXPECT_EQ(parse({"--regfile", "3port"}, o, err), 2);
     for (const char *name :
          {"2port", "extra-stage", "half-xbar", "prefetch"})
         EXPECT_NE(err.find(name), std::string::npos)
@@ -285,9 +266,8 @@ TEST(SimOptionsMachine, NewPolicySuffixesComposeTheMachineName)
 {
     SimOptions o;
     std::string err;
-    ASSERT_EQ(parse({"--sched-policy", "dlt", "--rf-policy",
-                     "prefetch"},
-                    o, err),
+    ASSERT_EQ(parse({"--wakeup", "dlt", "--regfile", "prefetch"}, o,
+                    err),
               0)
         << err;
     sim::Machine m = tools::machineFor(o);

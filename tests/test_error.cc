@@ -136,6 +136,15 @@ struct CoreTestPeer
     {
         core.masks_.ready.set(slot);
     }
+
+    /** Set bit @p consumer of @p producer's row in dependency plane
+     *  @p plane, whatever the two slots hold. */
+    static void
+    setDep(Core &core, unsigned plane, unsigned producer,
+           unsigned consumer)
+    {
+        core.masks_.dep[plane].set(producer, consumer);
+    }
 };
 
 } // namespace hpa::core
@@ -235,6 +244,33 @@ TEST_F(CoreGuards, CrossValidationCatchesAStrayReadyBitOnAnEmptySlot)
                   std::string::npos)
             << e.what();
         EXPECT_EQ(e.context().cycle, 1u);
+    }
+}
+
+TEST_F(CoreGuards, CrossValidationCatchesAStrayDependencyBit)
+{
+    // A slot that waits ready named as its own consumer in operand
+    // plane 0: nothing reads the bit before the slot issues and
+    // broadcasts, so only the check of every in-window producer's
+    // dependency rows can see it, on the next tick.
+    core::CoreConfig cfg = core::fourWideConfig();
+    cfg.check_interval = 1;
+    auto s = makeSim(cfg, 5000);
+    core::Core &core = s.core();
+    while (core.readyListSnapshot().empty())
+        core.tick();
+    const uint64_t corrupted = core.cycle();
+    const unsigned slot = core.readyListSnapshot().front();
+    core::CoreTestPeer::setDep(core, 0, slot, slot);
+    try {
+        core.tick();
+        FAIL() << "expected hpa::InvariantViolation";
+    } catch (const InvariantViolation &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Invariant);
+        EXPECT_NE(std::string(e.what()).find("dependency row"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_EQ(e.context().cycle, corrupted + 1);
     }
 }
 

@@ -4,16 +4,18 @@
  *  determinism on random straight-line programs, and the core's
  *  incremental scheduler lists vs a brute-force window recompute. */
 
+#include <algorithm>
 #include <map>
 #include <random>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
 #include "core/core.hh"
 #include "core/event_queue.hh"
-#include "core/issue_window.hh"
+#include "core/policy_registry.hh"
 #include "core/synthetic.hh"
 #include "func/emulator.hh"
 #include "mem/cache.hh"
@@ -200,68 +202,110 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{4u, 32u}, std::tuple{8u, 64u}));
 
 /**
- * Ready-list invariant fuzz: drive the core cycle by cycle on a
- * synthetic committed path (loads, stores, branches, replays) under
- * every wakeup/recovery/regfile family and assert after each tick
- * that the incrementally maintained ready/issued/store lists match a
- * brute-force recompute over the whole window. Small window and LSQ
- * force frequent ring-buffer wraps and replay squashes.
+ * Scheduler fuzz: drive the core cycle by cycle on a synthetic
+ * committed path (loads, stores, branches, replays) and assert after
+ * every tick that the incrementally maintained ready/issued/store
+ * lists match a brute-force recompute over the whole window, and
+ * that every dependency bit of an in-window producer names an
+ * operand waiting on it (readyListConsistent()). One row per run:
+ * a wakeup x register-file pair by registry key, a recovery scheme,
+ * and the stream's seed and shape. Every registered pair has a row;
+ * the shapes vary the two-source fraction, the dependence distance
+ * and the memory mix, and the last rows drive sequential wakeup with
+ * sequential register access on dense two-source streams. A small
+ * window and LSQ force frequent ring-buffer wraps and replay
+ * squashes.
  */
 TEST(CoreReadyListFuzz, IncrementalListsMatchBruteForceEveryCycle)
 {
-    struct ModelMix
+    struct Row
     {
-        core::WakeupModel wakeup;
-        core::RegfileModel regfile;
+        const char *wakeup;
+        const char *regfile;
         core::RecoveryModel recovery;
-        const char *tag;
+        uint64_t seed;
+        double two_source_frac;
+        double dep_distance_p;
+        double load_frac;
+        double store_frac;
     };
-    const ModelMix mixes[] = {
-        {core::WakeupModel::Conventional, core::RegfileModel::TwoPort,
-         core::RecoveryModel::NonSelective, "conv/nonsel"},
-        {core::WakeupModel::Conventional, core::RegfileModel::TwoPort,
-         core::RecoveryModel::Selective, "conv/sel"},
-        {core::WakeupModel::Sequential,
-         core::RegfileModel::SequentialAccess,
-         core::RecoveryModel::NonSelective, "seqw/seqrf"},
-        {core::WakeupModel::SequentialNoPred,
-         core::RegfileModel::TwoPort, core::RecoveryModel::Selective,
-         "seqnp/sel"},
-        {core::WakeupModel::TagElimination,
-         core::RegfileModel::TwoPort,
-         core::RecoveryModel::NonSelective, "tagelim/nonsel"},
+    constexpr core::RecoveryModel NS = core::RecoveryModel::NonSelective;
+    constexpr core::RecoveryModel SEL = core::RecoveryModel::Selective;
+    const Row rows[] = {
+        // wakeup, regfile, recovery, seed, two-source, dep p, load, store
+        {"conv", "2port", NS, 1, 0.30, 0.35, 0.25, 0.15},
+        {"conv", "2port", SEL, 77, 0.30, 0.35, 0.25, 0.15},
+        {"conv", "seq", NS, 101, 0.15, 0.15, 0.10, 0.00},
+        {"conv", "extra-stage", SEL, 102, 0.30, 0.35, 0.20, 0.10},
+        {"conv", "half-xbar", NS, 103, 0.45, 0.55, 0.30, 0.00},
+        {"conv", "prefetch", SEL, 104, 0.60, 0.75, 0.10, 0.10},
+        {"seq", "2port", NS, 105, 0.75, 0.15, 0.20, 0.00},
+        {"seq", "seq", NS, 4242, 0.30, 0.35, 0.25, 0.15},
+        {"seq", "extra-stage", SEL, 106, 0.15, 0.35, 0.30, 0.10},
+        {"seq", "half-xbar", NS, 107, 0.30, 0.55, 0.10, 0.00},
+        {"seq", "prefetch", SEL, 108, 0.45, 0.75, 0.20, 0.10},
+        {"seq-nopred", "2port", SEL, 1, 0.30, 0.35, 0.25, 0.15},
+        {"seq-nopred", "seq", NS, 109, 0.60, 0.15, 0.30, 0.00},
+        {"seq-nopred", "extra-stage", NS, 110, 0.75, 0.35, 0.10, 0.10},
+        {"seq-nopred", "half-xbar", SEL, 111, 0.15, 0.15, 0.10, 0.00},
+        {"seq-nopred", "prefetch", NS, 112, 0.30, 0.35, 0.20, 0.10},
+        {"tag-elim", "2port", NS, 77, 0.30, 0.35, 0.25, 0.15},
+        {"tag-elim", "seq", SEL, 113, 0.45, 0.55, 0.30, 0.00},
+        {"tag-elim", "extra-stage", NS, 114, 0.60, 0.75, 0.10, 0.10},
+        {"tag-elim", "half-xbar", SEL, 115, 0.75, 0.15, 0.20, 0.00},
+        {"tag-elim", "prefetch", NS, 116, 0.15, 0.35, 0.30, 0.10},
+        {"dlt", "2port", SEL, 117, 0.30, 0.55, 0.10, 0.00},
+        {"dlt", "seq", NS, 118, 0.45, 0.75, 0.20, 0.10},
+        {"dlt", "extra-stage", SEL, 119, 0.60, 0.15, 0.30, 0.00},
+        {"dlt", "half-xbar", NS, 120, 0.75, 0.35, 0.10, 0.10},
+        {"dlt", "prefetch", SEL, 4242, 0.30, 0.35, 0.25, 0.15},
+        {"seq", "seq", NS, 11, 0.50, 0.35, 0.25, 0.10},
+        {"seq", "seq", NS, 2025, 0.50, 0.35, 0.25, 0.10},
+        {"seq", "seq", NS, 777777, 0.50, 0.35, 0.25, 0.10},
     };
 
-    for (const auto &mix : mixes) {
-        for (uint64_t seed : {1ull, 77ull, 4242ull}) {
-            core::SyntheticParams sp;
-            sp.num_insts = 3000;
-            sp.seed = seed;
-            sp.load_frac = 0.25;
-            sp.store_frac = 0.15;
-            func::CommittedTrace trace = core::syntheticTrace(sp);
+    for (const core::SchedPolicyInfo &w : core::schedPolicies())
+        for (const core::RFPolicyInfo &r : core::rfPolicies())
+            EXPECT_TRUE(std::any_of(
+                std::begin(rows), std::end(rows), [&](const Row &row) {
+                    return std::string_view(row.wakeup) == w.name
+                        && std::string_view(row.regfile) == r.name;
+                }))
+                << w.name << " x " << r.name << " has no row";
 
-            core::CoreConfig cfg = core::fourWideConfig();
-            cfg.ruu_size = 32;
-            cfg.lsq_size = 16;
-            cfg.wakeup = mix.wakeup;
-            cfg.regfile = mix.regfile;
-            cfg.recovery = mix.recovery;
+    for (const Row &row : rows) {
+        const std::string tag = std::string(row.wakeup) + " x "
+            + row.regfile + " seed " + std::to_string(row.seed);
+        const core::SchedPolicyInfo *w = core::findSchedPolicy(row.wakeup);
+        const core::RFPolicyInfo *r = core::findRFPolicy(row.regfile);
+        ASSERT_TRUE(w && r) << tag;
 
-            core::Core c(cfg, trace);
-            uint64_t guard = 0;
-            while (!c.done() && guard++ < 200000) {
-                c.tick();
-                ASSERT_TRUE(c.readyListConsistent())
-                    << mix.tag << " seed " << seed << " cycle "
-                    << c.cycle();
-            }
-            ASSERT_TRUE(c.done()) << mix.tag << " seed " << seed;
-            EXPECT_TRUE(c.readyListSnapshot().empty())
-                << mix.tag << " seed " << seed;
-            EXPECT_EQ(c.stats().committed.value(), sp.num_insts)
-                << mix.tag << " seed " << seed;
+        core::SyntheticParams sp;
+        sp.num_insts = 2500;
+        sp.seed = row.seed;
+        sp.two_source_frac = row.two_source_frac;
+        sp.dep_distance_p = row.dep_distance_p;
+        sp.load_frac = row.load_frac;
+        sp.store_frac = row.store_frac;
+        func::CommittedTrace trace = core::syntheticTrace(sp);
+
+        core::CoreConfig cfg = core::fourWideConfig();
+        cfg.ruu_size = 32;
+        cfg.lsq_size = 16;
+        cfg.wakeup = w->model;
+        cfg.regfile = r->model;
+        cfg.recovery = row.recovery;
+
+        core::Core c(cfg, trace);
+        uint64_t guard = 0;
+        while (!c.done() && guard++ < 200000) {
+            c.tick();
+            ASSERT_TRUE(c.readyListConsistent())
+                << tag << " cycle " << c.cycle();
         }
+        ASSERT_TRUE(c.done()) << tag;
+        EXPECT_TRUE(c.readyListSnapshot().empty()) << tag;
+        EXPECT_EQ(c.stats().committed.value(), sp.num_insts) << tag;
     }
 }
 
@@ -428,111 +472,6 @@ TEST(CoreEventHorizonFuzz, FarFutureLatenciesKeepListsConsistent)
         ASSERT_TRUE(c.done()) << "seed " << seed;
         EXPECT_EQ(c.stats().committed.value(), sp.num_insts)
             << "seed " << seed;
-    }
-}
-
-/**
- * ReadyMaskFuzz: the scheduler's bit planes on randomized dependence
- * chains. Every N cycles the planes are cross-validated against
- * readyListConsistent()'s brute-force model-readiness predicate
- * (same members, oldest-first order), and the structural plane
- * invariants are checked directly: ready and issued are disjoint,
- * both are subsets of occupancy, and a dependency-matrix bit only
- * ever names an occupied consumer slot while its producer is in the
- * window. Random trials vary the chain shape (dependence distance,
- * two-source fraction, memory mix) and rotate the wakeup model so
- * the fast/slow planes and the tag-elimination path all get
- * traffic; three more trials run sequential wakeup with sequential
- * register access on dense two-source streams and validate every
- * single cycle.
- */
-TEST(ReadyMaskFuzz, PlanesMatchModelReadinessOnRandomDepChains)
-{
-    auto runTrial = [](const core::SyntheticParams &sp,
-                       const core::CoreConfig &cfg, unsigned every,
-                       const std::string &tag) {
-        func::CommittedTrace trace = core::syntheticTrace(sp);
-        core::Core c(cfg, trace);
-        uint64_t guard = 0;
-        while (!c.done() && guard++ < 400000) {
-            c.tick();
-            if (guard % every)
-                continue;
-            ASSERT_TRUE(c.readyListConsistent())
-                << tag << " cycle " << c.cycle();
-            const core::IssueWindowMasks &m = c.issueMasks();
-            for (unsigned s = 0; s < cfg.ruu_size; ++s) {
-                ASSERT_FALSE(m.ready.test(s) && m.issued.test(s))
-                    << "slot " << s << " both ready and issued, "
-                    << tag << " cycle " << c.cycle();
-                if (m.ready.test(s) || m.issued.test(s)) {
-                    ASSERT_TRUE(m.occupancy.test(s))
-                        << "slot " << s << " ready/issued but "
-                        << "unoccupied, " << tag << " cycle "
-                        << c.cycle();
-                }
-            }
-            // While a producer is in the window, each of its
-            // dependency bits must name an occupied consumer slot
-            // (the header's lifetime invariant).
-            for (unsigned p = 0; p < cfg.ruu_size; ++p) {
-                if (!m.occupancy.test(p))
-                    continue;
-                for (int plane = 0; plane < 2; ++plane) {
-                    for (unsigned s = 0; s < cfg.ruu_size; ++s) {
-                        if (m.dep[plane].test(p, s)) {
-                            ASSERT_TRUE(m.occupancy.test(s))
-                                << "dep[" << plane << "] row " << p
-                                << " names unoccupied slot " << s
-                                << ", " << tag << " cycle "
-                                << c.cycle();
-                        }
-                    }
-                }
-            }
-        }
-        ASSERT_TRUE(c.done()) << tag;
-        EXPECT_EQ(c.stats().committed.value(), sp.num_insts) << tag;
-    };
-
-    const core::WakeupModel wakeups[] = {
-        core::WakeupModel::Conventional,
-        core::WakeupModel::Sequential,
-        core::WakeupModel::SequentialNoPred,
-        core::WakeupModel::TagElimination,
-        core::WakeupModel::LoadDelayTracking,
-    };
-    std::mt19937_64 rng(20260808);
-    for (int trial = 0; trial < 10; ++trial) {
-        core::SyntheticParams sp;
-        sp.num_insts = 2500;
-        sp.seed = rng();
-        sp.two_source_frac = 0.15 + 0.15 * double(trial % 5);
-        sp.dep_distance_p = 0.15 + 0.20 * double(trial % 4);
-        sp.load_frac = 0.10 + 0.10 * double(trial % 3);
-        sp.store_frac = (trial % 2) ? 0.10 : 0.0;
-
-        core::CoreConfig cfg = core::fourWideConfig();
-        cfg.ruu_size = 32;
-        cfg.lsq_size = 16;
-        cfg.wakeup = wakeups[trial % 5];
-        runTrial(sp, cfg, 3, "trial " + std::to_string(trial));
-    }
-
-    for (uint64_t seed : {11ull, 2025ull, 777777ull}) {
-        core::SyntheticParams sp;
-        sp.num_insts = 2000;
-        sp.seed = seed;
-        sp.load_frac = 0.25;
-        sp.store_frac = 0.10;
-        sp.two_source_frac = 0.5;
-
-        core::CoreConfig cfg = core::fourWideConfig();
-        cfg.ruu_size = 32;
-        cfg.lsq_size = 16;
-        cfg.wakeup = core::WakeupModel::Sequential;
-        cfg.regfile = core::RegfileModel::SequentialAccess;
-        runTrial(sp, cfg, 1, "seq/seq-rf seed " + std::to_string(seed));
     }
 }
 

@@ -176,8 +176,8 @@ TEST(HotPathAlloc, HalfPriceMachineGzip)
 TEST(HotPathAlloc, PolicyZooMachineGzip)
 {
     sim::Machine m = sim::Machine::base(4)
-                         .schedPolicy("dlt")
-                         .rfPolicy("prefetch")
+                         .wakeup(core::WakeupModel::LoadDelayTracking)
+                         .regfile(core::RegfileModel::PrefetchBuffer)
                          .build();
     expectSteadyStateAllocFree("gzip", m.cfg);
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/policy_registry.hh"
 #include "sim/experiment.hh"
 #include "sim/simulation.hh"
 
@@ -121,9 +122,9 @@ TEST(Builder, DefaultsMatchTable1)
 TEST(Builder, RegistryNamesProduceSameMachinesAsEnums)
 {
     Machine by_name = Machine::base(4)
-                          .schedPolicy("seq")
+                          .wakeup(core::findSchedPolicy("seq")->model)
                           .lap(1024)
-                          .rfPolicy("seq");
+                          .regfile(core::findRFPolicy("seq")->model);
     Machine by_enum = Machine::base(4)
                           .wakeup(core::WakeupModel::Sequential)
                           .lap(1024)
@@ -135,37 +136,21 @@ TEST(Builder, RegistryNamesProduceSameMachinesAsEnums)
     EXPECT_EQ(by_name.cfg.lap_entries, by_enum.cfg.lap_entries);
 }
 
-TEST(Builder, UnknownPolicyNamesThrowListingRegistry)
-{
-    try {
-        Machine::base(4).schedPolicy("bogus");
-        FAIL() << "schedPolicy(\"bogus\") did not throw";
-    } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("conv"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("dlt"),
-                  std::string::npos);
-    }
-    try {
-        Machine::base(4).rfPolicy("bogus");
-        FAIL() << "rfPolicy(\"bogus\") did not throw";
-    } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("2port"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("prefetch"),
-                  std::string::npos);
-    }
-}
-
 TEST(Builder, NewPolicySuffixesComposeNames)
 {
-    EXPECT_EQ(Machine(Machine::base(4).schedPolicy("dlt")).name,
+    using core::RegfileModel;
+    using core::WakeupModel;
+    EXPECT_EQ(Machine(Machine::base(4).wakeup(
+                          WakeupModel::LoadDelayTracking))
+                  .name,
               "4-wide/dlt-wakeup");
-    EXPECT_EQ(Machine(Machine::base(8).rfPolicy("prefetch")).name,
+    EXPECT_EQ(Machine(Machine::base(8).regfile(
+                          RegfileModel::PrefetchBuffer))
+                  .name,
               "8-wide/prefetch-rf");
     EXPECT_EQ(Machine(Machine::base(4)
-                          .schedPolicy("dlt")
-                          .rfPolicy("prefetch"))
+                          .wakeup(WakeupModel::LoadDelayTracking)
+                          .regfile(RegfileModel::PrefetchBuffer))
                   .name,
               "4-wide/dlt-wakeup/prefetch-rf");
 }

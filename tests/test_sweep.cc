@@ -103,8 +103,8 @@ TEST(SweepDeterminism, EightWorkersMatchSerialForEveryPair)
         for (const auto &s : core::schedPolicies()) {
             for (const auto &r : core::rfPolicies()) {
                 sim::Machine m =
-                    sim::Machine::base(w).schedPolicy(s.name).rfPolicy(
-                        r.name);
+                    sim::Machine::base(w).wakeup(s.model).regfile(
+                        r.model);
                 if (std::none_of(machines.begin(), machines.end(),
                                  [&](const sim::Machine &x) {
                                      return x.name == m.name;

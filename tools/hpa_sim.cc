@@ -43,16 +43,15 @@ workload (choose one):
 
 machine:
   --width N           4 (default) or 8: Table 1 base machines
-  --sched-policy P    scheduler (wakeup/select) policy: conv
+  --wakeup P          scheduler (wakeup/select) policy: conv
                       (default) | seq | seq-nopred | tag-elim | dlt
-                      (--wakeup is an alias)
-  --rf-policy P       register-file read-port policy: 2port
+  --regfile P         register-file read-port policy: 2port
                       (default) | seq | extra-stage | half-xbar |
-                      prefetch (--regfile is an alias)
+                      prefetch
   --recovery MODEL    nonsel (default) | sel
   --rename MODEL      2port (default) | half
   --lap N             last-arrival predictor entries (default 1024;
-                      requires a predictor-based --sched-policy)
+                      requires a predictor-based --wakeup)
   --bypass N          bypass window in cycles (default 1)
 
 run control:

@@ -208,15 +208,15 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
         } else if (a == "--width") {
             if (!needUnsigned(&opt.width))
                 return 2;
-        } else if (a == "--wakeup" || a == "--sched-policy") {
+        } else if (a == "--wakeup") {
             if (!need(&v) || !parseWakeupModel(v, opt.wakeup))
-                return fail(a + " expects a registered scheduler "
-                                "policy ("
+                return fail("--wakeup expects a registered scheduler "
+                            "policy ("
                             + core::schedPolicyNames() + ")");
-        } else if (a == "--regfile" || a == "--rf-policy") {
+        } else if (a == "--regfile") {
             if (!need(&v) || !parseRegfileModel(v, opt.regfile))
-                return fail(a + " expects a registered register-file "
-                                "policy ("
+                return fail("--regfile expects a registered "
+                            "register-file policy ("
                             + core::rfPolicyNames() + ")");
         } else if (a == "--recovery") {
             if (!need(&v) || !parseRecoveryModel(v, opt.recovery))

@@ -10,11 +10,14 @@
  *
  * The bit-plane scan helpers at the bottom are the traversal
  * primitives of the scheduler's bit planes (issue_window.hh): the
- * window is a FIFO ring, so scanning the two segments [head, slots)
- * then [0, head) visits set bits in age (= seq = program) order,
- * which is the oldest-first select priority. Each scan loads a word
- * once and pops set bits with countr_zero (tzcnt), so the
- * per-visited-bit cost is a few branch-free ALU ops.
+ * window is a FIFO ring, so visiting set bits from head around the
+ * ring is age (= seq = program) order, the oldest-first select
+ * priority. A 64- or 128-slot ring (the Table 1 windows: one or two
+ * plane words) is rotated so that bit 0 is head (std::rotr, or a
+ * 128-bit rotate), and its bits pop with countr_zero (tzcnt) as slot
+ * (bit + head) & (slots - 1): no loop whose trip count changes from
+ * call to call. Any other ring size scans the two segments
+ * [head, slots) then [0, head) word by word.
  */
 
 #ifndef HPA_CORE_CONTAINERS_HH
@@ -95,49 +98,87 @@ class BoundedRing
 // Bit-plane scan primitives (issue_window.hh)
 // --------------------------------------------------------------------
 
-/** Visit the set bits of word array @p w inside [lo, hi) in
- *  ascending index order. @p fn(bit) returns false to stop.
- *  @return false when the callback stopped the scan. */
+namespace detail
+{
+
+/** Pop the set bits of @p word in ascending order; bit i is ring
+ *  slot (offset + i) & mask. @return false when @p fn stopped. */
 template <typename Fn>
 inline bool
-scanSetBits(const uint64_t *w, unsigned lo, unsigned hi, Fn &&fn)
+popSetBits(uint64_t word, unsigned offset, unsigned mask, Fn &fn)
+{
+    while (word) {
+        unsigned bit = unsigned(std::countr_zero(word));
+        word &= word - 1;
+        if (!fn((offset + bit) & mask))
+            return false;
+    }
+    return true;
+}
+
+/** Visit the set bits of plane word(0..) inside [lo, hi) in
+ *  ascending order. @return false when @p fn stopped. */
+template <typename WordFn, typename Fn>
+inline bool
+scanSegment(WordFn &word, unsigned lo, unsigned hi, Fn &fn)
 {
     if (lo >= hi)
         return true;
     unsigned wlo = lo >> 6;
     unsigned whi = (hi - 1) >> 6;
     for (unsigned wi = wlo; wi <= whi; ++wi) {
-        uint64_t word = w[wi];
+        uint64_t w = word(wi);
         if (wi == wlo)
-            word &= ~uint64_t(0) << (lo & 63);
+            w &= ~uint64_t(0) << (lo & 63);
         if (wi == whi && (hi & 63) != 0)
-            word &= ~uint64_t(0) >> (64 - (hi & 63));
-        while (word) {
-            unsigned bit = unsigned(std::countr_zero(word));
-            word &= word - 1;
-            if (!fn(wi * 64 + bit))
-                return false;
-        }
+            w &= ~uint64_t(0) >> (64 - (hi & 63));
+        if (!popSetBits(w, wi * 64, ~0u, fn))
+            return false;
     }
     return true;
 }
 
+/** Visit the set bits of the plane whose word i is @p word(i), over
+ *  a @p slots-entry ring in age order from @p head. A 64- or
+ *  128-slot ring (the Table 1 windows) is rotated so that bit 0 is
+ *  head, and its bits pop in one pass with no per-word or
+ *  per-segment branch; any other size scans the two segments
+ *  [head, slots) and [0, head). @p fn(slot) returns false to stop. */
+template <typename WordFn, typename Fn>
+inline void
+scanRing(WordFn &&word, unsigned slots, unsigned head, Fn &fn)
+{
+    if (slots == 64) {
+        popSetBits(std::rotr(word(0), int(head)), head, 63, fn);
+    } else if (slots == 128) {
+        using Word128 = unsigned __int128;
+        Word128 x = Word128(word(1)) << 64 | word(0);
+        x = x >> head | x << ((0u - head) & 127);
+        if (popSetBits(uint64_t(x), head, 127, fn))
+            popSetBits(uint64_t(x >> 64), head + 64, 127, fn);
+    } else if (scanSegment(word, head, slots, fn)) {
+        scanSegment(word, 0, head, fn);
+    }
+}
+
+} // namespace detail
+
 /** Visit the set bits of @p w over a @p slots-entry ring in age
- *  order from @p head: segment [head, slots), then [0, head).
- *  @p fn(bit) returns false to stop early (select's width budget). */
+ *  order from @p head: the window is a FIFO ring, so that is seq
+ *  order. @p fn(slot) returns false to stop early (select's width
+ *  budget). */
 template <typename Fn>
 inline void
 scanSetBitsFrom(const uint64_t *w, unsigned slots, unsigned head,
                 Fn &&fn)
 {
-    if (scanSetBits(w, head, slots, fn))
-        scanSetBits(w, 0, head, fn);
+    detail::scanRing([w](unsigned i) { return w[i]; }, slots, head, fn);
 }
 
 /** Like scanSetBitsFrom over the intersection a & b (or a & ~b when
  *  @p complement_b): select's priority-class split scans
  *  ready & highPrio then ready & ~highPrio, so neither pass loads
- *  the DynInsts of the other class. @p fn(bit) returns false to
+ *  the DynInsts of the other class. @p fn(slot) returns false to
  *  stop early (the width budget). */
 template <typename Fn>
 inline void
@@ -145,62 +186,27 @@ scanSetBitsFromAnd(const uint64_t *a, const uint64_t *b,
                    bool complement_b, unsigned slots, unsigned head,
                    Fn &&fn)
 {
-    auto seg = [&](unsigned lo, unsigned hi) {
-        if (lo >= hi)
-            return true;
-        unsigned wlo = lo >> 6;
-        unsigned whi = (hi - 1) >> 6;
-        for (unsigned wi = wlo; wi <= whi; ++wi) {
-            uint64_t word = a[wi] & (complement_b ? ~b[wi] : b[wi]);
-            if (wi == wlo)
-                word &= ~uint64_t(0) << (lo & 63);
-            if (wi == whi && (hi & 63) != 0)
-                word &= ~uint64_t(0) >> (64 - (hi & 63));
-            while (word) {
-                unsigned bit = unsigned(std::countr_zero(word));
-                word &= word - 1;
-                if (!fn(wi * 64 + bit))
-                    return false;
-            }
-        }
-        return true;
-    };
-    if (seg(head, slots))
-        seg(0, head);
+    const uint64_t flip = complement_b ? ~uint64_t(0) : 0;
+    detail::scanRing(
+        [a, b, flip](unsigned i) { return a[i] & (b[i] ^ flip); },
+        slots, head, fn);
 }
 
 /** Like scanSetBitsFrom over the union of two planes (the two
- *  operand rows of a producer's dependency vector): @p fn(bit, in_a,
- *  in_b) says which plane(s) held the bit, so the caller touches
- *  operand 0 before operand 1. */
+ *  operand rows of a producer's dependency vector): @p fn(slot, in_a,
+ *  in_b) says which plane(s) held the bit. */
 template <typename Fn>
 inline void
 scanSetBitsFrom2(const uint64_t *a, const uint64_t *b, unsigned slots,
                  unsigned head, Fn &&fn)
 {
-    auto seg = [&](unsigned lo, unsigned hi) {
-        if (lo >= hi)
-            return;
-        unsigned wlo = lo >> 6;
-        unsigned whi = (hi - 1) >> 6;
-        for (unsigned wi = wlo; wi <= whi; ++wi) {
-            uint64_t wa = a[wi];
-            uint64_t wb = b[wi];
-            uint64_t word = wa | wb;
-            if (wi == wlo)
-                word &= ~uint64_t(0) << (lo & 63);
-            if (wi == whi && (hi & 63) != 0)
-                word &= ~uint64_t(0) >> (64 - (hi & 63));
-            while (word) {
-                unsigned bit = unsigned(std::countr_zero(word));
-                uint64_t m = word & (~word + 1);
-                word &= word - 1;
-                fn(wi * 64 + bit, (wa & m) != 0, (wb & m) != 0);
-            }
-        }
+    auto visit = [a, b, &fn](unsigned s) {
+        const uint64_t m = uint64_t(1) << (s & 63);
+        fn(s, (a[s >> 6] & m) != 0, (b[s >> 6] & m) != 0);
+        return true;
     };
-    seg(head, slots);
-    seg(0, head);
+    detail::scanRing([a, b](unsigned i) { return a[i] | b[i]; }, slots,
+                     head, visit);
 }
 
 } // namespace hpa::core

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -122,16 +123,39 @@ eventCapacity(const CoreConfig &cfg)
     return 6 * size_t(cfg.width) * (eventHorizon(cfg) + 2);
 }
 
-/** The state of an empty window slot; dispatch copies it over the
- *  slot's previous tenant. A copy is a run of vector moves, where
- *  value-initializing in place compiles to `rep stosq`. */
-constexpr DynInst BLANK_INST{};
 static_assert(std::is_trivially_copyable_v<DynInst>,
-              "dispatch resets a slot by copying BLANK_INST");
+              "the window is a flat array of plain slots");
 static_assert(sizeof(DynInst) <= 160,
-              "DynInst is copied at every dispatch; keep it small");
+              "DynInst is rewritten at every dispatch; keep it small");
 static_assert(sizeof(OperandState) <= 24,
-              "two OperandStates ride in every DynInst copy");
+              "two OperandStates ride in every DynInst");
+
+/** The static facts of @p si (dyn_inst.hh). */
+UopFacts
+uopFacts(const isa::StaticInst &si)
+{
+    const isa::OpClass cls = si.opClass();
+    const isa::RegIndex dest = si.destReg();
+    const bool broadcasts = dest != isa::NO_REG && !isa::isZeroReg(dest);
+    const unsigned unique = si.uniqueSrcRegs().count;
+    UopFacts f;
+    f.flags = uint8_t((si.isLoad() ? UopFacts::LOAD : 0)
+                      | (si.isStore() ? UopFacts::STORE : 0)
+                      | (si.isLoad() || si.isControl() ? UopFacts::HIGH_PRIO
+                                                       : 0));
+    f.dest = broadcasts ? dest : isa::NO_REG;
+    f.fuGroup = fuGroup(cls);
+    f.occupancy = uint8_t(fuOccupancy(cls));
+    f.latency = uint8_t(isa::opClassLatency(cls));
+    f.memSize = uint8_t(si.memSize());
+    f.fmt = si.isStore() ? FmtClass::Store
+        : !si.isTwoSourceFormat() ? FmtClass::Other
+        : si.isNop() ? FmtClass::Nop
+        : unique == 2 ? FmtClass::TwoUnique
+        : FmtClass::OneUnique;
+    f.renameLookups = uint8_t(unique);
+    return f;
+}
 
 /** @p cfg, once the ranges the core's narrowed fields rely on hold.
  *  Runs first in the constructor, so a bad configuration allocates
@@ -167,10 +191,52 @@ Core::Core(const CoreConfig &cfg, const func::CommittedTrace &trace)
     if (cfg.regfile == RegfileModel::HalfPortCrossbar
         || cfg.regfile == RegfileModel::PrefetchBuffer)
         portBudget_ = cfg.width;
-    squashCandidates_.reserve(cfg.ruu_size);
+    squashCandidates_.assign(cfg.ruu_size, 0);
     squashList_.reserve(cfg.ruu_size);
     squashTainted_.reserve(size_t(cfg.ruu_size) + 1);
     squashIn_.reserve(cfg.ruu_size);
+
+    // Per-entry tables: what the hot path reads of an instruction,
+    // once per trace-table entry instead of once per dispatch.
+    const std::vector<func::TraceEntry> &entries = trace.entries();
+    pcs_.reserve(entries.size());
+    for (const func::TraceEntry &e : entries)
+        pcs_.push_back(e.pc);
+    std::sort(pcs_.begin(), pcs_.end());
+    pcs_.erase(std::unique(pcs_.begin(), pcs_.end()), pcs_.end());
+    entryInfo_.reserve(entries.size());
+    for (const func::TraceEntry &e : entries)
+        entryInfo_.push_back({uopFacts(e.inst), uopOperands(e.inst),
+            uint32_t(std::lower_bound(pcs_.begin(), pcs_.end(), e.pc)
+                     - pcs_.begin())});
+    orderHistory_.assign(pcs_.size(), 0);
+}
+
+Core::UopOperands
+Core::uopOperands(const isa::StaticInst &si)
+{
+    const isa::SrcList raw = si.srcRegs();
+    isa::SrcList sched;
+    UopOperands uo;
+    if (si.isStore()) {
+        // Stores schedule as address generation only; the data move
+        // is handled by the store scheduler at commit (Section 2.3).
+        // The data register's producer gates store-to-load
+        // forwarding.
+        if (!isa::isZeroReg(raw.regs[1]))
+            sched.push(raw.regs[1]);
+        if (!isa::isZeroReg(raw.regs[0]))
+            uo.storeData = raw.regs[0];
+    } else {
+        sched = si.uniqueSrcRegs();
+    }
+    uo.count = sched.count;
+    for (unsigned i = 0; i < sched.count; ++i) {
+        uo.reg[i] = sched.regs[i];
+        if (raw.count > 0 && sched.regs[i] == raw.regs[0])
+            uo.leftField = uint8_t(uo.leftField | 1u << i);
+    }
+    return uo;
 }
 
 // --------------------------------------------------------------------
@@ -320,7 +386,7 @@ Core::dumpPipelineState() const
         char buf[64];
         std::snprintf(buf, sizeof buf, "  %4u %8llu %10llx", idx,
                       static_cast<unsigned long long>(di.seq),
-                      static_cast<unsigned long long>(di.pc));
+                      static_cast<unsigned long long>(pcs_[di.pcIndex]));
         os << buf;
         auto cyc = [&](uint64_t c) {
             char b[32];
@@ -342,7 +408,8 @@ Core::dumpPipelineState() const
         state += di.inReadyList ? 'R' : '.';
         state += di.loadMissReplay ? 'M' : '.';
         os << "  " << state << "   "
-           << di.si->disassemble() << "\n";
+           << trace_.entry(trace_.record(di.seq)).inst.disassemble()
+           << "\n";
         idx = nextSlot(idx);
     }
     if (windowCount_ > MAX_ROWS)
@@ -390,7 +457,9 @@ Core::releaseTimingState()
     squashList_ = std::vector<int>();
     squashTainted_ = std::vector<uint64_t>();
     squashIn_ = std::vector<char>();
-    orderHistory_ = std::unordered_map<uint64_t, uint8_t>();
+    entryInfo_ = std::vector<EntryInfo>();
+    pcs_ = std::vector<uint64_t>();
+    orderHistory_ = std::vector<uint8_t>();
     lap_.release();
     lapMon_.release();
     bp_.release();
@@ -454,27 +523,6 @@ Core::tickGuards()
 // Commit
 // --------------------------------------------------------------------
 
-void
-Core::commitFormatStats(const DynInst &di)
-{
-    const isa::StaticInst &si = *di.si;
-    if (si.isStore()) {
-        ++stats_.fmtStores;
-        return;
-    }
-    if (!si.isTwoSourceFormat()) {
-        ++stats_.fmtOther;
-        return;
-    }
-    ++stats_.fmt2srcInsts;
-    if (si.isNop())
-        ++stats_.fmtNops;
-    else if (si.uniqueSrcRegs().count == 2)
-        ++stats_.fmtTwoUnique;
-    else
-        ++stats_.fmtOneUnique;
-}
-
 // hpa-prove-allow(P3): the commit-listener hook is a std::function
 // observer used by pipeview/trace tooling; the indirect call is
 // gated on a listener being installed and is empty in measurement
@@ -495,14 +543,12 @@ Core::commit()
             break;
 
         if (di.isStore())
-            hier_.dataAccess(di.rec->addr, true);
+            hier_.dataAccess(di.addr, true);
 
-        isa::RegIndex dest = di.si->destReg();
-        if (dest != isa::NO_REG && !isa::isZeroReg(dest)
-            && lastProducer_[dest].seq == di.seq)
-            lastProducer_[dest] = ProducerRef{};
-
-        commitFormatStats(di);
+        // Figures 2-3: one fmt.* counter per instruction, and the
+        // 2-source-format total.
+        ++(stats_.*CoreStats::FMT_COUNTERS[size_t(di.facts.fmt)]);
+        stats_.fmt2srcInsts += di.facts.fmt >= FmtClass::Nop;
         if (commitListener_)
             commitListener_(di, cycle_);
         // The producer's dependency rows are left stale: commit is in
@@ -520,8 +566,7 @@ Core::commit()
                           invariantContext());
             storeSlots_.pop_front();
         }
-        if (di.si->isMemRef())
-            --lsqCount_;
+        lsqCount_ -= di.isMemRef();
         ++stats_.committed;
         lastCommitCycle_ = cycle_;
 
@@ -536,7 +581,7 @@ Core::commit()
 // --------------------------------------------------------------------
 
 void
-Core::scheduleEvent(uint64_t when, Event ev)
+Core::eventScheduleFailed(uint64_t when) const
 {
     HPA_CHECK_CTX(when > cycle_ && when - cycle_ <= events_.horizon(),
                   "event scheduled for cycle " + std::to_string(when)
@@ -544,12 +589,11 @@ Core::scheduleEvent(uint64_t when, Event ev)
                       + std::to_string(events_.horizon())
                       + " cycles ahead",
                   invariantContext());
-    HPA_CHECK_CTX(!events_.full(),
-                  "event pool full: "
-                      + std::to_string(events_.capacity())
-                      + " events pending",
-                  invariantContext());
-    events_.schedule(when, cycle_, ev, unsigned(eventRank(ev.kind)));
+    hpa::detail::invariantFailed(
+        __FILE__, __LINE__, "!events_.full()",
+        "event pool full: " + std::to_string(events_.capacity())
+            + " events pending",
+        invariantContext());
 }
 
 void
@@ -594,10 +638,6 @@ Core::slowSideCarriedLast(const DynInst &ci, bool simultaneous)
     return false;
 }
 
-// hpa-prove-allow(P1,P2): the wakeup-order history is an
-// unordered_map keyed by static PC — bounded by the benchmark's
-// static footprint, so inserts and rehashes die out after warm-up
-// (cross-checked dynamically by tests/test_hotpath_alloc.cc)
 void
 Core::noteSecondWake(DynInst &ci, uint64_t now)
 {
@@ -619,19 +659,15 @@ Core::noteSecondWake(DynInst &ci, uint64_t now)
         else
             ++stats_.leftLast;
 
-        uint64_t pc = ci.pc;
-        auto [hist, inserted] =
-            orderHistory_.try_emplace(pc, right_last ? 1 : 0);
-        if (!inserted) {
-            if ((hist->second != 0) == right_last)
-                ++stats_.orderSame;
-            else
-                ++stats_.orderDiff;
-            hist->second = right_last ? 1 : 0;
-        }
-        lap_.update(pc, right_last);
+        // Table 3: the order last time at this pc, if any.
+        uint8_t &hist = orderHistory_[ci.pcIndex];
+        const uint8_t order = right_last ? 2 : 1;
+        stats_.orderSame += hist == order;
+        stats_.orderDiff += hist != 0 && hist != order;
+        hist = order;
+        lap_.update(pcs_[ci.pcIndex], right_last);
     }
-    lapMon_.resolve(ci.pc, ci.shadowPredBits, simultaneous,
+    lapMon_.resolve(pcs_[ci.pcIndex], ci.shadowPredBits, simultaneous,
                     right_last);
 
     // Sequential wakeup: the tag of the last-arriving operand is
@@ -703,18 +739,14 @@ Core::handleFastWake(const Event &ev)
     bool need_slow = false;
     scanSetBitsFrom2(
         masks_.dep[0].row(p), masks_.dep[1].row(p), cfg_.ruu_size,
-        head_, [&](unsigned s, bool in0, bool in1) {
+        head_, [&](unsigned s, bool, bool in1) {
             DynInst &ci = window_[s];
-            for (unsigned k = 0; k < 2; ++k) {
-                if (!(k == 0 ? in0 : in1))
-                    continue;
-                OperandState &op = ci.src[k];
-                if (wakeOperand(ci, op, cycle_, false))
-                    updateReadySlot(s);
-                // A consumer whose tag match arrives only on the +1
-                // re-broadcast.
-                need_slow |= op.slowSide && !op.ready && op.dataReady;
-            }
+            OperandState &op = ci.src[in1];
+            if (wakeOperand(ci, op, cycle_, false))
+                updateReadySlot(s);
+            // A consumer whose tag match arrives only on the +1
+            // re-broadcast.
+            need_slow |= op.slowSide && !op.ready && op.dataReady;
         });
     // Without such a consumer the +1 re-broadcast is a provable
     // no-op (none can appear in between: a later dispatch against an
@@ -738,11 +770,9 @@ Core::handleSlowWake(const Event &ev)
     const unsigned p = unsigned(ev.slot);
     scanSetBitsFrom2(
         masks_.dep[0].row(p), masks_.dep[1].row(p), cfg_.ruu_size,
-        head_, [&](unsigned s, bool in0, bool in1) {
+        head_, [&](unsigned s, bool, bool in1) {
             DynInst &ci = window_[s];
-            if (in0 && wakeOperand(ci, ci.src[0], cycle_, true))
-                updateReadySlot(s);
-            if (in1 && wakeOperand(ci, ci.src[1], cycle_, true))
+            if (wakeOperand(ci, ci.src[in1], cycle_, true))
                 updateReadySlot(s);
         });
 }
@@ -790,12 +820,9 @@ Core::repairConsumersOf(int slot)
     const unsigned p = unsigned(slot);
     scanSetBitsFrom2(
         masks_.dep[0].row(p), masks_.dep[1].row(p), cfg_.ruu_size,
-        head_, [&](unsigned s, bool in0, bool in1) {
+        head_, [&](unsigned s, bool, bool in1) {
             DynInst &ci = window_[s];
-            if (in0)
-                repairOp(ci, ci.src[0], s);
-            if (in1)
-                repairOp(ci, ci.src[1], s);
+            repairOp(ci, ci.src[in1], s);
         });
 }
 
@@ -812,34 +839,34 @@ Core::squashWindow(uint64_t first_cycle, uint64_t last_cycle,
     // completions, so "not complete" is completeCycle >= cycle_. The
     // issued plane holds the issued, uncommitted window entries;
     // scanned from head_ it visits them oldest first — same order as
-    // a head-to-tail window scan. The scratch vectors are members
-    // (capacity reserved at window size), so recovery allocates
-    // nothing once warm.
-    std::vector<int> &candidates = squashCandidates_;
-    candidates.clear();
+    // a head-to-tail window scan. The candidates fill a window-sized
+    // array without a branch (each visit writes, and only a
+    // candidate advances the count); the selective list and its
+    // scratch are members whose capacity is reserved at window
+    // size, so recovery allocates nothing once warm.
+    int *candidates = squashCandidates_.data();
+    size_t num_candidates = 0;
     masks_.issued.forEachFrom(head_, [&](unsigned slot) {
-        DynInst &di = window_[slot];
-        if (di.seq != trigger_seq && di.issueCycle >= first_cycle
-            && di.issueCycle <= last_cycle && di.completeCycle >= cycle_)
-            candidates.push_back(int(slot));
+        const DynInst &di = window_[slot];
+        candidates[num_candidates] = int(slot);
+        num_candidates += (di.seq != trigger_seq)
+            & (di.issueCycle >= first_cycle)
+            & (di.issueCycle <= last_cycle) & (di.completeCycle >= cycle_);
         return true;
     });
 
-    std::vector<int> &squash = squashList_;
-    squash.clear();
-    if (!selective) {
-        squash.assign(candidates.begin(), candidates.end());
-    } else {
+    std::span<const int> squash(candidates, num_candidates);
+    if (selective) {
         // Taint propagation from the trigger through wake producers.
         std::vector<uint64_t> &tainted = squashTainted_;
         tainted.clear();
         tainted.push_back(trigger_seq);
         bool changed = true;
         std::vector<char> &in = squashIn_;
-        in.assign(candidates.size(), 0);
+        in.assign(num_candidates, 0);
         while (changed) {
             changed = false;
-            for (size_t i = 0; i < candidates.size(); ++i) {
+            for (size_t i = 0; i < num_candidates; ++i) {
                 if (in[i])
                     continue;
                 DynInst &di = window_[candidates[i]];
@@ -857,9 +884,12 @@ Core::squashWindow(uint64_t first_cycle, uint64_t last_cycle,
                 }
             }
         }
-        for (size_t i = 0; i < candidates.size(); ++i)
+        std::vector<int> &list = squashList_;
+        list.clear();
+        for (size_t i = 0; i < num_candidates; ++i)
             if (in[i])
-                squash.push_back(candidates[i]);
+                list.push_back(candidates[i]);
+        squash = list;
     }
 
     for (int slot : squash) {
@@ -908,8 +938,7 @@ Core::handleLoadMiss(const Event &ev)
         load.issueCycle + 1 + load.memLatency,
         load.issueCycle + cfg_.schedToExec() + load.latency - 1);
     load.wakeBroadcastCycle = std::max(true_wake, cycle_ + 1);
-    isa::RegIndex dest = load.si->destReg();
-    if (dest != isa::NO_REG && !isa::isZeroReg(dest))
+    if (load.broadcasts())
         scheduleEvent(load.wakeBroadcastCycle,
                       Event{ev.seq, ev.token, ev.slot,
                             EventKind::FastWake});
@@ -949,8 +978,8 @@ Core::wakeBroadcastCycle(uint64_t wake, uint64_t complete)
 bool
 Core::lsqAllowsLoad(const DynInst &load, bool &forwarded) const
 {
-    uint64_t lo = load.rec->addr;
-    uint64_t hi = lo + load.si->memSize();
+    uint64_t lo = load.addr;
+    uint64_t hi = lo + load.facts.memSize;
     forwarded = false;
     // storeSlots_ holds the in-window stores in program order, so the
     // overlap search touches only older stores.
@@ -958,8 +987,8 @@ Core::lsqAllowsLoad(const DynInst &load, bool &forwarded) const
         const DynInst &st = window_[storeSlots_[k]];
         if (st.seq >= load.seq)
             break;
-        uint64_t st_lo = st.rec->addr;
-        if (st_lo < hi && lo < st_lo + st.si->memSize()) {
+        uint64_t st_lo = st.addr;
+        if (st_lo < hi && lo < st_lo + st.facts.memSize) {
             // Overlapping older store: its address must be known
             // (agen issued) and its data produced before the load
             // can obtain a forwarded value.
@@ -983,25 +1012,19 @@ Core::computeRfPorts(const DynInst &di) const
     // An operand is captured from the bypass network only when its
     // value arrives within the bypass window ending at the issue
     // cycle (Section 4.2 assumes a 1-cycle window); anything older
-    // is a register-file read.
-    unsigned ports = 0;
-    for (unsigned i = 0; i < di.numSrc; ++i) {
-        const OperandState &op = di.src[i];
-        // Only values observed arriving on the bypass network
-        // qualify; operands read from the architectural register
-        // file at insert (no producer broadcast) never do. A value
-        // parked in the operand prefetch buffer costs no port
-        // either (PrefetchBuffer policy; the flag is never set
-        // elsewhere).
-        bool bypassed = op.prefetched
-            || (op.dataReady
-                && op.wokenByProducer
-                && op.dataReadyCycle <= cycle_
-                && cycle_ - op.dataReadyCycle < cfg_.bypass_window);
-        if (!bypassed)
-            ++ports;
-    }
-    return ports;
+    // is a register-file read. Only values observed arriving on the
+    // bypass network qualify; operands read from the architectural
+    // register file at insert (no producer broadcast) never do. An
+    // operand marked noPort (a value in the operand prefetch
+    // buffer, or an unused slot) costs no port either.
+    auto port = [&](const OperandState &op) {
+        const bool bypassed = op.noPort
+            | (op.dataReady & op.wokenByProducer
+               & (op.dataReadyCycle <= cycle_)
+               & (cycle_ - op.dataReadyCycle < cfg_.bypass_window));
+        return unsigned(!bypassed);
+    };
+    return port(di.src[0]) + port(di.src[1]);
 }
 
 void
@@ -1026,19 +1049,17 @@ Core::issueInst(DynInst &di, int slot, unsigned ports, bool forwarded)
     }
     unsigned extra = di.seqRegAccess ? 1 : 0;
 
-    // Figure 10 characterization (first issue only).
-    if (first_issue && di.numSrc == 2) {
-        if (ports <= 1) {
-            ++stats_.rfBackToBack;
-        } else if (di.src[0].readyAtInsert && di.src[1].readyAtInsert) {
-            ++stats_.rfTwoReady;
-        } else {
-            ++stats_.rfNonBackToBack;
-        }
-    }
+    // Figure 10 characterization (first issue of a 2-source
+    // instruction only): back to back when at most one operand needs
+    // a port, else both ready at insert or issued late.
+    const bool counted = first_issue & (di.numSrc == 2);
+    const bool two_ports = ports == 2;
+    const bool both_at_insert =
+        di.src[0].readyAtInsert & di.src[1].readyAtInsert;
+    stats_.rfBackToBack += counted & !two_ports;
+    stats_.rfTwoReady += counted & two_ports & both_at_insert;
+    stats_.rfNonBackToBack += counted & two_ports & !both_at_insert;
 
-    isa::RegIndex dest = di.si->destReg();
-    bool broadcasts = dest != isa::NO_REG && !isa::isZeroReg(dest);
     uint64_t wake_cycle;
     uint64_t complete_cycle;
 
@@ -1047,7 +1068,7 @@ Core::issueInst(DynInst &di, int slot, unsigned ports, bool forwarded)
         // overlapping store, or from the cache hierarchy.
         unsigned mem_lat = forwarded
             ? hier_.assumedLoadLatency()
-            : hier_.dataAccess(di.rec->addr, false);
+            : hier_.dataAccess(di.addr, false);
         di.memLatency = uint16_t(mem_lat);
 
         unsigned assumed_total = 1 + hier_.assumedLoadLatency();
@@ -1067,14 +1088,13 @@ Core::issueInst(DynInst &di, int slot, unsigned ports, bool forwarded)
             di.loadMissReplay = false;
         }
     } else {
-        unsigned lat =
-            isa::opClassLatency(di.si->opClass()) + extra;
+        unsigned lat = di.facts.latency + extra;
         di.latency = uint16_t(lat);
         wake_cycle = cycle_ + lat;
         complete_cycle = cycle_ + cfg_.schedToExec() + lat - 1;
     }
 
-    if (broadcasts) {
+    if (di.broadcasts()) {
         wake_cycle = wakeBroadcastCycle(wake_cycle, complete_cycle);
         di.wakeBroadcastCycle = wake_cycle;
         scheduleEvent(wake_cycle,
@@ -1131,7 +1151,7 @@ Core::selectTry(unsigned slot, unsigned &avail, unsigned &ports_left,
         ++stats_.rfPortStalls;
         return true;
     }
-    if (!fu_.acquire(di.si->opClass(), cycle_))
+    if (!fu_.acquire(di.facts.fuGroup, di.facts.occupancy, cycle_))
         return true;
     if (arbitrated)
         ports_left -= ports;
@@ -1175,42 +1195,32 @@ Core::select()
 // --------------------------------------------------------------------
 
 void
-Core::setupOperands(DynInst &di, int slot)
+Core::setupOperands(DynInst &di, int slot, const UopOperands &uo)
 {
-    const isa::StaticInst &si = *di.si;
-
-    isa::SrcList raw = si.srcRegs();
-    isa::SrcList sched;
-    if (si.isStore()) {
-        // Stores schedule as address generation only; the data move
-        // is handled by the store scheduler at commit (Section 2.3).
-        sched.push(raw.regs[1]);
+    di.storeDataProducerSeq = NO_SEQ;
+    di.storeDataProducerSlot = -1;
+    if (uo.storeData != isa::NO_REG) {
         // Track the data producer to gate store-to-load forwarding.
-        isa::RegIndex data_reg = raw.regs[0];
-        if (!isa::isZeroReg(data_reg)) {
-            ProducerRef pr = lastProducer_[data_reg];
-            if (pr.seq != NO_SEQ) {
-                di.storeDataProducerSeq = pr.seq;
-                di.storeDataProducerSlot = int16_t(pr.slot);
-            }
+        ProducerRef pr = lastProducer_[uo.storeData];
+        if (inFlight(pr)) {
+            di.storeDataProducerSeq = pr.seq;
+            di.storeDataProducerSlot = int16_t(pr.slot);
         }
-        if (isa::isZeroReg(sched.regs[0]))
-            sched.count = 0;
-    } else {
-        sched = si.uniqueSrcRegs();
     }
 
-    di.numSrc = sched.count;
+    di.numSrc = uo.count;
+    di.src[0] = UNUSED_OPERAND;
+    di.src[1] = UNUSED_OPERAND;
     unsigned pending = 0;
     for (unsigned i = 0; i < di.numSrc; ++i) {
         OperandState &op = di.src[i];
         op = OperandState{};
-        const isa::RegIndex reg = sched.regs[i];
-        op.leftField = raw.count > 0 && reg == raw.regs[0];
+        const isa::RegIndex reg = uo.reg[i];
+        op.leftField = (uo.leftField >> i) & 1;
 
         ProducerRef pr = lastProducer_[reg];
         bool ready_now = true;
-        if (pr.seq != NO_SEQ) {
+        if (inFlight(pr)) {
             DynInst &p = window_[pr.slot];
             HPA_CHECK_CTX(p.seq == pr.seq && p.inWindow,
                           "stale producer map entry for reg "
@@ -1251,9 +1261,12 @@ Core::setupOperands(DynInst &di, int slot)
     if (di.numSrc == 2)
         stats_.readyAtInsert.sample(2 - pending);
 
+    di.predRightLast = false;
+    di.shadowPredBits = 0;
     if (di.twoPending) {
-        di.predRightLast = lap_.predictRightLast(di.pc);
-        di.shadowPredBits = lapMon_.snapshot(di.pc);
+        const uint64_t pc = pcs_[di.pcIndex];
+        di.predRightLast = lap_.predictRightLast(pc);
+        di.shadowPredBits = lapMon_.snapshot(pc);
     }
 }
 
@@ -1298,7 +1311,7 @@ Core::prefetchOperands(DynInst &di, unsigned &ports_left)
             continue;
         if (ports_left > 0) {
             --ports_left;
-            op.prefetched = true;
+            op.noPort = true;
             ++stats_.prefetchHits;
         } else {
             ++stats_.prefetchMisses;
@@ -1320,9 +1333,12 @@ Core::dispatch()
         FetchedInst &fi = fetchQueue_.front();
         if (fi.fetchCycle + cfg_.front_end_depth > cycle_)
             break;
-        if (fi.si->isMemRef() && lsqCount_ >= cfg_.lsq_size)
+        const EntryInfo &info = entryInfo_[fi.rec->entry];
+        const UopFacts &f = info.facts;
+        if ((f.flags & (UopFacts::LOAD | UopFacts::STORE))
+            && lsqCount_ >= cfg_.lsq_size)
             break;
-        unsigned lookups = fi.si->uniqueSrcRegs().count;
+        unsigned lookups = f.renameLookups;
         if (lookups > rename_ports) {
             ++stats_.renameStalls;
             // The group splits here — unless nothing has dispatched
@@ -1338,28 +1354,40 @@ Core::dispatch()
 
         unsigned slot = tail_;
         DynInst &di = window_[slot];
-        di = BLANK_INST;
         // Slot reuse: retire the previous tenant's dependency rows,
         // left stale at commit (its ready and issued bits were
         // cleared at issue and commit).
         masks_.clearProducer(slot);
 
-        di.rec = fi.rec;
-        di.si = fi.si;
-        di.pc = fi.pc;
-        di.seq = nextSeq_++;
-        di.inWindow = true;
+        // Reset the slot field by field: setupOperands writes the
+        // operands, the store-data producer and the prediction, and
+        // issue writes the latencies before anything reads them.
+        di.addr = fi.rec->addr;
+        di.seq = nextSeq_;
         di.fetchCycle = fi.fetchCycle;
         di.dispatchCycle = cycle_;
+        di.issueCycle = NO_CYCLE;
+        di.completeCycle = NO_CYCLE;
+        di.wakeBroadcastCycle = NO_CYCLE;
+        di.firstWakeCycle = NO_CYCLE;
+        di.issueToken = 0;
+        di.pcIndex = info.pcIndex;
+        di.facts = f;
+        di.inWindow = true;
+        di.issued = false;
+        di.seqRegAccess = false;
+        di.loadMissReplay = false;
+        di.tagElimMisissue = false;
+        di.requireDataReady = false;
         di.mispredictedBranch = fi.mispredicted;
+        di.inReadyList = false;
+        di.wakesSeen = 0;
+        di.firstWakeWasLeft = false;
 
         // Cache the fixed pass-0 select class in the bit plane.
-        if (di.selectHighPrio())
-            masks_.highPrio.set(slot);
-        else
-            masks_.highPrio.clear(slot);
+        masks_.highPrio.assign(slot, f.flags & UopFacts::HIGH_PRIO);
 
-        setupOperands(di, int(slot));
+        setupOperands(di, int(slot), info.ops);
         placeOperands(di);
         if (cfg_.regfile == RegfileModel::PrefetchBuffer)
             prefetchOperands(di, prefetch_ports);
@@ -1367,14 +1395,15 @@ Core::dispatch()
         if (di.isStore())
             storeSlots_.push_back(slot);
 
-        isa::RegIndex dest = di.si->destReg();
-        if (dest != isa::NO_REG && !isa::isZeroReg(dest))
-            lastProducer_[dest] = ProducerRef{di.seq, int(slot)};
+        if (f.dest != isa::NO_REG)
+            lastProducer_[f.dest] = ProducerRef{di.seq, int(slot)};
 
-        if (di.si->isMemRef())
-            ++lsqCount_;
+        lsqCount_ += di.isMemRef();
 
+        // The window now holds seqs [nextSeq_ - windowCount_,
+        // nextSeq_) again (inFlight()).
         tail_ = nextSlot(tail_);
+        ++nextSeq_;
         ++windowCount_;
         ++stats_.dispatched;
         --budget;
@@ -1418,8 +1447,6 @@ Core::fetch()
 
         FetchedInst fi;
         fi.rec = &rec;
-        fi.si = &si;
-        fi.pc = entry.pc;
         fi.fetchCycle = cycle_;
         fi.mispredicted = false;
 

@@ -29,7 +29,6 @@
 
 #include <functional>
 #include <ostream>
-#include <unordered_map>
 #include <vector>
 
 #include "bpred/bpred.hh"
@@ -119,6 +118,11 @@ struct CoreStats
     stats::Counter rfPortStalls{"rf.port_stalls",
         "select attempts deferred by read-port arbitration"};
 
+    /** The fmt.* counter of each FmtClass, in enum order. */
+    static constexpr stats::Counter CoreStats::*FMT_COUNTERS[] = {
+        &CoreStats::fmtStores, &CoreStats::fmtOther, &CoreStats::fmtNops,
+        &CoreStats::fmtOneUnique, &CoreStats::fmtTwoUnique};
+
     void regStats(stats::Registry &reg);
 };
 
@@ -140,9 +144,10 @@ class Core
      * Run to completion (trace fetched and window empty). A run that
      * completes frees the timing state only a running core needs —
      * window, bit planes, calendar, fetch queue, store list, squash
-     * scratch, wake-order history, predictor tables and cache lines
-     * — and keeps every counter, cycle(), config(), done() and the
-     * LAP monitor's counts, so a finished core costs a few KiB.
+     * scratch, per-entry tables, wake-order history, predictor
+     * tables and cache lines — and keeps every counter, cycle(),
+     * config(), done() and the LAP monitor's counts, so a finished
+     * core costs a few KiB.
      * tick() must not be called on a core that run() finished.
      * @param max_cycles optional safety bound (0 = unbounded)
      * @return committed instruction count
@@ -261,10 +266,23 @@ class Core
     struct FetchedInst
     {
         const func::TraceRecord *rec;
-        const isa::StaticInst *si;
-        uint64_t pc;
         bool mispredicted;
         uint64_t fetchCycle;
+    };
+
+    /** Dispatch's operand wiring of one trace-table entry, built with
+     *  its UopFacts: the scheduling source registers (a store
+     *  schedules its base register only), which came from the left
+     *  (ra) field, and a store's data register. */
+    struct UopOperands
+    {
+        isa::RegIndex reg[2] = {isa::NO_REG, isa::NO_REG};
+        /** Scheduling sources in use: DynInst::numSrc. */
+        uint8_t count = 0;
+        /** Bit i: operand i is the format's left field. */
+        uint8_t leftField = 0;
+        /** A store's non-zero data register; NO_REG otherwise. */
+        isa::RegIndex storeData = isa::NO_REG;
     };
 
     /** Same-cycle delivery order of coincident events: detections
@@ -322,7 +340,9 @@ class Core
      *  kept out of tick()'s hot path body. */
     void tickGuards();
 
-    void setupOperands(DynInst &di, int slot);
+    /** The operand wiring of @p si (UopOperands). */
+    static UopOperands uopOperands(const isa::StaticInst &si);
+    void setupOperands(DynInst &di, int slot, const UopOperands &uo);
     void updateReadySlot(unsigned slot);
     bool
     eligible(const DynInst &di) const
@@ -345,7 +365,17 @@ class Core
      *  @p forwarded a load's lsqAllowsLoad() verdict. */
     void issueInst(DynInst &di, int slot, unsigned ports,
                    bool forwarded);
-    void scheduleEvent(uint64_t cycle, Event ev);
+    /** Schedule @p ev for cycle @p when, 1..horizon cycles ahead,
+     *  into a pool that is not full. */
+    void
+    scheduleEvent(uint64_t when, Event ev)
+    {
+        if (when - cycle_ - 1 >= events_.horizon() || events_.full())
+            [[unlikely]] eventScheduleFailed(when);
+        events_.schedule(when, cycle_, ev, unsigned(eventRank(ev.kind)));
+    }
+    /** scheduleEvent's failure arm: raises an InvariantViolation. */
+    [[gnu::cold, noreturn]] void eventScheduleFailed(uint64_t when) const;
     void handleFastWake(const Event &ev);
     void handleSlowWake(const Event &ev);
     void handleComplete(const Event &ev);
@@ -367,11 +397,12 @@ class Core
             return di.allSrcReady();
         // Tag elimination: only watched operands have a comparator,
         // and after a detected mis-issue the scoreboard holds the
-        // entry until every value is truly available.
-        for (unsigned i = 0; i < di.numSrc; ++i)
-            if (di.src[i].watched && !di.src[i].ready)
-                return false;
-        return !di.requireDataReady || di.allSrcDataReady();
+        // entry until every value is truly available. An unused slot
+        // reads ready and data-ready.
+        const OperandState &a = di.src[0];
+        const OperandState &b = di.src[1];
+        return (a.ready | !a.watched) & (b.ready | !b.watched)
+            & (!di.requireDataReady | di.allSrcDataReady());
     }
 
     /** Dispatch-time operand wiring: which operand listens to the
@@ -392,7 +423,6 @@ class Core
     void squashWindow(uint64_t first_cycle, uint64_t last_cycle,
                       uint64_t trigger_seq, bool selective);
     void repairConsumersOf(int slot);
-    void commitFormatStats(const DynInst &di);
     /** run()'s last step once done(): free the timing state. */
     void releaseTimingState();
 
@@ -444,19 +474,48 @@ class Core
 
     // squashWindow() scratch, members so recovery (a steady-state
     // occurrence under speculative scheduling) stops allocating
-    // once the reserved capacities are warm.
+    // once the reserved capacities are warm. The candidates array
+    // has one entry per window slot.
     std::vector<int> squashCandidates_;
     std::vector<int> squashList_;
     std::vector<uint64_t> squashTainted_;
     std::vector<char> squashIn_;
 
-    /** Youngest in-flight producer per unified register. */
+    /** Youngest dispatched producer per unified register. Commit
+     *  leaves an entry in place: one whose seq is below the head's,
+     *  nextSeq_ - windowCount_, has committed and reads as "no
+     *  producer" (inFlight()), because seq is the trace index and
+     *  every dispatched instruction commits. */
     struct ProducerRef
     {
         uint64_t seq = NO_SEQ;
         int slot = -1;
     };
     ProducerRef lastProducer_[isa::NUM_UNIFIED_REGS];
+    /** @p pr names an instruction still in the window (NO_SEQ never
+     *  does): one unsigned compare. */
+    bool
+    inFlight(const ProducerRef &pr) const
+    {
+        return pr.seq - (nextSeq_ - windowCount_) < windowCount_;
+    }
+
+    /** What dispatch reads of one trace-table entry
+     *  (func::TraceRecord::entry): the facts it copies into a
+     *  DynInst, the operand wiring, and the dense index of the
+     *  entry's pc. */
+    struct EntryInfo
+    {
+        UopFacts facts;
+        UopOperands ops;
+        uint32_t pcIndex = 0;
+    };
+    /** One EntryInfo per trace-table entry, built by the
+     *  constructor. */
+    std::vector<EntryInfo> entryInfo_;
+    /** The trace's distinct pcs, by pc index (the last-arrival
+     *  predictors hash the pc itself). */
+    std::vector<uint64_t> pcs_;
 
     /** Rank-split calendar: one FIFO list per (cycle, delivery
      *  rank), rank fixed at schedule time (eventRank), so
@@ -475,11 +534,10 @@ class Core
      *  register access issues. */
     unsigned blockedSlotsNext_ = 0;
 
-    /** Wakeup-order history per PC (Table 3). Keyed by static PC,
-     *  so the map stops growing after the first iteration of a
-     *  kernel's loop; the warm steady state performs lookups only
-     *  (test_hotpath_alloc proves it). */
-    std::unordered_map<uint64_t, uint8_t> orderHistory_;
+    /** Wakeup-order history per distinct pc (Table 3), by pc index:
+     *  0 no history yet, 1 left operand last, 2 right operand
+     *  last. */
+    std::vector<uint8_t> orderHistory_;
 
     uint64_t lastCommitCycle_ = 0;
 

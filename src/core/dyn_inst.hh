@@ -2,6 +2,19 @@
  * @file
  * Per-instruction dynamic state tracked while an instruction is in
  * the out-of-order window.
+ *
+ * A DynInst holds no pointer into the trace. Core builds one 8-byte
+ * UopFacts per trace-table entry when it is constructed, and dispatch
+ * copies it into the slot with the record's address and the dense
+ * index of the pc; select, issue, commit and the LSQ walk read only
+ * these copies, never the StaticInst. An instruction's seq is its
+ * index in the trace, so a reader that needs the pc or the decoded
+ * instruction finds them there: trace.entry(trace.record(seq)).
+ *
+ * Unused operand convention: dispatch writes an operand slot the
+ * instruction does not use (src[numSrc..1]) as ready, data-ready and
+ * needing no read port, so the issue conditions and the port count
+ * read both slots without a loop over numSrc.
  */
 
 #ifndef HPA_CORE_DYN_INST_HH
@@ -9,7 +22,7 @@
 
 #include <cstdint>
 
-#include "func/trace.hh"
+#include "core/fu_pool.hh"
 #include "isa/static_inst.hh"
 
 namespace hpa::core
@@ -19,6 +32,50 @@ namespace hpa::core
 constexpr uint64_t NO_CYCLE = ~0ull;
 /** Invalid sequence number sentinel. */
 constexpr uint64_t NO_SEQ = ~0ull;
+
+/** Figure 2-3 format class of a committed instruction: the index of
+ *  the one fmt.* counter it adds to besides fmt.two_source_format
+ *  (CoreStats::FMT_COUNTERS). */
+enum class FmtClass : uint8_t
+{
+    Store,     ///< fmt.stores
+    Other,     ///< fmt.other: 0/1-source format
+    Nop,       ///< fmt.nops: 2-source format, zero-register destination
+    OneUnique, ///< fmt.one_unique: 2-source format, one unique source
+    TwoUnique, ///< fmt.two_unique: 2-source format, two unique sources
+};
+
+/** What dispatch, select, issue, commit and the LSQ need to know of
+ *  an instruction that never changes: computed once per trace-table
+ *  entry (Core's constructor), 8 B, copied into the DynInst at
+ *  dispatch. */
+struct UopFacts
+{
+    static constexpr uint8_t LOAD = 1u << 0;
+    static constexpr uint8_t STORE = 1u << 1;
+    /** Pass-0 select class (Section 2.1: loads and control
+     *  instructions first). */
+    static constexpr uint8_t HIGH_PRIO = 1u << 2;
+
+    uint8_t flags = 0;
+    /** The non-zero destination register whose tag issue broadcasts;
+     *  NO_REG when there is none. */
+    isa::RegIndex dest = isa::NO_REG;
+    FuGroup fuGroup = FuGroup::IntAlu;
+    /** Cycles a unit of fuGroup stays busy: the op latency for a
+     *  divide, else 1. */
+    uint8_t occupancy = 1;
+    /** Op-class latency (isa::opClassLatency); a load's comes from
+     *  the memory system instead. */
+    uint8_t latency = 1;
+    /** Access size in bytes of a memory reference. */
+    uint8_t memSize = 0;
+    FmtClass fmt = FmtClass::Other;
+    /** Rename map-table lookups: unique non-zero source registers. */
+    uint8_t renameLookups = 0;
+};
+
+static_assert(sizeof(UopFacts) == 8);
 
 /** State of one source operand of an in-window instruction. The
  *  two cycle fields come first and the flags pack behind them, so
@@ -54,26 +111,27 @@ struct OperandState
     bool watched = true;
     /** Value was already available when inserted into the window. */
     bool readyAtInsert = false;
-    /** Operand prefetch buffer holds the value (PrefetchBuffer RF
-     *  policy): costs no issue-time read port. Only set for operands
-     *  with no in-flight producer, so replay repair can never
-     *  invalidate a prefetched value. */
-    bool prefetched = false;
+    /** Costs no issue-time read port: the operand prefetch buffer
+     *  holds the value (PrefetchBuffer RF policy), or the slot is
+     *  unused. Prefetch only takes operands with no in-flight
+     *  producer, so replay repair can never invalidate it. */
+    bool noPort = false;
 };
 
+/** An operand slot the instruction does not use: ready, data-ready
+ *  and needing no port (the unused operand convention above). */
+constexpr OperandState UNUSED_OPERAND{
+    .ready = true, .dataReady = true, .noPort = true};
+
 /** A dynamic instruction occupying a window (RUU) slot. Dispatch
- *  resets a slot by copying a blank DynInst (core.cc), so the struct
- *  stays trivially copyable and at most 160 B. */
+ *  resets a slot field by field (core.cc); the struct stays
+ *  trivially copyable and at most 160 B. */
 struct DynInst
 {
-    /** Committed-path record and its decoded instruction; both
-     *  point into the replayed CommittedTrace, which never moves
-     *  while the core runs, so slot setup and recovery never copy
-     *  them. Null only in an empty slot. */
-    const func::TraceRecord *rec = nullptr;
-    const isa::StaticInst *si = nullptr;
-    /** The instruction's pc (from its trace table entry). */
-    uint64_t pc = 0;
+    /** The record's address: a memory reference's effective address
+     *  (the only field of the trace record anything reads). */
+    uint64_t addr = 0;
+    /** Index of the instruction in the replayed trace. */
     uint64_t seq = NO_SEQ;
 
     // --- Dependences (unique, non-zero source registers). ---
@@ -99,6 +157,11 @@ struct DynInst
     uint64_t firstWakeCycle = NO_CYCLE;
     /** Incremented on every (re)issue; cancels stale events. */
     uint32_t issueToken = 0;
+    /** Dense index of the instruction's pc among the trace's
+     *  distinct pcs: the key of the core's per-pc tables. */
+    uint32_t pcIndex = 0;
+    /** The trace-table entry's static facts. */
+    UopFacts facts;
 
     /** Actual execution latency assigned at issue. Core's
      *  constructor checks that every latency of its configuration
@@ -146,33 +209,24 @@ struct DynInst
     /** Shadow predictor predictions per monitored table size. */
     uint8_t shadowPredBits = 0;
 
-    bool isLoad() const { return si->isLoad(); }
-    bool isStore() const { return si->isStore(); }
-    bool isControl() const { return si->isControl(); }
-
-    /** Pass-0 select class (Section 2.1: loads and branches first).
-     *  Read once at dispatch, which caches it in the highPrio bit
-     *  plane; select reads only the plane. */
-    bool selectHighPrio() const { return isLoad() || isControl(); }
-
-    /** All tag matches observed (per-model issue condition helper). */
+    bool isLoad() const { return facts.flags & UopFacts::LOAD; }
+    bool isStore() const { return facts.flags & UopFacts::STORE; }
     bool
-    allSrcReady() const
+    isMemRef() const
     {
-        for (unsigned i = 0; i < numSrc; ++i)
-            if (!src[i].ready)
-                return false;
-        return true;
+        return facts.flags & (UopFacts::LOAD | UopFacts::STORE);
     }
+    bool broadcasts() const { return facts.dest != isa::NO_REG; }
+
+    /** All tag matches observed (per-model issue condition helper);
+     *  an unused slot reads ready. */
+    bool allSrcReady() const { return src[0].ready & src[1].ready; }
 
     /** All values actually available (scoreboard truth). */
     bool
     allSrcDataReady() const
     {
-        for (unsigned i = 0; i < numSrc; ++i)
-            if (!src[i].dataReady)
-                return false;
-        return true;
+        return src[0].dataReady & src[1].dataReady;
     }
 };
 

@@ -55,6 +55,13 @@ fuGroup(isa::OpClass cls)
     }
 }
 
+/** Cycles a unit of fuGroup(@p cls) stays busy for one op. */
+inline unsigned
+fuOccupancy(isa::OpClass cls)
+{
+    return isa::opClassUnpipelined(cls) ? isa::opClassLatency(cls) : 1;
+}
+
 /** Per-cycle reservation tracker for all functional units. */
 class FuPool
 {
@@ -62,19 +69,17 @@ class FuPool
     explicit FuPool(const CoreConfig &cfg);
 
     /**
-     * Try to reserve a unit of the group serving @p cls at @p cycle.
-     * Pipelined units are busy for one cycle; unpipelined (divide)
-     * units for the op latency. Header-inline: this is the per-
-     * select-candidate hot path (a ≤4-entry scan).
+     * Try to reserve a unit of @p group for @p occupancy cycles at
+     * @p cycle: fuOccupancy() of the op's class, one cycle for a
+     * pipelined unit and the op latency for an unpipelined (divide)
+     * one. Header-inline: this is the per-select-candidate hot path
+     * (a ≤4-entry scan).
      * @return true when a unit was available and is now reserved.
      */
     bool
-    acquire(isa::OpClass cls, uint64_t cycle)
+    acquire(FuGroup group, unsigned occupancy, uint64_t cycle)
     {
-        auto &group = units_[size_t(fuGroup(cls))];
-        unsigned occupancy = isa::opClassUnpipelined(cls)
-            ? isa::opClassLatency(cls) : 1;
-        for (uint64_t &busy_until : group) {
+        for (uint64_t &busy_until : units_[size_t(group)]) {
             if (busy_until <= cycle) {
                 busy_until = cycle + occupancy;
                 return true;

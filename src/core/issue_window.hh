@@ -23,9 +23,16 @@
  *    row(p) with one OR of a few words; an instruction's two
  *    scheduling operands always name distinct producers (one
  *    destination per instruction), so a consumer appears in at most
- *    one plane per producer. Sequential wakeup's slow bus is the
- *    same tag re-broadcast a cycle later to the same listeners, so
- *    it walks the same rows.
+ *    one plane per producer, and a wakeup, a slow-bus re-broadcast
+ *    or a replay repair touches exactly the operand whose plane held
+ *    the bit (src[in1]). Sequential wakeup's slow bus is the same
+ *    tag re-broadcast a cycle later to the same listeners, so it
+ *    walks the same rows.
+ *
+ * Every plane is scanned from the window's head slot around the
+ * ring (containers.hh). The Table 1 windows, 64 and 128 slots, are
+ * one and two plane words, which the scans rotate so that bit 0 is
+ * the head; other window sizes scan two segments word by word.
  *
  * Lifetime invariant (why no seq-staleness checks are needed on the
  * wake path): commit is in order and a consumer is strictly
@@ -74,6 +81,14 @@ class SlotMask
     clear(unsigned s)
     {
         words_[s >> 6] &= ~(uint64_t(1) << (s & 63));
+    }
+
+    /** Set or clear @p s without a branch on @p v. */
+    void
+    assign(unsigned s, bool v)
+    {
+        uint64_t &w = words_[s >> 6];
+        w = (w & ~(uint64_t(1) << (s & 63))) | (uint64_t(v) << (s & 63));
     }
 
     const uint64_t *words() const { return words_.data(); }

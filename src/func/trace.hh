@@ -112,6 +112,10 @@ class CommittedTrace
         return entries_[r.entry];
     }
 
+    /** The trace's table: every distinct (pc, decoded instruction)
+     *  pair, in the order the records index it. */
+    const std::vector<TraceEntry> &entries() const { return entries_; }
+
     /** Instructions skipped by the fast-forward loop. */
     uint64_t fastForwarded() const { return fastForwarded_; }
 

@@ -33,20 +33,30 @@ struct Stamp
     bool is_mem;
 };
 
+/** Install a commit listener on @p s that appends each committed
+ *  instruction's Stamp to @p out (its pc from the trace: seq is the
+ *  instruction's index there). */
+void
+recordStamps(sim::Simulation &s, std::vector<Stamp> &out)
+{
+    const func::CommittedTrace &t = s.trace();
+    s.core().setCommitListener(
+        [&t, &out](const DynInst &di, uint64_t commit) {
+            out.push_back(Stamp{di.seq, t.entry(t.record(di.seq)).pc,
+                                di.fetchCycle, di.dispatchCycle,
+                                di.issueCycle, di.completeCycle, commit,
+                                di.issueToken, di.seqRegAccess,
+                                di.isMemRef()});
+        });
+}
+
 std::vector<Stamp>
 trace(const std::string &src, const CoreConfig &cfg)
 {
     auto prog = assembler::assemble(src);
     sim::Simulation s(prog, cfg);
     std::vector<Stamp> out;
-    s.core().setCommitListener(
-        [&out](const DynInst &di, uint64_t commit) {
-            out.push_back(Stamp{di.seq, di.pc, di.fetchCycle,
-                                di.dispatchCycle, di.issueCycle,
-                                di.completeCycle, commit,
-                                di.issueToken, di.seqRegAccess,
-                                di.si->isMemRef()});
-        });
+    recordStamps(s, out);
     s.run(2000000);
     EXPECT_TRUE(s.trace().halted());
     return out;
@@ -423,7 +433,7 @@ TEST(Occupancy, WindowAndLsqNeverExceedConfiguredSize)
     c.setCommitListener([&](const DynInst &di, uint64_t commit) {
         events.push_back({di.dispatchCycle, +1});
         events.push_back({commit, -1});
-        if (di.si->isMemRef()) {
+        if (di.isMemRef()) {
             mem_events.push_back({di.dispatchCycle, +1});
             mem_events.push_back({commit, -1});
         }
@@ -472,28 +482,14 @@ TEST(PolicyTiming, DltSaturatesDividerWakeupToCompletion)
     CoreConfig conv = core::fourWideConfig();
     sim::Simulation sc(prog, conv);
     std::vector<Stamp> tc;
-    sc.core().setCommitListener(
-        [&tc](const DynInst &di, uint64_t commit) {
-            tc.push_back(Stamp{di.seq, di.pc, di.fetchCycle,
-                               di.dispatchCycle, di.issueCycle,
-                               di.completeCycle, commit,
-                               di.issueToken, di.seqRegAccess,
-                               di.si->isMemRef()});
-        });
+    recordStamps(sc, tc);
     sc.run(100000);
 
     CoreConfig dlt = core::fourWideConfig();
     dlt.wakeup = core::WakeupModel::LoadDelayTracking;
     sim::Simulation sd(prog, dlt);
     std::vector<Stamp> td;
-    sd.core().setCommitListener(
-        [&td](const DynInst &di, uint64_t commit) {
-            td.push_back(Stamp{di.seq, di.pc, di.fetchCycle,
-                               di.dispatchCycle, di.issueCycle,
-                               di.completeCycle, commit,
-                               di.issueToken, di.seqRegAccess,
-                               di.si->isMemRef()});
-        });
+    recordStamps(sd, td);
     sd.run(100000);
 
     auto div_c = atWord(tc, 1), use_c = atWord(tc, 2);

@@ -10,6 +10,13 @@ namespace
 using namespace hpa::core;
 using hpa::isa::OpClass;
 
+/** Reserve a unit for one op of class @p cls, as select does. */
+bool
+acquire(FuPool &p, OpClass cls, uint64_t cycle)
+{
+    return p.acquire(fuGroup(cls), fuOccupancy(cls), cycle);
+}
+
 TEST(FuGroupMap, Table1Grouping)
 {
     EXPECT_EQ(fuGroup(OpClass::IntAlu), FuGroup::IntAlu);
@@ -42,54 +49,54 @@ TEST(FuPool, LimitedUnitsPerCycle)
 {
     FuPool p(fourWideConfig());
     for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(p.acquire(OpClass::IntAlu, 10));
-    EXPECT_FALSE(p.acquire(OpClass::IntAlu, 10));
+        EXPECT_TRUE(acquire(p, OpClass::IntAlu, 10));
+    EXPECT_FALSE(acquire(p, OpClass::IntAlu, 10));
 }
 
 TEST(FuPool, PipelinedUnitsFreeNextCycle)
 {
     FuPool p(fourWideConfig());
     for (int i = 0; i < 4; ++i)
-        p.acquire(OpClass::IntAlu, 10);
-    EXPECT_TRUE(p.acquire(OpClass::IntAlu, 11));
+        acquire(p, OpClass::IntAlu, 10);
+    EXPECT_TRUE(acquire(p, OpClass::IntAlu, 11));
 }
 
 TEST(FuPool, MultiplierIsPipelined)
 {
     FuPool p(fourWideConfig());
-    EXPECT_TRUE(p.acquire(OpClass::IntMult, 10));
-    EXPECT_TRUE(p.acquire(OpClass::IntMult, 10));
-    EXPECT_FALSE(p.acquire(OpClass::IntMult, 10));
-    EXPECT_TRUE(p.acquire(OpClass::IntMult, 11));
+    EXPECT_TRUE(acquire(p, OpClass::IntMult, 10));
+    EXPECT_TRUE(acquire(p, OpClass::IntMult, 10));
+    EXPECT_FALSE(acquire(p, OpClass::IntMult, 10));
+    EXPECT_TRUE(acquire(p, OpClass::IntMult, 11));
 }
 
 TEST(FuPool, DividerOccupiesForFullLatency)
 {
     FuPool p(fourWideConfig());
-    EXPECT_TRUE(p.acquire(OpClass::IntDiv, 10));
-    EXPECT_TRUE(p.acquire(OpClass::IntDiv, 10));
+    EXPECT_TRUE(acquire(p, OpClass::IntDiv, 10));
+    EXPECT_TRUE(acquire(p, OpClass::IntDiv, 10));
     // Both dividers busy for 20 cycles.
-    EXPECT_FALSE(p.acquire(OpClass::IntDiv, 11));
-    EXPECT_FALSE(p.acquire(OpClass::IntDiv, 29));
-    EXPECT_TRUE(p.acquire(OpClass::IntDiv, 30));
+    EXPECT_FALSE(acquire(p, OpClass::IntDiv, 11));
+    EXPECT_FALSE(acquire(p, OpClass::IntDiv, 29));
+    EXPECT_TRUE(acquire(p, OpClass::IntDiv, 30));
 }
 
 TEST(FuPool, DividerBlocksMultiplier)
 {
     // MUL and DIV share the MULT/DIV units (Table 1).
     FuPool p(fourWideConfig());
-    p.acquire(OpClass::IntDiv, 10);
-    p.acquire(OpClass::IntDiv, 10);
-    EXPECT_FALSE(p.acquire(OpClass::IntMult, 15));
+    acquire(p, OpClass::IntDiv, 10);
+    acquire(p, OpClass::IntDiv, 10);
+    EXPECT_FALSE(acquire(p, OpClass::IntMult, 15));
 }
 
 TEST(FuPool, GroupsAreIndependent)
 {
     FuPool p(fourWideConfig());
     for (int i = 0; i < 4; ++i)
-        p.acquire(OpClass::IntAlu, 10);
-    EXPECT_TRUE(p.acquire(OpClass::MemRead, 10));
-    EXPECT_TRUE(p.acquire(OpClass::FpAlu, 10));
+        acquire(p, OpClass::IntAlu, 10);
+    EXPECT_TRUE(acquire(p, OpClass::MemRead, 10));
+    EXPECT_TRUE(acquire(p, OpClass::FpAlu, 10));
 }
 
 } // namespace

@@ -1,18 +1,21 @@
 /** @file Differential and fuzz tests: decoder robustness on random
  *  words, disassemble->assemble round trips, sparse memory vs a
  *  reference map, cache vs a reference LRU model, emulator
- *  determinism on random straight-line programs, and the core's
- *  incremental scheduler lists vs a brute-force window recompute. */
+ *  determinism on random straight-line programs, the core's
+ *  incremental scheduler lists vs a brute-force window recompute,
+ *  and the bit-plane scan helpers vs a brute-force ring walk. */
 
 #include <algorithm>
 #include <map>
 #include <random>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
+#include "core/containers.hh"
 #include "core/core.hh"
 #include "core/event_queue.hh"
 #include "core/policy_registry.hh"
@@ -208,18 +211,22 @@ INSTANTIATE_TEST_SUITE_P(
  * lists match a brute-force recompute over the whole window, and
  * that every dependency bit of an in-window producer names an
  * operand waiting on it (readyListConsistent()). One row per run:
- * a wakeup x register-file pair by registry key, a recovery scheme,
- * and the stream's seed and shape. Every registered pair has a row;
- * the shapes vary the two-source fraction, the dependence distance
- * and the memory mix, and the last rows drive sequential wakeup with
- * sequential register access on dense two-source streams. A small
- * window and LSQ force frequent ring-buffer wraps and replay
- * squashes.
+ * a window size, a wakeup x register-file pair by registry key, a
+ * recovery scheme, and the stream's seed and shape. Every registered
+ * pair has a row; the shapes vary the two-source fraction, the
+ * dependence distance and the memory mix, and the dense seq/seq-rf
+ * rows drive sequential wakeup with sequential register access on
+ * two-source streams. A 32-slot window and a 16-entry LSQ force
+ * frequent ring-buffer wraps and replay squashes through the
+ * two-segment plane scans; the 64- and 128-slot rows (the Table 1
+ * windows, 128 on the 8-wide machine) take the rotated scans
+ * (containers.hh), with an LSQ of half the window.
  */
 TEST(CoreReadyListFuzz, IncrementalListsMatchBruteForceEveryCycle)
 {
     struct Row
     {
+        unsigned ruu;
         const char *wakeup;
         const char *regfile;
         core::RecoveryModel recovery;
@@ -232,36 +239,45 @@ TEST(CoreReadyListFuzz, IncrementalListsMatchBruteForceEveryCycle)
     constexpr core::RecoveryModel NS = core::RecoveryModel::NonSelective;
     constexpr core::RecoveryModel SEL = core::RecoveryModel::Selective;
     const Row rows[] = {
-        // wakeup, regfile, recovery, seed, two-source, dep p, load, store
-        {"conv", "2port", NS, 1, 0.30, 0.35, 0.25, 0.15},
-        {"conv", "2port", SEL, 77, 0.30, 0.35, 0.25, 0.15},
-        {"conv", "seq", NS, 101, 0.15, 0.15, 0.10, 0.00},
-        {"conv", "extra-stage", SEL, 102, 0.30, 0.35, 0.20, 0.10},
-        {"conv", "half-xbar", NS, 103, 0.45, 0.55, 0.30, 0.00},
-        {"conv", "prefetch", SEL, 104, 0.60, 0.75, 0.10, 0.10},
-        {"seq", "2port", NS, 105, 0.75, 0.15, 0.20, 0.00},
-        {"seq", "seq", NS, 4242, 0.30, 0.35, 0.25, 0.15},
-        {"seq", "extra-stage", SEL, 106, 0.15, 0.35, 0.30, 0.10},
-        {"seq", "half-xbar", NS, 107, 0.30, 0.55, 0.10, 0.00},
-        {"seq", "prefetch", SEL, 108, 0.45, 0.75, 0.20, 0.10},
-        {"seq-nopred", "2port", SEL, 1, 0.30, 0.35, 0.25, 0.15},
-        {"seq-nopred", "seq", NS, 109, 0.60, 0.15, 0.30, 0.00},
-        {"seq-nopred", "extra-stage", NS, 110, 0.75, 0.35, 0.10, 0.10},
-        {"seq-nopred", "half-xbar", SEL, 111, 0.15, 0.15, 0.10, 0.00},
-        {"seq-nopred", "prefetch", NS, 112, 0.30, 0.35, 0.20, 0.10},
-        {"tag-elim", "2port", NS, 77, 0.30, 0.35, 0.25, 0.15},
-        {"tag-elim", "seq", SEL, 113, 0.45, 0.55, 0.30, 0.00},
-        {"tag-elim", "extra-stage", NS, 114, 0.60, 0.75, 0.10, 0.10},
-        {"tag-elim", "half-xbar", SEL, 115, 0.75, 0.15, 0.20, 0.00},
-        {"tag-elim", "prefetch", NS, 116, 0.15, 0.35, 0.30, 0.10},
-        {"dlt", "2port", SEL, 117, 0.30, 0.55, 0.10, 0.00},
-        {"dlt", "seq", NS, 118, 0.45, 0.75, 0.20, 0.10},
-        {"dlt", "extra-stage", SEL, 119, 0.60, 0.15, 0.30, 0.00},
-        {"dlt", "half-xbar", NS, 120, 0.75, 0.35, 0.10, 0.10},
-        {"dlt", "prefetch", SEL, 4242, 0.30, 0.35, 0.25, 0.15},
-        {"seq", "seq", NS, 11, 0.50, 0.35, 0.25, 0.10},
-        {"seq", "seq", NS, 2025, 0.50, 0.35, 0.25, 0.10},
-        {"seq", "seq", NS, 777777, 0.50, 0.35, 0.25, 0.10},
+        // ruu, wakeup, regfile, recovery, seed, 2-source, dep p, load, store
+        {32, "conv", "2port", NS, 1, 0.30, 0.35, 0.25, 0.15},
+        {32, "conv", "2port", SEL, 77, 0.30, 0.35, 0.25, 0.15},
+        {32, "conv", "seq", NS, 101, 0.15, 0.15, 0.10, 0.00},
+        {32, "conv", "extra-stage", SEL, 102, 0.30, 0.35, 0.20, 0.10},
+        {32, "conv", "half-xbar", NS, 103, 0.45, 0.55, 0.30, 0.00},
+        {32, "conv", "prefetch", SEL, 104, 0.60, 0.75, 0.10, 0.10},
+        {32, "seq", "2port", NS, 105, 0.75, 0.15, 0.20, 0.00},
+        {32, "seq", "seq", NS, 4242, 0.30, 0.35, 0.25, 0.15},
+        {32, "seq", "extra-stage", SEL, 106, 0.15, 0.35, 0.30, 0.10},
+        {32, "seq", "half-xbar", NS, 107, 0.30, 0.55, 0.10, 0.00},
+        {32, "seq", "prefetch", SEL, 108, 0.45, 0.75, 0.20, 0.10},
+        {32, "seq-nopred", "2port", SEL, 1, 0.30, 0.35, 0.25, 0.15},
+        {32, "seq-nopred", "seq", NS, 109, 0.60, 0.15, 0.30, 0.00},
+        {32, "seq-nopred", "extra-stage", NS, 110, 0.75, 0.35, 0.10, 0.10},
+        {32, "seq-nopred", "half-xbar", SEL, 111, 0.15, 0.15, 0.10, 0.00},
+        {32, "seq-nopred", "prefetch", NS, 112, 0.30, 0.35, 0.20, 0.10},
+        {32, "tag-elim", "2port", NS, 77, 0.30, 0.35, 0.25, 0.15},
+        {32, "tag-elim", "seq", SEL, 113, 0.45, 0.55, 0.30, 0.00},
+        {32, "tag-elim", "extra-stage", NS, 114, 0.60, 0.75, 0.10, 0.10},
+        {32, "tag-elim", "half-xbar", SEL, 115, 0.75, 0.15, 0.20, 0.00},
+        {32, "tag-elim", "prefetch", NS, 116, 0.15, 0.35, 0.30, 0.10},
+        {32, "dlt", "2port", SEL, 117, 0.30, 0.55, 0.10, 0.00},
+        {32, "dlt", "seq", NS, 118, 0.45, 0.75, 0.20, 0.10},
+        {32, "dlt", "extra-stage", SEL, 119, 0.60, 0.15, 0.30, 0.00},
+        {32, "dlt", "half-xbar", NS, 120, 0.75, 0.35, 0.10, 0.10},
+        {32, "dlt", "prefetch", SEL, 4242, 0.30, 0.35, 0.25, 0.15},
+        {32, "seq", "seq", NS, 11, 0.50, 0.35, 0.25, 0.10},
+        {32, "seq", "seq", NS, 2025, 0.50, 0.35, 0.25, 0.10},
+        {32, "seq", "seq", NS, 777777, 0.50, 0.35, 0.25, 0.10},
+        {64, "conv", "2port", NS, 1, 0.30, 0.35, 0.25, 0.15},
+        {64, "seq", "seq", NS, 4242, 0.50, 0.35, 0.25, 0.10},
+        {64, "tag-elim", "half-xbar", SEL, 115, 0.75, 0.15, 0.20, 0.00},
+        {64, "dlt", "prefetch", SEL, 121, 0.45, 0.55, 0.30, 0.10},
+        {128, "conv", "2port", SEL, 77, 0.30, 0.35, 0.25, 0.15},
+        {128, "seq", "seq", NS, 11, 0.50, 0.35, 0.25, 0.10},
+        {128, "tag-elim", "half-xbar", NS, 122, 0.60, 0.55, 0.30, 0.05},
+        {128, "seq-nopred", "extra-stage", SEL, 123, 0.45, 0.35, 0.20,
+         0.10},
     };
 
     for (const core::SchedPolicyInfo &w : core::schedPolicies())
@@ -274,8 +290,9 @@ TEST(CoreReadyListFuzz, IncrementalListsMatchBruteForceEveryCycle)
                 << w.name << " x " << r.name << " has no row";
 
     for (const Row &row : rows) {
-        const std::string tag = std::string(row.wakeup) + " x "
-            + row.regfile + " seed " + std::to_string(row.seed);
+        const std::string tag = std::to_string(row.ruu) + " slots, "
+            + row.wakeup + " x " + row.regfile + " seed "
+            + std::to_string(row.seed);
         const core::SchedPolicyInfo *w = core::findSchedPolicy(row.wakeup);
         const core::RFPolicyInfo *r = core::findRFPolicy(row.regfile);
         ASSERT_TRUE(w && r) << tag;
@@ -289,9 +306,10 @@ TEST(CoreReadyListFuzz, IncrementalListsMatchBruteForceEveryCycle)
         sp.store_frac = row.store_frac;
         func::CommittedTrace trace = core::syntheticTrace(sp);
 
-        core::CoreConfig cfg = core::fourWideConfig();
-        cfg.ruu_size = 32;
-        cfg.lsq_size = 16;
+        core::CoreConfig cfg = row.ruu == 128 ? core::eightWideConfig()
+                                              : core::fourWideConfig();
+        cfg.ruu_size = row.ruu;
+        cfg.lsq_size = row.ruu / 2;
         cfg.wakeup = w->model;
         cfg.regfile = r->model;
         cfg.recovery = row.recovery;
@@ -306,6 +324,101 @@ TEST(CoreReadyListFuzz, IncrementalListsMatchBruteForceEveryCycle)
         ASSERT_TRUE(c.done()) << tag;
         EXPECT_TRUE(c.readyListSnapshot().empty()) << tag;
         EXPECT_EQ(c.stats().committed.value(), sp.num_insts) << tag;
+    }
+}
+
+/**
+ * Differential test of the bit-plane scan helpers (containers.hh)
+ * against a brute-force walk of the ring from head: random plane
+ * words of several densities, every head, and a callback that stops
+ * after k visits. The 64- and 128-slot rings take the rotated path,
+ * the other sizes the two-segment scan. The words carry random bits
+ * past the ring's end, which no scan may visit.
+ */
+TEST(ScanHelperFuzz, AgeOrderScansMatchBruteForce)
+{
+    struct Row
+    {
+        unsigned slots;
+        uint64_t seed;
+    };
+    const Row rows[] = {{8, 1},  {32, 2},  {64, 3},
+                        {96, 4}, {128, 5}, {200, 6}};
+    const unsigned stops[] = {1, 3, ~0u};
+
+    for (const Row &row : rows) {
+        std::mt19937_64 rng(row.seed);
+        const size_t words = (row.slots + 63) / 64;
+        auto bit = [](const std::vector<uint64_t> &w, unsigned s) {
+            return ((w[s >> 6] >> (s & 63)) & 1) != 0;
+        };
+        // The slots whose bit @p in(slot) holds, oldest first from
+        // head, at most k of them.
+        auto walk = [&](unsigned head, unsigned k, auto in) {
+            std::vector<unsigned> v;
+            for (unsigned i = 0; i < row.slots && v.size() < k; ++i) {
+                const unsigned s = (head + i) % row.slots;
+                if (in(s))
+                    v.push_back(s);
+            }
+            return v;
+        };
+        for (unsigned trial = 0; trial < 8; ++trial) {
+            std::vector<uint64_t> a(words), b(words);
+            for (size_t i = 0; i < words; ++i) {
+                switch (trial % 4) {
+                  case 0: a[i] = rng() & rng() & rng(); break;
+                  case 1: a[i] = rng(); break;
+                  case 2: a[i] = rng() | rng(); break;
+                  default: a[i] = ~uint64_t(0); break;
+                }
+                b[i] = rng();
+            }
+            for (unsigned head = 0; head < row.slots; ++head) {
+                const std::string tag = std::to_string(row.slots)
+                    + " slots, trial " + std::to_string(trial) + ", head "
+                    + std::to_string(head);
+                for (unsigned k : stops) {
+                    auto stopAfterK = [k](std::vector<unsigned> &got) {
+                        return [&got, k](unsigned s) {
+                            got.push_back(s);
+                            return got.size() < k;
+                        };
+                    };
+                    std::vector<unsigned> got;
+                    core::scanSetBitsFrom(a.data(), row.slots, head,
+                                          stopAfterK(got));
+                    ASSERT_EQ(got, walk(head, k, [&](unsigned s) {
+                                  return bit(a, s);
+                              }))
+                        << tag << ", k " << k;
+                    for (bool comp : {false, true}) {
+                        got.clear();
+                        core::scanSetBitsFromAnd(a.data(), b.data(), comp,
+                                                 row.slots, head,
+                                                 stopAfterK(got));
+                        ASSERT_EQ(got, walk(head, k, [&](unsigned s) {
+                                      return bit(a, s) && bit(b, s) != comp;
+                                  }))
+                            << tag << ", k " << k << ", complement "
+                            << comp;
+                    }
+                }
+                // The union scan visits every slot of a | b with the
+                // planes that hold it.
+                std::vector<std::tuple<unsigned, bool, bool>> got2, want2;
+                core::scanSetBitsFrom2(
+                    a.data(), b.data(), row.slots, head,
+                    [&](unsigned s, bool in_a, bool in_b) {
+                        got2.emplace_back(s, in_a, in_b);
+                    });
+                for (unsigned s : walk(head, ~0u, [&](unsigned s) {
+                         return bit(a, s) || bit(b, s);
+                     }))
+                    want2.emplace_back(s, bit(a, s), bit(b, s));
+                ASSERT_EQ(got2, want2) << tag;
+            }
+        }
     }
 }
 

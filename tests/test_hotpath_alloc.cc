@@ -1,7 +1,7 @@
 /** @file Dynamic half of the zero-steady-state-allocation claim,
  *  cross-validating hpa_prove's static P1 proof: this binary
  *  replaces the global operator new with a counting wrapper, warms a
- *  trace-backed core past every ring/map high-water mark, then
+ *  trace-backed core past every ring/vector high-water mark, then
  *  counts allocations across thousands more Core::tick() calls. Any
  *  count above zero fails — P1 proves from the call graph that no
  *  allocator is reachable except the std::vector growth helpers it

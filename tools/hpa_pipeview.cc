@@ -137,9 +137,11 @@ main(int argc, char **argv)
         sim::Simulation s(image, cfg, insts);
         std::vector<Row> rows;
         s.core().setCommitListener(
-            [&rows](const core::DynInst &di, uint64_t commit) {
-                rows.push_back(Row{di.seq, di.pc,
-                                   di.si->disassemble(),
+            [&rows, &s](const core::DynInst &di, uint64_t commit) {
+                // seq is the instruction's index in the trace.
+                const func::CommittedTrace &t = s.trace();
+                const func::TraceEntry &e = t.entry(t.record(di.seq));
+                rows.push_back(Row{di.seq, e.pc, e.inst.disassemble(),
                                    di.fetchCycle, di.dispatchCycle,
                                    di.issueCycle, di.completeCycle,
                                    commit, di.issueToken,

@@ -13,8 +13,15 @@
  *
  * Unused operand convention: dispatch writes an operand slot the
  * instruction does not use (src[numSrc..1]) as ready, data-ready and
- * needing no read port, so the issue conditions and the port count
- * read both slots without a loop over numSrc.
+ * needing no read port, so the issue conditions, the port count and
+ * selective recovery read both slots without a loop over numSrc.
+ *
+ * Timing lives in recorded cycles, not events: an issue records its
+ * completion (completeCycle), which commit, the LSQ, the replay
+ * shadow and a fetch stalled on a mispredicted branch read; a
+ * producer's one tag broadcast records each operand's arrival
+ * (dataReadyCycle), from which a slow-bus operand's later visibility
+ * follows.
  */
 
 #ifndef HPA_CORE_DYN_INST_HH
@@ -85,13 +92,17 @@ struct OperandState
     /** Sequence number of the in-flight producer; NO_SEQ when the
      *  value was already available at insert. */
     uint64_t producerSeq = NO_SEQ;
-    /** Cycle the value is actually available (scoreboard view). */
+    /** Cycle the value is actually available (scoreboard view): the
+     *  producer's broadcast cycle, or the insert cycle of a value
+     *  read from the register file. */
     uint64_t dataReadyCycle = NO_CYCLE;
     /** Format position: true when this unique operand came from the
      *  left (ra) field. */
     bool leftField = true;
 
-    /** Tag match observed (per-model bus timing applied). */
+    /** Tag match observed. A slow-side operand's match is set by the
+     *  same broadcast as the others' but is visible to select only
+     *  from the cycle after dataReadyCycle (Core::eligible). */
     bool ready = false;
     /** Value is actually available (scoreboard view). */
     bool dataReady = false;
@@ -101,10 +112,10 @@ struct OperandState
      *  waking producer is always producerSeq. */
     bool wokenByProducer = false;
 
-    /** Sequential wakeup: operand listens to the slow bus. Only
+    /** Sequential wakeup: operand listens to the slow bus, which
+     *  delivers the tag one cycle after the fast one. Only
      *  sequential wakeup sets it; every other scheme keeps false, so
-     *  the core's fast-bus and slow-bus rules need no scheme
-     *  check. */
+     *  the core's visibility rule needs no scheme check. */
     bool slowSide = false;
     /** Tag elimination: operand has a comparator on the bus. Only
      *  tag elimination clears it; every other scheme keeps true. */
@@ -187,8 +198,6 @@ struct DynInst
     /** Tag elimination: after a mis-schedule the scoreboard gates
      *  re-issue on full operand availability. */
     bool requireDataReady = false;
-    /** Control instruction the front end mispredicted. */
-    bool mispredictedBranch = false;
 
     /** Scheduler bookkeeping: currently on the core's incremental
      *  ready list (unissued + all required tag matches observed). */

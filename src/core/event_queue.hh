@@ -26,20 +26,20 @@
  *
  * Capacity (chosen by Core, computed from its configuration): every
  * pending event descends from one issue, and
- *  - an issue schedules at most three of FastWake, Complete (a
- *    mispredicted control instruction only), LoadMissDetect (a load
- *    only) and TagElimDetect;
- *  - a delivered FastWake adds at most one SlowWake (+1);
+ *  - an issue schedules at most three: its tag broadcast (FastWake,
+ *    an instruction with a destination), LoadMissDetect (a load that
+ *    missed) and TagElimDetect (a tag-elimination mis-issue);
  *  - a delivered LoadMissDetect adds at most one re-broadcast
- *    FastWake (+1), plus that FastWake's SlowWake (+1);
- * so an issue begets at most 6 events. With H = eventHorizon(cfg),
- * an issue at cycle t schedules for at most t + H, and the two
- * one-step descendants (SlowWake after a FastWake) land at most at
- * t + H + 1. An event pending at cycle `now` therefore comes from an
- * issue in now - H - 1 .. now: H + 2 cycles of at most `width`
- * issues each, hence 6 * width * (H + 2) nodes. Core checks full()
- * before every schedule, so a broken bound raises an
- * InvariantViolation in that cell and never writes past the pool.
+ *    FastWake (+1); no other delivery schedules anything;
+ * so an issue begets at most 4 events. With H = eventHorizon(cfg),
+ * an issue at cycle t schedules for at most t + H, and the
+ * re-broadcast, scheduled at the detection (at most t + H) for at
+ * least one cycle later, lands at most at t + H + 1. An event pending
+ * at cycle `now` therefore comes from an issue in now - H - 1 .. now:
+ * H + 2 cycles of at most `width` issues each, hence
+ * 4 * width * (H + 2) nodes. Core checks full() before every
+ * schedule, so a broken bound raises an InvariantViolation in that
+ * cell and never writes past the pool.
  */
 
 #ifndef HPA_CORE_EVENT_QUEUE_HH

@@ -9,6 +9,7 @@
 
 #include "core/synthetic.hh"
 #include "sim/simulation.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -509,6 +510,35 @@ TEST(TagElimination, WiderMachineAmplifiesRecoveryCost)
         / double(std::max<uint64_t>(
               1, b->core().stats().tagElimMisissues.value()));
     EXPECT_GE(per_miss_8 + 0.5, per_miss_4);
+}
+
+TEST(TagElimination, EveryMisissueReExecutesAtLongDetectionDelays)
+{
+    // With a detection delay of 3 or more, a mis-issued 1-cycle op
+    // completes before its detection: it must still be squashed and
+    // re-issued, never committed with the mis-issue flag standing.
+    auto w = workloads::make("twolf", workloads::Scale::Full);
+    const uint64_t steady = w.program.symbols.at("steady");
+    for (unsigned width : {4u, 8u}) {
+        for (unsigned delay : {3u, 4u}) {
+            CoreConfig cfg = width == 4 ? base4() : core::eightWideConfig();
+            cfg.wakeup = WakeupModel::TagElimination;
+            cfg.tagelim_detect_delay = delay;
+            sim::Simulation s(w.program, cfg, 20000, steady);
+            uint64_t flagged = 0;
+            s.core().setCommitListener(
+                [&flagged](const core::DynInst &di, uint64_t) {
+                    flagged += di.tagElimMisissue;
+                });
+            s.run(5000000);
+            const std::string what = std::to_string(width) + "-wide, d="
+                + std::to_string(delay);
+            EXPECT_EQ(s.core().stats().committed.value(), 20000u) << what;
+            EXPECT_GT(s.core().stats().tagElimMisissues.value(), 100u)
+                << what;
+            EXPECT_EQ(flagged, 0u) << what;
+        }
+    }
 }
 
 TEST(TagElimination, CleanWhenOperandsReadyAtInsert)

@@ -8,10 +8,13 @@
  *  - ready / issued / highPrio: one bit per window slot. The ready
  *    plane holds the unissued, scheduler-ready entries (bit set <=>
  *    DynInst::inReadyList); select is a tzcnt scan of it in age
- *    order (containers.hh scan helpers). The issued plane holds the
- *    issued, uncommitted entries, complete or not (a completion is a
- *    recorded cycle, not an event): the replay-shadow candidates,
- *    which the squash filters by that cycle. highPrio caches the
+ *    order (containers.hh scan helpers). A ready entry may still be
+ *    ineligible this cycle (dispatched this cycle, or a slow-bus
+ *    operand whose tag broadcast this cycle); select skips it. The
+ *    issued plane holds the issued, uncommitted entries, complete or
+ *    not (a completion is a recorded cycle, not an event): the
+ *    replay-shadow candidates, which the squash filters by issue
+ *    cycle. highPrio caches the
  *    loads-and-branches-first select class, fixed at dispatch, so
  *    each select pass scans only its own class (ready & highPrio,
  *    then ready & ~highPrio).
@@ -23,11 +26,12 @@
  *    row(p) with one OR of a few words; an instruction's two
  *    scheduling operands always name distinct producers (one
  *    destination per instruction), so a consumer appears in at most
- *    one plane per producer, and a wakeup, a slow-bus re-broadcast
- *    or a replay repair touches exactly the operand whose plane held
- *    the bit (src[in1]). Sequential wakeup's slow bus is the same
- *    tag re-broadcast a cycle later to the same listeners, so it
- *    walks the same rows.
+ *    one plane per producer, and a wakeup or a replay repair touches
+ *    exactly the operand whose plane held the bit (src[in1]).
+ *    Sequential wakeup's slow bus is the same tag to the same
+ *    listeners a cycle later, so the one broadcast over these rows
+ *    serves it: the operand records the arrival cycle, and select
+ *    reads the extra cycle from it.
  *
  * Every plane is scanned from the window's head slot around the
  * ring (containers.hh). The Table 1 windows, 64 and 128 slots, are

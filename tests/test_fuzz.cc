@@ -555,7 +555,7 @@ TEST(CoreEventHorizonFuzz, FarFutureLatenciesKeepListsConsistent)
 {
     // Drive real cores whose load-miss completions land far ahead
     // (memory latency 1500, so the calendar ring is sized to 2048
-    // slots and wraps many times per run, over a 36,360-node event
+    // slots and wraps many times per run, over a 24,240-node event
     // pool) while ALU wakes stay near. The incremental scheduler
     // planes must stay consistent every cycle, and the run must
     // still commit every instruction.
